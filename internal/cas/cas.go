@@ -38,17 +38,22 @@ package cas
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -149,8 +154,9 @@ func WithVerify(m VerifyMode) Option {
 }
 
 // WithLockWait bounds how long this handle's exclusive operations (GC,
-// Reset, journal compaction) wait for the store lock before failing with
-// ErrBusy (default DefaultLockWait; <= 0 tries once).
+// Reset, and the compaction an append needs after an external journal
+// rewrite) wait for the store lock before failing with ErrBusy (default
+// DefaultLockWait; <= 0 tries once). The compaction at open never waits.
 func WithLockWait(wait time.Duration) Option {
 	return func(c *openConfig) { c.lockWait = wait }
 }
@@ -196,7 +202,8 @@ type Dir struct {
 // every journal line is checksum-verified, every blob the surviving
 // records reference is presence-checked, and — under the default
 // WithVerify(VerifyFull) — every blob file is read back and
-// digest-verified against its name. Anything corrupt is moved to
+// digest-verified against its name, spread across CPUs and overlapped
+// with the journal replay (see loadLocked). Anything corrupt is moved to
 // quarantine/ while the records referencing it are dropped. The returned
 // Report says what was found; damage is never an error — a damaged store
 // is just a colder one. Opening fails only when root exists and is not a
@@ -207,6 +214,7 @@ type Dir struct {
 // process's GC/Reset/compaction waits for this handle (or fails with
 // ErrBusy) instead of rewriting state underneath it.
 func Open(root string, opts ...Option) (*Dir, Report, error) {
+	defer mOpenSeconds.ObserveSince(time.Now())
 	cfg := openConfig{verify: VerifyFull, lockWait: DefaultLockWait}
 	for _, o := range opts {
 		o(&cfg)
@@ -223,10 +231,6 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 		root:     root,
 		lockWait: cfg.lockWait,
 		verify:   cfg.verify,
-		steps:    map[string]Step{},
-		tags:     map[string]Tag{},
-		chains:   map[string]Chain{},
-		order:    map[string]uint64{},
 		inj:      cfg.inj,
 	}
 	lk, err := openLock(d.path("lock"))
@@ -254,13 +258,9 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 			return fail(err)
 		}
 	}
-	if d.verify == VerifyFull {
-		d.fsckBlobsLocked()
-	}
-	if err := d.loadJournalLocked(); err != nil {
+	if err := d.loadLocked(d.verify == VerifyFull); err != nil {
 		return fail(err)
 	}
-	d.dropDanglingRecordsLocked()
 	if d.report.JournalQuarantined > 0 || d.report.RecordsDropped > 0 {
 		// The journal holds damage: a torn tail fragment (which a plain
 		// O_APPEND write would merge with, corrupting the next record) or
@@ -268,13 +268,16 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 		// and re-warned about at every open). Rewrite it to exactly the
 		// surviving records — atomically, like GC's compaction, under the
 		// exclusive lock so no concurrent append lands between our read
-		// of the journal and the rename that replaces it.
-		//chlint:allow ctxfirst -- open-time torn-tail repair; Open has no caller context, wait is bounded by lockWait
-		switch err := d.lock.exclusive(context.Background(), d.lockWait); {
+		// of the journal and the rename that replaces it. The lock is
+		// tried once, not waited for: a peer holding the store open (a
+		// resident daemon holds it for life) would keep it busy for the
+		// whole wait, and the degraded path below is safe without it.
+		//chlint:allow ctxfirst -- open-time torn-tail repair; Open has no caller context and the try is non-blocking
+		switch err := d.lock.exclusive(context.Background(), 0); {
 		case err == nil:
-			// Appends may have landed while we waited for the lock;
+			// Appends may have landed since our read of the journal;
 			// recompute the surviving set from the current journal.
-			if err := d.reloadJournalLocked(); err != nil {
+			if err := d.loadLocked(false); err != nil {
 				return fail(err)
 			}
 			if err := d.writeCompactJournalLocked(); err != nil {
@@ -331,25 +334,53 @@ func (d *Dir) terminateTornTailLocked() error {
 	return nil
 }
 
-// reloadJournalLocked discards the in-memory record state and replays the
-// journal from disk — the step that makes compaction safe after waiting
-// for the exclusive lock, during which other processes may have appended
-// or compacted. Callers hold the exclusive store lock.
-func (d *Dir) reloadJournalLocked() error {
+// loadLocked replaces the in-memory record state with a replay of the
+// journal on disk, then drops the records whose blobs are not present.
+// Open runs it first; compaction and GC run it again under the exclusive
+// store lock, because other processes may have appended or compacted
+// since.
+//
+// With fsck set (the full-verify open) it is one concurrent pass: the
+// journal is read, checksum-verified and decoded on its own goroutine
+// while fsckBlobs digest-verifies every blob file. Each side returns
+// its own counts; only this goroutine writes the Report and the maps,
+// after both have finished. Presence is then answered from the blob walk
+// rather than by a stat per reference.
+func (d *Dir) loadLocked(fsck bool) error {
+	var (
+		j     journalLoad
+		blobs blobScan
+	)
+	if fsck {
+		jc := make(chan journalLoad, 1)
+		go func() { jc <- d.readJournal() }()
+		blobs = d.fsckBlobs()
+		j = <-jc
+		d.report.BlobsChecked, d.report.BlobsQuarantined = blobs.checked, blobs.quarantined
+	} else {
+		j = d.readJournal()
+	}
+	if j.err != nil {
+		return j.err
+	}
+	d.clearRecordsLocked()
+	for _, rec := range j.recs {
+		d.applyLocked(rec)
+	}
+	d.tornTail = j.torn
+	d.report.JournalLines, d.report.JournalQuarantined = j.lines, j.bad
+	d.report.RecordsDropped = d.dropDanglingRecordsLocked(d.presenceLocked(blobs.present))
+	return nil
+}
+
+// clearRecordsLocked empties the in-memory record state.
+func (d *Dir) clearRecordsLocked() {
 	d.steps = map[string]Step{}
 	d.tags = map[string]Tag{}
 	d.chains = map[string]Chain{}
 	d.order = map[string]uint64{}
 	d.orderSeq = 0
 	d.tornTail = false
-	d.report.JournalLines = 0
-	d.report.JournalQuarantined = 0
-	d.report.RecordsDropped = 0
-	if err := d.loadJournalLocked(); err != nil {
-		return err
-	}
-	d.dropDanglingRecordsLocked()
-	return nil
 }
 
 // Root returns the directory the store lives in.
@@ -418,26 +449,104 @@ func (d *Dir) walkBlobs(visit func(digest, path string, ent os.DirEntry)) {
 	}
 }
 
-// fsckBlobsLocked digest-verifies every blob file against its name and
+// blobScan is what the full-verify blob pass found: how many files it
+// checked and quarantined, and the digests it read back intact.
+type blobScan struct {
+	checked, quarantined int
+	present              map[string]bool
+}
+
+// fsckBlobs digest-verifies every blob file against its name and
 // quarantines mismatches (truncated writes, flipped bits, renamed files).
-//
-//chlint:allow failpointcover -- open-time verification; a read failure here already quarantines, the soak faults OpBlobRead on the serving path
-func (d *Dir) fsckBlobsLocked() {
+// The reads and hashes are split across min(GOMAXPROCS, files) workers,
+// the calling goroutine among them, so a busy machine that runs none of
+// the others still finishes the pass; the quarantine moves and the
+// counting happen here, after they join.
+func (d *Dir) fsckBlobs() blobScan {
+	type blobFile struct {
+		digest, path string
+		intact       bool
+		err          error // unreadable
+	}
+	var files []blobFile
 	d.walkBlobs(func(digest, p string, _ os.DirEntry) {
-		d.report.BlobsChecked++
-		data, err := os.ReadFile(p)
-		if err != nil {
-			// Unreadable is not the same as corrupt: a transient
-			// EMFILE/EIO must not destroy a healthy blob. Leave it;
-			// Blob() digest-verifies again at use time.
-			return
-		}
-		if Sum(data) == digest {
-			return
-		}
-		d.quarantine(p, "blob-"+strings.TrimPrefix(digest, DigestPrefix))
-		d.report.BlobsQuarantined++
+		files = append(files, blobFile{digest: digest, path: p})
 	})
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	work := func() {
+		v := newBlobVerifier()
+		for i := next.Add(1) - 1; i < int64(len(files)); i = next.Add(1) - 1 {
+			files[i].intact, files[i].err = v.check(files[i].path, files[i].digest)
+		}
+	}
+	for w := min(runtime.GOMAXPROCS(0), len(files)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+
+	scan := blobScan{checked: len(files), present: make(map[string]bool, len(files))}
+	for _, f := range files {
+		switch {
+		case f.err != nil:
+			// Unreadable is not the same as corrupt: a transient
+			// EMFILE/EIO must not destroy a healthy blob. Leave it, and
+			// out of present, so presenceLocked stats it; Blob()
+			// digest-verifies again at use time.
+		case f.intact:
+			scan.present[f.digest] = true
+		default:
+			d.quarantine(f.path, "blob-"+strings.TrimPrefix(f.digest, DigestPrefix))
+			scan.quarantined++
+		}
+	}
+	return scan
+}
+
+// blobVerifier hashes blob files through one reusable read buffer and
+// hasher; each fsck worker owns one.
+type blobVerifier struct {
+	buf []byte
+	h   hash.Hash
+	sum [sha256.Size]byte
+	hex [2 * sha256.Size]byte
+}
+
+func newBlobVerifier() *blobVerifier {
+	return &blobVerifier{buf: make([]byte, 32<<10), h: sha256.New()}
+}
+
+// check reads the file at p and reports whether its content hashes to
+// digest, or the error that kept it from being read. The read loop is
+// written out because io.CopyBuffer from an *os.File goes through
+// File.WriteTo, which allocates on every call.
+func (v *blobVerifier) check(p, digest string) (bool, error) {
+	f, err := os.Open(p)
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	v.h.Reset()
+	for {
+		n, err := f.Read(v.buf)
+		v.h.Write(v.buf[:n])
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+	hex.Encode(v.hex[:], v.h.Sum(v.sum[:0]))
+	hexpart, ok := strings.CutPrefix(digest, DigestPrefix)
+	return ok && string(v.hex[:]) == hexpart, nil
 }
 
 // quarantine moves a damaged file aside, preserving it for post-mortems
@@ -460,62 +569,77 @@ func (d *Dir) quarantine(p, as string) {
 	}
 }
 
-// loadJournalLocked replays the journal into the in-memory maps. Each line is
-// "<sha256-hex-of-payload> <payload-json>"; lines that fail the checksum
-// (torn tail, bit rot) are appended to quarantine/journal.bad and skipped.
+// journalLoad is what reading the journal found: the valid records in
+// journal order, the line counts, and whether the file ends in a torn
+// (unterminated) line.
+type journalLoad struct {
+	recs       []record
+	lines, bad int
+	torn       bool
+	err        error
+}
+
+// readJournal reads and decodes the journal without touching the
+// in-memory state. Each line is "<sha256-hex-of-payload> <payload-json>";
+// lines that fail the checksum (torn tail, bit rot) are appended to
+// quarantine/journal.bad and skipped.
 //
 //chlint:allow failpointcover -- open-time journal replay; recovery behavior under partial reads is exercised by the torn-tail corpus, not failpoints
-func (d *Dir) loadJournalLocked() error {
+func (d *Dir) readJournal() journalLoad {
+	var j journalLoad
 	data, err := os.ReadFile(d.path("journal"))
 	if os.IsNotExist(err) {
-		return nil
+		return j
 	}
 	if err != nil {
-		return fmt.Errorf("cas: journal: %w", err)
+		j.err = fmt.Errorf("cas: journal: %w", err)
+		return j
 	}
-	var bad []string
-	lines := strings.Split(string(data), "\n")
+	var bad [][]byte
+	lines := bytes.Split(data, []byte("\n"))
 	// A journal not ending in '\n' has a torn final line; Split leaves the
 	// fragment (or "") as the last element, and the checksum rejects it.
 	// Remember the tear: the degraded-open path (compaction lock busy)
 	// must terminate it before any O_APPEND write can merge with it.
-	d.tornTail = len(data) > 0 && data[len(data)-1] != '\n'
+	j.torn = len(data) > 0 && data[len(data)-1] != '\n'
 	for _, line := range lines {
-		if line == "" {
+		if len(line) == 0 {
 			continue
 		}
-		d.report.JournalLines++
+		j.lines++
 		rec, ok := decodeLine(line)
 		if !ok {
 			bad = append(bad, line)
-			d.report.JournalQuarantined++
+			j.bad++
 			continue
 		}
-		d.applyLocked(rec)
+		j.recs = append(j.recs, rec)
 	}
 	if len(bad) > 0 {
 		f, err := os.OpenFile(d.path("quarantine", "journal.bad"),
 			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err == nil {
-			fmt.Fprintln(f, strings.Join(bad, "\n"))
+			f.Write(append(bytes.Join(bad, []byte("\n")), '\n'))
 			f.Close()
 		}
 	}
-	return nil
+	return j
 }
 
 // decodeLine parses and checksum-verifies one journal line.
-func decodeLine(line string) (record, bool) {
-	sum, payload, ok := strings.Cut(line, " ")
-	if !ok || len(sum) != 64 {
+func decodeLine(line []byte) (record, bool) {
+	sum, payload, ok := bytes.Cut(line, []byte(" "))
+	if !ok || len(sum) != 2*sha256.Size {
 		return record{}, false
 	}
-	h := sha256.Sum256([]byte(payload))
-	if hex.EncodeToString(h[:]) != sum {
+	h := sha256.Sum256(payload)
+	var want [2 * sha256.Size]byte
+	hex.Encode(want[:], h[:])
+	if !bytes.Equal(want[:], sum) {
 		return record{}, false
 	}
 	var rec record
-	if json.Unmarshal([]byte(payload), &rec) != nil {
+	if json.Unmarshal(payload, &rec) != nil {
 		return record{}, false
 	}
 	return rec, true
@@ -556,32 +680,56 @@ func (d *Dir) applyLocked(rec record) {
 // validation: a step whose layer is gone cannot replay, a tag whose layer
 // is gone cannot load, a chain whose snapshot is gone cannot rehydrate.
 // When anything is dropped, Open compacts the journal immediately, so the
-// damage is reported once, not at every subsequent open.
-func (d *Dir) dropDanglingRecordsLocked() {
+// damage is reported once, not at every subsequent open. It returns how
+// many records it dropped.
+func (d *Dir) dropDanglingRecordsLocked(present func(digest string) bool) int {
+	dropped := 0
 	for key, st := range d.steps {
-		if st.Layer != "" && !d.hasBlobLocked(st.Layer) {
+		if st.Layer != "" && !present(st.Layer) {
 			delete(d.steps, key)
-			d.report.RecordsDropped++
+			dropped++
 		}
 	}
 	for name, tg := range d.tags {
 		for _, l := range tg.Layers {
-			if !d.hasBlobLocked(l) {
+			if !present(l) {
 				delete(d.tags, name)
-				d.report.RecordsDropped++
+				dropped++
 				break
 			}
 		}
 	}
 	for key, ch := range d.chains {
-		ok := d.hasBlobLocked(ch.Snap)
+		ok := present(ch.Snap)
 		for _, l := range ch.Layers {
-			ok = ok && d.hasBlobLocked(l)
+			ok = ok && present(l)
 		}
 		if !ok {
 			delete(d.chains, key)
-			d.report.RecordsDropped++
+			dropped++
 		}
+	}
+	return dropped
+}
+
+// presenceLocked answers "is this blob present" for one replay: from
+// walked, the digests the blob pass read back intact, and otherwise with
+// one stat per distinct digest. So under full verify a quarantined blob
+// is absent and an unreadable one present, as a stat after the pass
+// would say, and a blob another process wrote after the walk counts
+// too.
+func (d *Dir) presenceLocked(walked map[string]bool) func(digest string) bool {
+	statted := map[string]bool{}
+	return func(digest string) bool {
+		if walked[digest] {
+			return true
+		}
+		ok, seen := statted[digest]
+		if !seen {
+			ok = d.hasBlobLocked(digest)
+			statted[digest] = ok
+		}
+		return ok
 	}
 }
 
@@ -976,12 +1124,7 @@ func (d *Dir) Reset(ctx context.Context) error {
 	}
 	d.journal = f
 	d.closed = false
-	d.steps = map[string]Step{}
-	d.tags = map[string]Tag{}
-	d.chains = map[string]Chain{}
-	d.order = map[string]uint64{}
-	d.orderSeq = 0
-	d.tornTail = false
+	d.clearRecordsLocked()
 	d.report = Report{}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -161,5 +162,91 @@ func TestTwoProcessFlock(t *testing.T) {
 	}
 	if _, ok := d2.Step("warm"); ok {
 		t.Fatal("untagged step survived the child's full sweep")
+	}
+}
+
+// A damaged store shared with a long-lived peer (a resident daemon holds
+// its handle for life) must open at once: compaction tries the exclusive
+// lock once and falls through to the degraded path, which terminates the
+// torn tail so later appends survive.
+func TestDamagedOpenWithPeerDoesNotWait(t *testing.T) {
+	root := t.TempDir()
+	peer, _ := openT(t, root)
+	if err := peer.PutStep(ctx, "good", []byte("layer"), 0); err != nil {
+		t.Fatal(err)
+	}
+	j, err := os.OpenFile(filepath.Join(root, "journal"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.WriteString(`deadbeef {"t":"step","key":"half`); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	start := time.Now()
+	d, rep, err := Open(root) // the default lock wait: a minute
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("damaged open with a peer holding the store took %v", took)
+	}
+	if rep.JournalQuarantined != 1 {
+		t.Fatalf("report %+v, want the torn line quarantined", rep)
+	}
+	if err := d.PutStep(ctx, "after", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, _ := openT(t, root)
+	for _, key := range []string{"good", "after"} {
+		if _, ok := d2.Step(key); !ok {
+			t.Fatalf("step %q lost after a degraded open", key)
+		}
+	}
+}
+
+// A record whose only blob a full-verify open quarantined is dropped in
+// both verify modes. A peer keeps the journal from being compacted, so
+// the record is still on disk when the lazy open replays it; lazy's
+// presence check (one stat per distinct digest) must drop it too.
+func TestQuarantinedBlobRecordDroppedInBothModes(t *testing.T) {
+	root := t.TempDir()
+	d, _ := openT(t, root)
+	if err := d.PutStep(ctx, "victim", []byte("victim layer"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutStep(ctx, "bystander", []byte("bystander layer"), 0); err != nil {
+		t.Fatal(err)
+	}
+	victim, _ := d.Step("victim")
+	corruptBlobOnDisk(t, d, victim.Layer)
+
+	for _, mode := range []VerifyMode{VerifyFull, VerifyLazy} {
+		d2, rep, err := Open(root, WithVerify(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode == VerifyFull && rep.BlobsQuarantined != 1 {
+			t.Fatalf("full open: %+v, want the corrupt blob quarantined", rep)
+		}
+		if rep.RecordsDropped != 1 {
+			t.Fatalf("mode %d: %+v, want the victim record dropped", mode, rep)
+		}
+		if _, ok := d2.Step("victim"); ok {
+			t.Fatalf("mode %d: record on a quarantined blob survived", mode)
+		}
+		if _, ok := d2.Step("bystander"); !ok {
+			t.Fatalf("mode %d: unrelated record lost", mode)
+		}
+		if err := d2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -28,4 +28,6 @@ var (
 		"Bytes freed by garbage collection.")
 	mQuarantines = obs.NewCounter("ch_cas_quarantines_total",
 		"Damaged files moved to quarantine (blobs and journal lines).")
+	mOpenSeconds = obs.NewHistogram("ch_cas_open_seconds",
+		"Latency of opening a store, open-time validation included.", obs.DefBuckets)
 )
