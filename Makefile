@@ -28,7 +28,8 @@ race:
 # pool completes in far less than 16× a single build) is checked against
 # those numbers. BenchmarkBuildMultiStage likewise lands in
 # BENCH_multistage.{txt,json}: the stage-DAG schedule (stage-jobs=2 vs the
-# serial schedule, plus the warm replay) stays recorded run over run.
+# serial schedule, a skewed DAG whose short chain can overlap its slow
+# stage, plus the warm replay) stays recorded run over run.
 # BenchmarkBuildPersistent lands in BENCH_persistent.{txt,json}: the
 # persistent-cache claim (a warm-from-disk invocation with completely
 # fresh in-memory state lands far under a cold one, approaching the

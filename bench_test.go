@@ -482,7 +482,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 				store, world := freshFixtures(b)
 				cache := build.NewCache()
 				b.StartTimer()
-				if _, err := (&build.Pool{Workers: n}).Run(mkJobs(n, store, world, cache)); err != nil {
+				if _, err := (&build.Pool{Workers: n}).RunContext(context.Background(), mkJobs(n, store, world, cache)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -490,13 +490,13 @@ func BenchmarkBuildParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("warm/builders=%d", n), func(b *testing.B) {
 			store, world := freshFixtures(b)
 			cache := build.NewCache()
-			if _, err := (&build.Pool{Workers: 1}).Run(mkJobs(1, store, world, cache)); err != nil {
+			if _, err := (&build.Pool{Workers: 1}).RunContext(context.Background(), mkJobs(1, store, world, cache)); err != nil {
 				b.Fatal(err) // warm the shared cache
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := (&build.Pool{Workers: n}).Run(mkJobs(n, store, world, cache)); err != nil {
+				if _, err := (&build.Pool{Workers: n}).RunContext(context.Background(), mkJobs(n, store, world, cache)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -512,6 +512,10 @@ func BenchmarkBuildParallel(b *testing.B) {
 //   - cold/stage-jobs=2: the two independent stages run concurrently; the
 //     DAG schedule should beat the serial one by roughly the cheaper
 //     stage's wall time.
+//   - cold/skewed: a slow stage beside a chain of two fast ones (late
+//     FROM fast), both feeding the final stage, at stage-jobs=2. late
+//     can start once fast finishes, while slow still runs, so the build
+//     costs about the slow stage plus the final one.
 //   - warm: the shared cache is prewarmed; every stage replays.
 //
 // Recorded in BENCH_multistage.{txt,json} by make bench (uploaded from CI).
@@ -527,6 +531,21 @@ RUN mkdir -p /srv && echo data > /srv/assets
 FROM alpine:3.19
 COPY --from=build /opt/solver /app/solver
 COPY --from=assets /srv/assets /app/assets
+`
+	const skewed = `FROM centos:7 AS slow
+RUN yum install -y openssh
+RUN mkdir -p /opt && echo solver > /opt/solver
+
+FROM alpine:3.19 AS fast
+RUN mkdir -p /srv && echo data > /srv/data
+
+FROM fast AS late
+RUN apk add sl
+RUN echo late >> /srv/data
+
+FROM alpine:3.19
+COPY --from=slow /opt/solver /app/solver
+COPY --from=late /srv/data /app/data
 `
 	freshFixtures := func(b *testing.B) (*image.Store, *pkgmgr.World) {
 		b.Helper()
@@ -550,8 +569,8 @@ COPY --from=assets /srv/assets /app/assets
 			Store: s, World: w, Cache: c, StageJobs: jobs,
 		}
 	}
-	for _, jobs := range []int{1, 2} {
-		b.Run(fmt.Sprintf("cold/stage-jobs=%d", jobs), func(b *testing.B) {
+	cold := func(text string, jobs, stages int) func(*testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -559,12 +578,16 @@ COPY --from=assets /srv/assets /app/assets
 				cache := build.NewCache()
 				b.StartTimer()
 				res, err := build.Build(text, opt(store, world, cache, jobs))
-				if err != nil || res.StagesBuilt != 3 {
+				if err != nil || res.StagesBuilt != stages {
 					b.Fatalf("stages=%d err=%v", res.StagesBuilt, err)
 				}
 			}
-		})
+		}
 	}
+	for _, jobs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("cold/stage-jobs=%d", jobs), cold(text, jobs, 3))
+	}
+	b.Run("cold/skewed", cold(skewed, 2, 4))
 	b.Run("warm", func(b *testing.B) {
 		store, world := freshFixtures(b)
 		cache := build.NewCache()

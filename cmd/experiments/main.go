@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -349,7 +350,7 @@ func main() {
 				})
 			}
 		}
-		results, _ := (&build.Pool{Workers: 4}).Run(jobs)
+		results, _ := (&build.Pool{Workers: 4}).RunContext(context.Background(), jobs)
 		shapesOK := true
 		for _, r := range results {
 			if (r.Err != nil) != wantFail[r.Name] {

@@ -11,12 +11,12 @@
 //
 // The layering mirrors the paper's §4 architecture:
 //
-//	dockerfile → stage DAG → pool → build → rootemu → simos/vfs → image
+//	pool → dockerfile → stage DAG → build → rootemu → simos/vfs → image
 //
-// Multi-stage Dockerfiles route through the BuildStages driver (see
-// stages.go): reachable stages are scheduled in dependency order on
-// build.Pool, COPY --from materialises files from earlier stages'
-// flattened trees, and only the final stage is tagged.
+// Multi-stage Dockerfiles route through the stage scheduler (see
+// stages.go): each reachable stage starts as soon as its own
+// dependencies finish, COPY --from materialises files from earlier
+// stages' flattened trees, and only the final stage is tagged.
 //
 // Because the builder is unprivileged, the rootfs is re-owned to the
 // invoking user before entry (Charliecloud's unpack behaviour); inside
@@ -147,8 +147,8 @@ type Options struct {
 	DisableAptWorkaround bool
 
 	// StageJobs bounds how many independent stages of a multi-stage build
-	// run concurrently on the stage pool; <= 0 runs every ready stage at
-	// once. Ignored for single-stage builds.
+	// run concurrently; <= 0 runs every ready stage at once. Ignored for
+	// single-stage builds.
 	StageJobs int
 
 	// FilterConfig parameterises the seccomp filter (variant, dispatch
@@ -258,9 +258,9 @@ type Result struct {
 // buildUID is the invoking (unprivileged) user every build runs as.
 const buildUID = 1000
 
-// Build executes Dockerfile text under opts. Multi-stage Dockerfiles are
-// routed through the BuildStages driver, which schedules independent
-// stages concurrently on a stage pool and prunes unreferenced ones. The
+// Build executes Dockerfile text under opts. Multi-stage Dockerfiles and
+// --target builds are routed through the stage scheduler, which runs
+// independent stages concurrently and prunes unreferenced ones. The
 // returned Result is never nil: on failure it still carries the counters
 // and modeled time accrued up to the failing instruction.
 func Build(text string, opt Options) (*Result, error) {
@@ -575,7 +575,7 @@ func (b *builder) step(ins dockerfile.Instruction) error {
 // installs the requested root emulation.
 func (b *builder) stepFrom(ins dockerfile.Instruction) error {
 	if b.p != nil {
-		// Cannot happen through Build/BuildStages: the parser splits on
+		// Cannot happen through Build: the parser splits on
 		// every FROM, so each stage body holds none.
 		return fmt.Errorf("build: line %d: second FROM in one stage", ins.Line)
 	}

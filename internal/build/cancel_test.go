@@ -10,9 +10,8 @@ import (
 	"time"
 )
 
-// Cancellation, deadlines and fail-fast: builds stop at instruction
-// boundaries, pools actively cancel their in-flight siblings, and
-// JobResult distinguishes cancelled work from failed work.
+// Cancellation and deadlines: builds stop at instruction boundaries,
+// and JobResult distinguishes cancelled work from failed work.
 
 // Acceptance: cancelling a cold 16-job pool returns every worker within
 // one instruction boundary. Each job is parked at its first boundary by
@@ -68,66 +67,6 @@ func TestPoolCancelReturnsWithinOneBoundary(t *testing.T) {
 	}
 	if got := boundaries.Load(); got != n {
 		t.Fatalf("boundary crossings = %d, want exactly %d (one per worker)", got, n)
-	}
-}
-
-// Satellite: a fail-fast pool actively cancels its in-flight siblings —
-// the victim stops at its next instruction boundary, reports Cancelled
-// (not failed, not skipped), and keeps the partial transcript it accrued.
-func TestPoolFailFastCancelsInFlightSiblings(t *testing.T) {
-	w, s := fixtures(t)
-	cache := NewCache()
-
-	// Rendezvous: the failer may only fail once the victim is parked
-	// in-flight, so the victim can never be merely "not started".
-	victimParked := make(chan struct{})
-	var once sync.Once
-
-	failerOpt := Options{
-		Tag: "failer", Force: ForceSeccomp, Store: s, World: w, Cache: cache,
-		testStepGate: func(gctx context.Context, cmd string) {
-			if cmd == "RUN" {
-				<-victimParked
-			}
-		},
-	}
-	victimOpt := Options{
-		Tag: "victim", Force: ForceSeccomp, Store: s, World: w, Cache: cache,
-		testStepGate: func(gctx context.Context, cmd string) {
-			if cmd == "RUN" {
-				once.Do(func() { close(victimParked) })
-				<-gctx.Done()
-			}
-		},
-	}
-	jobs := []Job{
-		{Name: "failer", Dockerfile: "FROM alpine:3.19\nRUN no-such-command-anywhere\n", Options: failerOpt},
-		{Name: "victim", Dockerfile: echoDockerfile, Options: victimOpt},
-	}
-	results, err := (&Pool{Workers: 2, FailFast: true}).RunContext(context.Background(), jobs)
-	if err == nil {
-		t.Fatal("want aggregate error from the failing job")
-	}
-	failer, victim := results[0], results[1]
-	if failer.Cancelled || failer.Err == nil {
-		t.Fatalf("failer should be a genuine failure: cancelled=%v err=%v", failer.Cancelled, failer.Err)
-	}
-	if !victim.Cancelled {
-		t.Fatalf("victim should be cancelled by fail-fast, got err=%v", victim.Err)
-	}
-	if errors.Is(victim.Err, ErrSkipped) {
-		t.Fatal("victim was in flight; it must not report ErrSkipped")
-	}
-	if !errors.Is(victim.Err, context.Canceled) {
-		t.Fatalf("victim err should wrap context.Canceled: %v", victim.Err)
-	}
-	// S2: the cancelled job's partial transcript is flushed — the FROM
-	// line it executed before parking is the evidence of where it stopped.
-	if !strings.Contains(victim.Transcript, "FROM") {
-		t.Fatalf("victim partial transcript not flushed: %q", victim.Transcript)
-	}
-	if victim.Result == nil {
-		t.Fatal("cancelled in-flight job must keep its partial Result")
 	}
 }
 

@@ -25,7 +25,7 @@ var (
 	mCacheMisses = obs.NewCounter("ch_build_cache_misses_total",
 		"Instruction-cache misses that began a fill.")
 	mPoolInFlight = obs.NewGauge("ch_build_pool_in_flight",
-		"Service-mode pool jobs executing right now.")
+		"Pool jobs executing right now.")
 	mPoolWaiting = obs.NewGauge("ch_build_pool_waiting",
 		"Submit calls waiting for a resident worker to accept the job.")
 )

@@ -327,7 +327,7 @@ func TestPoolWithPersistentCache(t *testing.T) {
 			},
 		}
 	}
-	if _, err := (&Pool{Workers: 4}).Run(jobs); err != nil {
+	if _, err := (&Pool{Workers: 4}).RunContext(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if err := c1.PersistErr(); err != nil {

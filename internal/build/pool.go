@@ -30,10 +30,6 @@ type Job struct {
 	// job may override them. A nil Output is replaced with a private
 	// buffer whose contents land in JobResult.Transcript.
 	Options Options
-
-	// stage, when set by the multi-stage driver, makes this job execute
-	// one stage of an already-parsed Dockerfile instead of Dockerfile.
-	stage *stageJob
 }
 
 // JobResult is the outcome of one pooled build, in submission order.
@@ -43,19 +39,18 @@ type JobResult struct {
 
 	// Result is the build's result; non-nil even on failure or
 	// cancellation (it carries the counters accrued up to the point the
-	// build stopped). Nil only when the job never started — skipped by
-	// fail-fast or pre-empted by a cancelled context.
+	// build stopped). Nil only when the job never started because its
+	// context was already cancelled.
 	Result *Result
 
-	// Err is the build error, nil on success. Skipped jobs report
-	// ErrSkipped; cancelled jobs report an error wrapping
-	// context.Canceled.
+	// Err is the build error, nil on success. Cancelled jobs report an
+	// error wrapping context.Canceled.
 	Err error
 
-	// Cancelled distinguishes a job stopped by context cancellation —
-	// the caller's, or the pool's own fail-fast cancel — from a job that
-	// genuinely failed. A cancelled in-flight job still carries the
-	// partial Transcript and Result it accrued before stopping.
+	// Cancelled distinguishes a job stopped by context cancellation from
+	// a job that genuinely failed. A cancelled in-flight job still
+	// carries the partial Transcript and Result it accrued before
+	// stopping.
 	Cancelled bool
 
 	// Transcript is the captured build output when the job's Options.
@@ -65,38 +60,26 @@ type JobResult struct {
 	Transcript string
 }
 
-// ErrSkipped marks jobs a fail-fast pool never started.
-var ErrSkipped = errors.New("build: job skipped: pool failing fast")
-
 // ErrNotServing reports a Submit against a pool that is not in service
 // mode — never Started, or already Drained.
 var ErrNotServing = errors.New("build: pool not serving")
 
-// Pool runs batches of builds with bounded concurrency. It has two modes:
-// RunContext executes one batch and returns when it is done, while
-// Start/Submit/Drain turn the pool into a resident build service — Workers
-// goroutines stay up between jobs and callers hand in work one job at a
-// time (the ch-imaged daemon's mode). One Pool value uses one mode at a
-// time; the zero value is a batch pool.
+// Pool runs builds with bounded concurrency on Workers resident
+// goroutines. Start/Submit/Drain make it a build service that takes work
+// one job at a time (the ch-imaged daemon's mode); RunContext runs one
+// batch to completion on a private pool of its own, so the zero value is
+// ready for batch use.
 type Pool struct {
-	// Workers bounds concurrent builds; <= 0 means one worker per job
-	// in batch mode. Service mode requires Workers >= 1. Immutable once
-	// the pool is in use.
+	// Workers bounds concurrent builds; <= 0 means one worker per job in
+	// RunContext. Start requires Workers >= 1. Immutable once the pool
+	// is in use.
 	Workers int
 
-	// FailFast cancels the pool after the first failure: queued unstarted
-	// jobs report ErrSkipped, and in-flight sibling builds are actively
-	// cancelled — each stops at its next instruction boundary and reports
-	// Cancelled with its partial transcript. When false (collect-all),
-	// every job runs and the aggregate error joins every failure.
-	// Batch mode only; a service pool's jobs are independent.
-	FailFast bool
-
-	// wg tracks the resident service-mode workers; it synchronises
-	// itself and so lives above mu.
+	// wg tracks the resident workers; it synchronises itself and so
+	// lives above mu.
 	wg sync.WaitGroup
 
-	// mu guards the service-mode state below it.
+	// mu guards the service state below it.
 	mu       sync.Mutex
 	serving  bool
 	submit   chan *serviceJob
@@ -143,13 +126,13 @@ func (p *Pool) serveLoop(submit <-chan *serviceJob, stop <-chan struct{}) {
 			return
 		case sj := <-submit:
 			p.noteJob(1)
-			sj.done <- runJob(sj.ctx, sj.job, "job")
+			sj.done <- runJob(sj.ctx, sj.job)
 			p.noteJob(-1)
 		}
 	}
 }
 
-// noteJob adjusts the service-mode in-flight count.
+// noteJob adjusts the in-flight count.
 func (p *Pool) noteJob(delta int) {
 	mPoolInFlight.Add(int64(delta))
 	p.mu.Lock()
@@ -160,8 +143,7 @@ func (p *Pool) noteJob(delta int) {
 // Submit hands one job to a started pool and returns a channel that will
 // carry its JobResult. Submit blocks until a resident worker accepts the
 // job; cancelling ctx while waiting returns immediately with a channel
-// already carrying the cancelled not-started result, exactly as a batch
-// pool reports a job pre-empted by a dead context. The same ctx governs
+// already carrying the cancelled not-started result. The same ctx governs
 // the build itself — cancel it to stop the job at its next instruction
 // boundary.
 func (p *Pool) Submit(ctx context.Context, job Job) (<-chan JobResult, error) {
@@ -180,12 +162,12 @@ func (p *Pool) Submit(ctx context.Context, job Job) (<-chan JobResult, error) {
 	case <-stop:
 		return nil, ErrNotServing
 	case <-ctx.Done():
-		sj.done <- runJob(ctx, job, "job")
+		sj.done <- runJob(ctx, job)
 		return sj.done, nil
 	}
 }
 
-// InFlight reports how many service-mode jobs are executing right now; a
+// InFlight reports how many of the pool's jobs are executing right now; a
 // drained or idle pool reports 0 — the daemon's no-leak check.
 func (p *Pool) InFlight() int {
 	p.mu.Lock()
@@ -221,13 +203,13 @@ func jobName(job Job, fallback string) string {
 	return fallback
 }
 
-// runJob executes one job under ctx — the shared heart of the batch
-// worker loop and the service-mode workers. A ctx already dead on entry
+// runJob executes one job under ctx on behalf of a worker or of a
+// Submit whose ctx died while waiting. A ctx already dead on entry
 // reports the cancelled not-started shape without running anything; a
 // job whose Options.Output is nil gets a private buffer whose contents
 // land in JobResult.Transcript.
-func runJob(ctx context.Context, job Job, fallback string) JobResult {
-	name := jobName(job, fallback)
+func runJob(ctx context.Context, job Job) JobResult {
+	name := jobName(job, "job")
 	if ctx.Err() != nil {
 		return JobResult{
 			Name:      name,
@@ -241,13 +223,7 @@ func runJob(ctx context.Context, job Job, fallback string) JobResult {
 		buf = &bytes.Buffer{}
 		opt.Output = buf
 	}
-	var res *Result
-	var err error
-	if job.stage != nil {
-		res, _, err = buildOneStage(ctx, job.stage.file, job.stage.idx, job.stage.imgs, opt)
-	} else {
-		res, err = BuildContext(ctx, job.Dockerfile, opt)
-	}
+	res, err := BuildContext(ctx, job.Dockerfile, opt)
 	r := JobResult{Name: name, Result: res, Err: err}
 	r.Cancelled = err != nil && errors.Is(err, context.Canceled)
 	if buf != nil {
@@ -256,70 +232,44 @@ func runJob(ctx context.Context, job Job, fallback string) JobResult {
 	return r
 }
 
-// Run is RunContext under context.Background().
-func (p *Pool) Run(jobs []Job) ([]JobResult, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; RunContext is the real entry point
-	return p.RunContext(context.Background(), jobs)
-}
-
 // RunContext executes jobs and returns one JobResult per job, in
 // submission order, plus the aggregate error (errors.Join of the per-job
-// failures). Results are complete even when the error is non-nil — the
-// caller decides what a partial batch is worth. Cancelling ctx stops
-// every in-flight build at its next instruction boundary; jobs not yet
-// started report Cancelled without running.
+// failures). Every job runs whatever its siblings do, and results are
+// complete even when the error is non-nil — the caller decides what a
+// partial batch is worth. The jobs run on a private pool of
+// min(Workers, len(jobs)) workers. Cancelling ctx stops every in-flight
+// build at its next instruction boundary; jobs not yet started report
+// Cancelled without running.
 func (p *Pool) RunContext(ctx context.Context, jobs []Job) ([]JobResult, error) {
 	results := make([]JobResult, len(jobs))
 	if len(jobs) == 0 {
 		return results, nil
 	}
-	workers := p.Workers
-	if workers <= 0 || workers > len(jobs) {
-		workers = len(jobs)
+	batch := &Pool{Workers: p.Workers}
+	if batch.Workers <= 0 || batch.Workers > len(jobs) {
+		batch.Workers = len(jobs)
 	}
-
-	// runCtx is the pool's own cancellation scope: the caller's ctx plus
-	// fail-fast. The first failure cancels it, which both stops dispatch
-	// and actively interrupts the sibling builds already running.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-
-	var (
-		wg      sync.WaitGroup
-		indices = make(chan int)
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				job := jobs[i]
-				fallback := fmt.Sprintf("job-%d", i)
-				if runCtx.Err() != nil && ctx.Err() == nil {
-					// Fail-fast tripped by a sibling's failure. (A dead
-					// caller ctx instead falls through to runJob, which
-					// reports the cancelled not-started shape.)
-					results[i] = JobResult{Name: jobName(job, fallback), Err: ErrSkipped}
-					continue
-				}
-				results[i] = runJob(runCtx, job, fallback)
-				if results[i].Err != nil && p.FailFast {
-					cancelRun()
-				}
-			}
-		}()
+	if err := batch.Start(); err != nil {
+		return nil, err
 	}
-	for i := range jobs {
-		indices <- i
+	done := make([]<-chan JobResult, len(jobs))
+	for i, job := range jobs {
+		job.Name = jobName(job, fmt.Sprintf("job-%d", i))
+		ch, err := batch.Submit(ctx, job)
+		if err != nil {
+			// Unreachable: batch serves until the Drain below.
+			batch.Drain()
+			return nil, err
+		}
+		done[i] = ch
 	}
-	close(indices)
-	wg.Wait()
+	batch.Drain()
 
 	var errs []error
-	for _, r := range results {
-		if r.Err != nil {
-			name := r.Name
-			errs = append(errs, fmt.Errorf("%s: %w", name, r.Err))
+	for i, ch := range done {
+		results[i] = <-ch
+		if r := results[i]; r.Err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", r.Name, r.Err))
 		}
 	}
 	return results, errors.Join(errs...)

@@ -1,7 +1,7 @@
 package build
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,7 +11,7 @@ import (
 )
 
 // The pool contract: N builds sharing one Cache and one Store, bounded
-// workers, submission-order results, fail-fast vs collect-all, and the
+// workers, submission-order results, collect-all failures, and the
 // single-flight accounting invariants (every shared step executes once
 // across the pool; everything else replays).
 
@@ -40,7 +40,7 @@ func sameJobs(t *testing.T, n int) ([]Job, *Cache) {
 
 func TestPoolResultsInSubmissionOrder(t *testing.T) {
 	jobs, _ := sameJobs(t, 4)
-	results, err := (&Pool{Workers: 2}).Run(jobs)
+	results, err := (&Pool{Workers: 2}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPoolResultsInSubmissionOrder(t *testing.T) {
 func TestPoolSameDockerfileFullyCachedRuns(t *testing.T) {
 	const n = 5
 	jobs, cache := sameJobs(t, n)
-	results, err := (&Pool{Workers: 1}).Run(jobs)
+	results, err := (&Pool{Workers: 1}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPoolConcurrentAccountingInvariants(t *testing.T) {
 	const n = 8
 	jobs, cache := sameJobs(t, n)
 	store := jobs[0].Options.Store
-	results, err := (&Pool{Workers: 4}).Run(jobs)
+	results, err := (&Pool{Workers: 4}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestPoolHeterogeneousJobs(t *testing.T) {
 		{Dockerfile: "FROM debian:12\nRUN apt-get install -y curl\n",
 			Options: Options{Tag: "apt:1", Force: ForceSeccomp, Store: s, World: w, Cache: cache}},
 	}
-	results, err := (&Pool{Workers: 3}).Run(jobs)
+	results, err := (&Pool{Workers: 3}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPoolCollectAllErrors(t *testing.T) {
 		{Dockerfile: "FROM alpine:3.19\nRUN apk add sl\n",
 			Options: Options{Tag: "ok:1", Force: ForceNone, Store: s, World: w}},
 	}
-	results, err := (&Pool{Workers: 1}).Run(jobs)
+	results, err := (&Pool{Workers: 1}).RunContext(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("pool error is nil; the yum/none job must fail")
 	}
@@ -199,37 +199,6 @@ func TestPoolCollectAllErrors(t *testing.T) {
 	}
 	if _, ok := s.Get("ok:1"); !ok {
 		t.Error("healthy job's image missing from store")
-	}
-}
-
-// Fail-fast mode: queued jobs behind the failure are skipped, not run.
-func TestPoolFailFastSkips(t *testing.T) {
-	w, s := fixtures(t)
-	jobs := []Job{
-		{Dockerfile: "FROM centos:7\nRUN yum install -y openssh\n",
-			Options: Options{Tag: "fails:1", Force: ForceNone, Store: s, World: w}},
-		{Dockerfile: "FROM alpine:3.19\nRUN apk add sl\n",
-			Options: Options{Tag: "skipped:1", Force: ForceNone, Store: s, World: w}},
-		{Dockerfile: "FROM alpine:3.19\nRUN apk add sl\n",
-			Options: Options{Tag: "skipped:2", Force: ForceNone, Store: s, World: w}},
-	}
-	results, err := (&Pool{Workers: 1, FailFast: true}).Run(jobs)
-	if err == nil {
-		t.Fatal("pool error is nil")
-	}
-	if results[0].Err == nil {
-		t.Error("first job should have failed")
-	}
-	for _, r := range results[1:] {
-		if !errors.Is(r.Err, ErrSkipped) {
-			t.Errorf("job %s: err = %v, want ErrSkipped", r.Name, r.Err)
-		}
-		if r.Result != nil {
-			t.Errorf("job %s: skipped job has a result", r.Name)
-		}
-	}
-	if _, ok := s.Get("skipped:1"); ok {
-		t.Error("skipped job's image appeared in store")
 	}
 }
 
@@ -250,7 +219,7 @@ func TestPoolSharedCacheFailureReleasesWaiters(t *testing.T) {
 			},
 		}
 	}
-	results, err := (&Pool{Workers: 4}).Run(jobs)
+	results, err := (&Pool{Workers: 4}).RunContext(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("every job should have failed")
 	}
@@ -339,13 +308,13 @@ func TestPoolCacheLayerAliasingDefended(t *testing.T) {
 }
 
 func TestPoolZeroJobsAndDefaults(t *testing.T) {
-	results, err := (&Pool{}).Run(nil)
+	results, err := (&Pool{}).RunContext(context.Background(), nil)
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty pool: %v %v", results, err)
 	}
 	// Workers <= 0 defaults to one per job.
 	jobs, _ := sameJobs(t, 2)
-	if _, err := (&Pool{Workers: -3}).Run(jobs); err != nil {
+	if _, err := (&Pool{Workers: -3}).RunContext(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,20 +1,21 @@
 // Multi-stage build driver. A multi-stage Dockerfile is a DAG of stages:
 // each FROM opens a stage, a stage may base itself on an earlier stage
 // (FROM builder) or read from one (COPY --from=builder), and only the
-// final stage is the build product. The driver topologically orders the
-// reachable stages and schedules them wave by wave on the existing
-// build.Pool: each wave holds every stage whose dependencies completed in
-// earlier waves, and all stages of a wave run concurrently, each on its
-// own simos kernel and VFS, all sharing the one image.Store and
-// instruction Cache exactly like pooled whole builds. (A wave is a
-// barrier: a stage ready mid-wave starts with the next wave — see the
-// scheduler-depth item in ROADMAP.md.)
+// final stage is the build product. Every reachable stage gets its own
+// goroutine, which waits for the stages it depends on, takes one of
+// Options.StageJobs slots and builds the stage on its own simos kernel
+// and VFS. All stages share the one image.Store and instruction Cache,
+// exactly like pooled whole builds. A stage starts as soon as its own
+// dependencies finish; the first failure cancels every stage still in
+// flight, and dependents of a failed stage never start.
 // Stages the final stage never references are pruned: parsed, validated,
 // reported, but not built.
 package build
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -23,51 +24,19 @@ import (
 	"repro/internal/simos"
 )
 
-// BuildStages executes a multi-stage Dockerfile end to end and returns the
-// final stage's image (tagged into Options.Store under Options.Tag, like
-// Build). Independent stages run concurrently, bounded by
-// Options.StageJobs; intermediate stage images are never tagged. Build
-// routes multi-stage text here automatically, so calling BuildStages
-// directly is only useful to force the stage pipeline on single-stage
-// files too. The returned Result is never nil.
-func BuildStages(text string, opt Options) (*Result, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; BuildStagesContext is the real entry point
-	return BuildStagesContext(context.Background(), text, opt)
-}
-
-// BuildStagesContext is BuildStages under a context: cancellation stops
-// every in-flight stage at its next instruction boundary and the waves
-// that never started never run.
-func BuildStagesContext(ctx context.Context, text string, opt Options) (*Result, error) {
-	f, err := dockerfile.Parse(text)
-	if err != nil {
-		return &Result{}, err
-	}
-	return buildStages(ctx, f, opt)
-}
-
-// stageJob carries one stage through the Pool (Job.stage). The imgs slice
-// is shared with the driver, which publishes every completed wave's images
-// before submitting the next wave — Pool.Run's completion is the
-// happens-before edge, so stage builders never race on it.
-type stageJob struct {
-	file  *dockerfile.File
-	idx   int
-	imgs  []*image.Image
-	final bool
-}
-
-// buildStages schedules the reachable stages of f in dependency order.
+// buildStages builds the reachable stages of f, each as soon as its
+// dependencies have finished, and returns the final stage's image
+// (tagged into Options.Store under Options.Tag; intermediate stage images
+// are never tagged). Stage transcripts are written to Options.Output in
+// stage-index order.
 func buildStages(ctx context.Context, f *dockerfile.File, opt Options) (*Result, error) {
-	if len(f.Stages) == 0 {
-		return &Result{}, fmt.Errorf("build: no FROM instruction")
-	}
 	out := opt.Output
 	if out == nil {
 		out = io.Discard
 	}
 	agg := &Result{}
-	final := len(f.Stages) - 1
+	n := len(f.Stages)
+	final := n - 1
 	if opt.TargetStage != "" {
 		idx, ok := f.StageIndex(opt.TargetStage)
 		if !ok {
@@ -80,71 +49,83 @@ func buildStages(ctx context.Context, f *dockerfile.File, opt Options) (*Result,
 		if !ok {
 			agg.StagesSkipped++
 			fmt.Fprintf(out, "=== stage %d/%d (%s): skipped, not referenced by the target stage\n",
-				i+1, len(f.Stages), stageLabel(f.Stages[i]))
+				i+1, n, stageLabel(f.Stages[i]))
 		}
 	}
 
-	imgs := make([]*image.Image, len(f.Stages))
-	stageRes := make([]*Result, len(f.Stages))
-	built := make([]bool, len(f.Stages))
-	for !built[final] {
-		// Collect the ready wave: reachable, unbuilt, all deps built.
-		var ready []int
-		for i := range f.Stages {
-			if !reach[i] || built[i] {
-				continue
-			}
-			ok := true
+	// stageCtx is the stages' own cancellation scope: the caller's ctx
+	// plus the first stage failure, which stops every stage in flight at
+	// its next instruction boundary.
+	stageCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	slots := opt.StageJobs
+	if slots <= 0 || slots > n {
+		slots = n
+	}
+	sem := make(chan struct{}, slots)
+
+	// Stage i's goroutine alone writes imgs[i], stageRes[i], errs[i] and
+	// transcripts[i], and closes done[i] after them: every reader waits
+	// on done[i] first.
+	imgs := make([]*image.Image, n)
+	stageRes := make([]*Result, n)
+	errs := make([]error, n)
+	transcripts := make([]bytes.Buffer, n)
+	done := make([]chan struct{}, n)
+	for i := range f.Stages {
+		if !reach[i] {
+			continue
+		}
+		done[i] = make(chan struct{})
+		go func(i int) {
+			defer close(done[i])
 			for _, d := range f.Stages[i].Deps {
-				if !built[d] {
-					ok = false
-					break
+				<-done[d]
+				if imgs[d] == nil {
+					return // the dependency failed or never ran
 				}
 			}
-			if ok {
-				ready = append(ready, i)
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			if stageCtx.Err() != nil {
+				return
 			}
-		}
-		if len(ready) == 0 {
-			// Unreachable through the parser (references only point
-			// backward), kept as a guard against future DAG changes.
-			return agg, fmt.Errorf("build: stage dependency cycle")
-		}
-
-		jobs := make([]Job, len(ready))
-		for j, i := range ready {
 			o := opt
-			o.Output = nil // captured per stage, replayed in wave order
+			o.Output = &transcripts[i]
 			o.Tag = ""
 			if i == final {
 				o.Tag = opt.Tag
 			}
-			jobs[j] = Job{
-				Name:    fmt.Sprintf("stage %d (%s)", i+1, stageLabel(f.Stages[i])),
-				Options: o,
-				stage:   &stageJob{file: f, idx: i, imgs: imgs, final: i == final},
+			res, img, err := buildOneStage(stageCtx, f, i, imgs, o)
+			stageRes[i] = res
+			if err != nil {
+				errs[i] = fmt.Errorf("stage %d (%s): %w", i+1, stageLabel(f.Stages[i]), err)
+				cancel()
+				return
 			}
+			imgs[i] = img
+		}(i)
+	}
+	for i := range f.Stages {
+		if !reach[i] {
+			continue
 		}
-		results, err := (&Pool{Workers: opt.StageJobs, FailFast: true}).RunContext(ctx, jobs)
-		for j, r := range results {
-			i := ready[j]
-			fmt.Fprintf(out, "=== stage %d/%d (%s)\n", i+1, len(f.Stages), stageLabel(f.Stages[i]))
-			io.WriteString(out, r.Transcript)
-			if r.Result != nil {
-				stageRes[i] = r.Result
-				if r.Err == nil {
-					built[i] = true
-					imgs[i] = r.Result.Image
-				}
-			}
-		}
-		if err != nil {
-			aggregate(agg, stageRes, built)
-			return agg, err
+		<-done[i]
+		if stageRes[i] != nil {
+			fmt.Fprintf(out, "=== stage %d/%d (%s)\n", i+1, n, stageLabel(f.Stages[i]))
+			out.Write(transcripts[i].Bytes())
 		}
 	}
 
-	aggregate(agg, stageRes, built)
+	aggregate(agg, stageRes, imgs)
+	if err := errors.Join(errs...); err != nil {
+		return agg, err
+	}
+	if imgs[final] == nil {
+		// No stage failed, so the caller's ctx ended the build before
+		// the final stage could start.
+		return agg, fmt.Errorf("build: stages not started: %w", ctx.Err())
+	}
 	agg.Image = imgs[final]
 	fmt.Fprintf(out, "multi-stage build: %d stage(s) built, %d skipped: %s\n",
 		agg.StagesBuilt, agg.StagesSkipped, agg.Image.Name)
@@ -155,12 +136,12 @@ func buildStages(ctx context.Context, f *dockerfile.File, opt Options) (*Result,
 // counts and modeled time sum across every stage that ran (a failed stage
 // still contributes the counters it accrued), counters add field-wise;
 // StagesBuilt counts only the stages that completed.
-func aggregate(agg *Result, stageRes []*Result, built []bool) {
+func aggregate(agg *Result, stageRes []*Result, imgs []*image.Image) {
 	for i, r := range stageRes {
 		if r == nil {
 			continue
 		}
-		if built[i] {
+		if imgs[i] != nil {
 			agg.StagesBuilt++
 		}
 		agg.CacheHits += r.CacheHits
@@ -183,8 +164,8 @@ func addCounters(a, b simos.CounterSnapshot) simos.CounterSnapshot {
 	return a
 }
 
-// stageLabel names a stage for transcripts and job identities: its AS name
-// when present, else its index.
+// stageLabel names a stage for transcripts and spans: its AS name when
+// present, else its index.
 func stageLabel(st dockerfile.Stage) string {
 	if st.Name != "" {
 		return st.Name

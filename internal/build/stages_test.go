@@ -1,6 +1,8 @@
 package build
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +14,7 @@ import (
 	"repro/internal/vfs"
 )
 
-// Multi-stage builds: the stage DAG scheduled on the pool, COPY --from
+// Multi-stage builds: the stage DAG scheduler, COPY --from
 // materialisation, pruning, and cache correctness across stage edits.
 
 const builderPattern = `FROM centos:7 AS build
@@ -297,15 +299,127 @@ COPY --from=b /marker-b /mb
 			await(seenA)
 		}
 	}
-	res, _ := mustBuild(t, text, Options{
+	res, tr := mustBuild(t, text, Options{
 		Tag: "conc:1", Store: s, World: w, Tracer: tracer, StageJobs: 2,
 	})
 	if res.StagesBuilt != 3 {
 		t.Fatalf("stages built: %d", res.StagesBuilt)
 	}
+	// However the stages interleave, their transcripts appear in
+	// stage-index order.
+	last := -1
+	for _, h := range []string{"=== stage 1/3 (a)\n", "=== stage 2/3 (b)\n", "=== stage 3/3 (2)\n"} {
+		at := strings.Index(tr, h)
+		if at <= last {
+			t.Fatalf("header %q out of stage-index order:\n%s", h, tr)
+		}
+		last = at
+	}
 }
 
-// StageJobs=1 serialises the waves without deadlocking or changing the
+// A stage starts as soon as its own dependencies finish, not when every
+// stage started alongside them has: with two slots, late (FROM fast) must
+// run while slow is still in flight. slow's RUN blocks in the tracer
+// until late's RUN has run, so a schedule that waits for slow before
+// starting late times out instead of passing.
+func TestMultiStageSkewedDAGStartsReadyStages(t *testing.T) {
+	w, s := fixtures(t)
+	text := `FROM alpine:3.19 AS slow
+RUN echo slow > /marker-slow
+FROM alpine:3.19 AS fast
+RUN echo fast > /fast
+FROM fast AS late
+RUN echo late > /marker-late
+FROM alpine:3.19
+COPY --from=slow /marker-slow /s
+COPY --from=late /marker-late /l
+`
+	lateRan := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(lateRan) }) }
+	tracer := func(ev simos.TraceEvent) {
+		switch {
+		case strings.Contains(ev.Detail, "marker-late"):
+			release()
+		case strings.Contains(ev.Detail, "marker-slow"):
+			select {
+			case <-lateRan:
+			case <-time.After(10 * time.Second):
+				t.Error("stage late did not start while stage slow was in flight")
+				release()
+			}
+		}
+	}
+	res, _ := mustBuild(t, text, Options{
+		Tag: "skew:1", Store: s, World: w, Tracer: tracer, StageJobs: 2,
+	})
+	if res.StagesBuilt != 4 {
+		t.Fatalf("stages built: %d", res.StagesBuilt)
+	}
+	if data, _ := readImageFile(t, res.Image, "/l"); string(data) != "late\n" {
+		t.Fatalf("/l = %q", data)
+	}
+}
+
+// The first stage failure cancels its independent siblings in flight:
+// the victim, parked at a boundary, stops there with an error wrapping
+// context.Canceled, keeps the partial transcript that shows where it
+// stopped, and the final stage that depends on both never starts.
+func TestMultiStageFailureCancelsInFlightSiblings(t *testing.T) {
+	w, s := fixtures(t)
+	text := `FROM alpine:3.19 AS failer
+RUN no-such-command-anywhere
+FROM alpine:3.19 AS victim
+ENV V=1
+RUN echo v > /v
+FROM alpine:3.19
+COPY --from=failer /etc/alpine-release /rel
+COPY --from=victim /v /v
+`
+	// Rendezvous: the failer may only fail once the victim is parked in
+	// flight, so the victim can never be merely "not started".
+	victimParked := make(chan struct{})
+	var once sync.Once
+	gate := func(gctx context.Context, cmd string) {
+		switch cmd {
+		case "RUN": // only the failer reaches a RUN before the cancel
+			<-victimParked
+		case "ENV":
+			once.Do(func() { close(victimParked) })
+			<-gctx.Done()
+		}
+	}
+	res, tr, err := mustFail(t, text, Options{
+		Tag: "ff:1", Store: s, World: w, testStepGate: gate,
+	})
+	if !strings.Contains(err.Error(), "stage 1 (failer)") {
+		t.Fatalf("error does not name the failing stage: %v", err)
+	}
+	var victimErr error
+	for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
+		if strings.HasPrefix(e.Error(), "stage 2 (victim)") {
+			victimErr = e
+		}
+	}
+	if !errors.Is(victimErr, context.Canceled) {
+		t.Fatalf("victim's error should wrap context.Canceled: %v", victimErr)
+	}
+	if res.StagesBuilt != 0 {
+		t.Fatalf("stages recorded as built: %d", res.StagesBuilt)
+	}
+	_, victimTr, ok := strings.Cut(tr, "=== stage 2/3 (victim)\n")
+	if !ok {
+		t.Fatalf("victim's header missing:\n%s", tr)
+	}
+	if !strings.HasPrefix(victimTr, "  1 FROM") {
+		t.Fatalf("victim's partial FROM line missing under its header:\n%s", tr)
+	}
+	if strings.Contains(tr, "=== stage 3/3") {
+		t.Fatalf("the dependent final stage ran:\n%s", tr)
+	}
+}
+
+// StageJobs=1 serialises the stages without deadlocking or changing the
 // result.
 func TestMultiStageSerialStageJobs(t *testing.T) {
 	w, s := fixtures(t)
@@ -317,9 +431,9 @@ func TestMultiStageSerialStageJobs(t *testing.T) {
 	}
 }
 
-// Multi-stage builds riding the outer Pool (ch-image -t a,b --jobs N):
-// nested pools over one shared store and cache stay correct and count one
-// execution per distinct step.
+// Multi-stage builds riding the Pool (ch-image -t a,b --jobs N): stage
+// schedulers nested in pooled builds over one shared store and cache stay
+// correct and count one execution per distinct step.
 func TestMultiStagePooledMultiTag(t *testing.T) {
 	w, s := fixtures(t)
 	cache := NewCache()
@@ -332,7 +446,7 @@ func TestMultiStagePooledMultiTag(t *testing.T) {
 			},
 		}
 	}
-	results, err := (&Pool{Workers: 3}).Run(jobs)
+	results, err := (&Pool{Workers: 3}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,31 +469,15 @@ func TestMultiStagePooledMultiTag(t *testing.T) {
 	}
 }
 
-func TestBuildStagesOnSingleStageFile(t *testing.T) {
-	w, s := fixtures(t)
-	res, err := BuildStages("FROM alpine:3.19\nRUN apk add sl\n",
-		Options{Tag: "single:1", Store: s, World: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StagesBuilt != 1 || res.Image == nil {
-		t.Fatalf("result: %+v", res)
-	}
-}
-
 // A parseable but FROM-less Dockerfile (ARG only) is a clean error, not a
-// panic, through both entry points.
+// panic.
 func TestBuildArgOnlyDockerfile(t *testing.T) {
-	for name, build := range map[string]func(string, Options) (*Result, error){
-		"Build": Build, "BuildStages": BuildStages,
-	} {
-		res, err := build("ARG A=1\n", Options{})
-		if err == nil || !strings.Contains(err.Error(), "no FROM") {
-			t.Errorf("%s: err = %v", name, err)
-		}
-		if res == nil {
-			t.Errorf("%s: nil Result", name)
-		}
+	res, err := Build("ARG A=1\n", Options{})
+	if err == nil || !strings.Contains(err.Error(), "no FROM") {
+		t.Errorf("err = %v", err)
+	}
+	if res == nil {
+		t.Error("nil Result")
 	}
 }
 
@@ -407,7 +505,7 @@ func TestMultiStageWarmReplaySkipsSourceFlatten(t *testing.T) {
 }
 
 func TestMultiStageParseErrorNonNilResult(t *testing.T) {
-	res, err := BuildStages("FROM a\nCOPY --from=later /x /y\nFROM b AS later\n", Options{})
+	res, err := Build("FROM a\nCOPY --from=later /x /y\nFROM b AS later\n", Options{})
 	if err == nil {
 		t.Fatal("forward reference must fail")
 	}

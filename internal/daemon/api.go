@@ -31,7 +31,8 @@ type BuildRequest struct {
 	BuildArgs map[string]string `json:"buildArgs,omitempty"`
 
 	// StageJobs bounds how many independent stages of a multi-stage
-	// build run concurrently; <= 0 runs every ready stage at once.
+	// build run concurrently, from 1 to the daemon's --jobs; omitted or 0
+	// means --jobs. Other values are rejected with 400.
 	StageJobs int `json:"stageJobs,omitempty"`
 
 	// TimeoutMS, when > 0, bounds the whole build in milliseconds; an

@@ -223,7 +223,7 @@ func (d *Daemon) Report() cas.Report { return d.report }
 // capacity it fails fast with ErrQueueFull — the bounded queue the API
 // surfaces as 429 — and during drain with ErrDraining (503).
 func (d *Daemon) Submit(ctx context.Context, req BuildRequest) (*operation, error) {
-	if err := validate(req); err != nil {
+	if err := validate(req, d.cfg.Jobs); err != nil {
 		return nil, err
 	}
 	force := d.cfg.Force
@@ -352,6 +352,9 @@ func (d *Daemon) jobFor(op *operation) build.Job {
 			}
 		},
 	}
+	if opt.StageJobs == 0 {
+		opt.StageJobs = d.cfg.Jobs
+	}
 	if op.req.TimeoutMS > 0 {
 		opt.BuildTimeout = time.Duration(op.req.TimeoutMS) * time.Millisecond
 	}
@@ -404,13 +407,17 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 // Operation looks up an operation by ID.
 func (d *Daemon) Operation(id string) (*operation, bool) { return d.reg.get(id) }
 
-// validate checks the request fields every build needs.
-func validate(req BuildRequest) error {
+// validate checks the request fields every build needs, and that
+// stageJobs stays within the daemon's jobs bound.
+func validate(req BuildRequest, jobs int) error {
 	if req.Tag == "" {
 		return errors.New("daemon: tag is required")
 	}
 	if req.Dockerfile == "" {
 		return errors.New("daemon: dockerfile is required")
+	}
+	if req.StageJobs < 0 || req.StageJobs > jobs {
+		return fmt.Errorf("daemon: stageJobs %d out of range 0..%d", req.StageJobs, jobs)
 	}
 	return nil
 }

@@ -199,7 +199,8 @@ func TestDaemonLifecycle(t *testing.T) {
 
 // TestDaemonValidation covers the 4xx surface.
 func TestDaemonValidation(t *testing.T) {
-	_, srv := startDaemon(t, Config{Jobs: 1})
+	cfg := Config{Jobs: 1}
+	_, srv := startDaemon(t, cfg)
 	cases := []struct {
 		req  BuildRequest
 		want int
@@ -207,6 +208,9 @@ func TestDaemonValidation(t *testing.T) {
 		{BuildRequest{Dockerfile: "FROM alpine:3.19\n"}, http.StatusBadRequest},
 		{BuildRequest{Tag: "x:1"}, http.StatusBadRequest},
 		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", Force: "bogus"}, http.StatusBadRequest},
+		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", StageJobs: -1}, http.StatusBadRequest},
+		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", StageJobs: cfg.Jobs + 1}, http.StatusBadRequest},
+		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", StageJobs: 0}, http.StatusAccepted},
 	}
 	for i, c := range cases {
 		if code := doJSON(t, http.MethodPost, srv.URL+"/v1/builds", c.req, nil); code != c.want {

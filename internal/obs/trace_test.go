@@ -74,7 +74,7 @@ func TestUntracedNoop(t *testing.T) {
 }
 
 // TestConcurrentChildren: parallel stages attach children to one
-// parent concurrently (the wave scheduler does exactly this); under
+// parent concurrently (the stage scheduler does exactly this); under
 // -race this is the tracer's data-race gate.
 func TestConcurrentChildren(t *testing.T) {
 	ctx, root := NewTrace(context.Background(), "build par")
