@@ -1,6 +1,6 @@
 # Tier-1 gate (see ROADMAP.md): the module must build, vet clean and pass
 # every test from a clean checkout.
-.PHONY: check build test vet race bench bench-daemon bench-smoke experiments lint lint-docs cache-smoke fault-smoke daemon-smoke
+.PHONY: check build test vet race bench bench-daemon bench-smoke experiments lint lint-docs cache-smoke fault-smoke daemon-smoke fuzz-smoke
 
 check: vet test
 
@@ -22,46 +22,42 @@ race:
 # raw output (benchstat input format) lands in BENCH_layercommit.txt and a
 # parsed JSON record in BENCH_layercommit.json, so the perf trajectory of
 # the commit pipeline is recorded run over run (CI uploads both).
-# (No pipe into tee: that would mask go test's exit status.)
-# BenchmarkBuildParallel gets its own multi-sample run recorded in
-# BENCH_parallel.{txt,json}: the pool's scaling claim (a cold 16-build
-# pool completes in far less than 16× a single build) is checked against
-# those numbers. BenchmarkBuildMultiStage likewise lands in
-# BENCH_multistage.{txt,json}: the stage-DAG schedule (stage-jobs=2 vs the
-# serial schedule, a skewed DAG whose short chain can overlap its slow
-# stage, plus the warm replay) stays recorded run over run.
-# BenchmarkBuildPersistent lands in BENCH_persistent.{txt,json}: the
-# persistent-cache claim (a warm-from-disk invocation with completely
-# fresh in-memory state lands far under a cold one, approaching the
-# in-memory warm rebuild) stays recorded run over run.
-# BenchmarkCacheOpen lands in BENCH_cas.{txt,json}: the --cache-verify
-# claim (a lazy open of a large store skips the O(store bytes) fsck and
-# lands about 6.7× under the full-verify open on 2 CPUs; the full pass
-# is spread across CPUs, so the gap narrows with more) stays recorded
-# run over run.
-# BenchmarkObsOverhead lands in BENCH_obs.{txt,json}: the observability
-# instrumentation's cost on the warm build path, instrumented vs
-# obs.SetDisabled — the <3% acceptance ceiling in docs/observability.md
-# is checked against these numbers.
+# The benchmarks in BENCH_RECORDS are skipped there and get their own
+# multi-sample run, recorded in BENCH_<name>.{txt,json}:
+#   - parallel: BenchmarkBuildParallel, the pool's scaling claim (a cold
+#     16-build pool completes in far less than 16× a single build);
+#   - multistage: BenchmarkBuildMultiStage, the stage-DAG schedule
+#     (stage-jobs=2 vs the serial schedule, a skewed DAG whose short chain
+#     can overlap its slow stage, plus the warm replay);
+#   - persistent: BenchmarkBuildPersistent, the persistent-cache claim (a
+#     warm-from-disk invocation with completely fresh in-memory state
+#     lands far under a cold one, approaching the in-memory warm rebuild);
+#   - cas: BenchmarkCacheOpen, the --cache-verify claim (a lazy open of a
+#     large store skips the O(store bytes) fsck and lands about 6.7× under
+#     the full-verify open on 2 CPUs; the full pass is spread across CPUs,
+#     so the gap narrows with more);
+#   - obs: BenchmarkObsOverhead, the observability instrumentation's cost
+#     on the warm build path, instrumented vs obs.SetDisabled — the <3%
+#     acceptance ceiling in docs/observability.md is checked against it;
+#   - tar: BenchmarkLayerCodec, the tar codec on base layers, apk payloads
+#     and commit-sized diffs.
+# Each record is name:pattern:benchtime. (No pipe into tee: that would
+# mask go test's exit status.)
+BENCH_RECORDS = parallel:BenchmarkBuildParallel:5x multistage:BenchmarkBuildMultiStage:5x \
+	persistent:BenchmarkBuildPersistent:5x cas:BenchmarkCacheOpen:5x \
+	obs:BenchmarkObsOverhead:5x tar:BenchmarkLayerCodec:1000x
+empty :=
+space := $(empty) $(empty)
+BENCH_SKIP = $(subst $(space),|,$(foreach r,$(BENCH_RECORDS),$(word 2,$(subst :, ,$(r)))))
 bench:
-	go test -bench=. -skip='BenchmarkBuildParallel|BenchmarkBuildMultiStage|BenchmarkBuildPersistent|BenchmarkCacheOpen|BenchmarkObsOverhead' -benchtime=1x -run='^$$' . > BENCH_layercommit.txt; \
-		status=$$?; cat BENCH_layercommit.txt; exit $$status
-	go run ./cmd/benchjson < BENCH_layercommit.txt > BENCH_layercommit.json
-	go test -bench=BenchmarkBuildParallel -benchtime=5x -run='^$$' . > BENCH_parallel.txt; \
-		status=$$?; cat BENCH_parallel.txt; exit $$status
-	go run ./cmd/benchjson < BENCH_parallel.txt > BENCH_parallel.json
-	go test -bench=BenchmarkBuildMultiStage -benchtime=5x -run='^$$' . > BENCH_multistage.txt; \
-		status=$$?; cat BENCH_multistage.txt; exit $$status
-	go run ./cmd/benchjson < BENCH_multistage.txt > BENCH_multistage.json
-	go test -bench=BenchmarkBuildPersistent -benchtime=5x -run='^$$' . > BENCH_persistent.txt; \
-		status=$$?; cat BENCH_persistent.txt; exit $$status
-	go run ./cmd/benchjson < BENCH_persistent.txt > BENCH_persistent.json
-	go test -bench=BenchmarkCacheOpen -benchtime=5x -run='^$$' . > BENCH_cas.txt; \
-		status=$$?; cat BENCH_cas.txt; exit $$status
-	go run ./cmd/benchjson < BENCH_cas.txt > BENCH_cas.json
-	go test -bench=BenchmarkObsOverhead -benchtime=5x -run='^$$' . > BENCH_obs.txt; \
-		status=$$?; cat BENCH_obs.txt; exit $$status
-	go run ./cmd/benchjson < BENCH_obs.txt > BENCH_obs.json
+	@for rec in layercommit:.:1x $(BENCH_RECORDS); do \
+		name=$${rec%%:*}; pattern=$${rec#*:}; pattern=$${pattern%%:*}; benchtime=$${rec##*:}; \
+		skip=; if [ $$name = layercommit ]; then skip='$(BENCH_SKIP)'; fi; \
+		echo "go test -bench=$$pattern -skip='$$skip' -benchtime=$$benchtime -run='^$$' . > BENCH_$$name.txt"; \
+		go test -bench=$$pattern -skip="$$skip" -benchtime=$$benchtime -run='^$$' . > BENCH_$$name.txt; \
+		status=$$?; cat BENCH_$$name.txt; [ $$status -eq 0 ] || exit $$status; \
+		go run ./cmd/benchjson < BENCH_$$name.txt > BENCH_$$name.json || exit 1; \
+	done
 	$(MAKE) bench-daemon
 
 # The service-throughput benchmark behind BENCH_daemon.{txt,json}: a real
@@ -152,6 +148,13 @@ fault-smoke:
 		go test -run TestFaultSoak -count=1 -v ./internal/build
 	FAULT_SOAK_DAEMON_BUILDS=$(FAULT_SOAK_DAEMON_BUILDS) FAULT_SOAK_SEED=$(FAULT_SOAK_SEED) \
 		go test -run TestDaemonFaultSoak -count=1 -v ./internal/daemon
+
+# The codec fuzz smoke: FuzzRead checks that tarutil.Read decodes any
+# input into exactly the members archive/tar decodes, or fails where it
+# fails. Minimization is capped so a new input found on a large seed (a
+# whole base layer) cannot use up the run.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/tarutil
 
 # The daemon subprocess smoke: a real ch-imaged on a unix socket takes two
 # loadgen builds, then SIGTERM drains in-flight work and the process exits

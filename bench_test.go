@@ -19,6 +19,9 @@
 //     simulated hot path.
 //
 //   - BenchmarkLayerCommit: the builder's snapshot+diff+pack step.
+//
+//   - BenchmarkLayerCodec: the tar encoder and decoder on base layers,
+//     package payloads and commit-sized diffs.
 package repro
 
 import (
@@ -345,6 +348,88 @@ func BenchmarkLayerCommit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// The tar codec on the traffic a build produces: packing and unpacking
+// the alpine base layer (the FROM path), encoding and parsing an apk
+// package (apk add), and packing and unpacking a commit-sized diff — a
+// copied context file, a new directory and marker, and a whiteout.
+func BenchmarkLayerCodec(b *testing.B) {
+	world := pkgmgr.NewWorld()
+	img, err := world.BaseImage(pkgmgr.DistroAlpine, "alpine:3.19")
+	if err != nil {
+		b.Fatal(err)
+	}
+	baseFS, err := img.Flatten()
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := tarutil.Snapshot(baseFS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	commit := []tarutil.Entry{
+		{Path: "/bench", Stat: vfs.Stat{Type: vfs.TypeDir, Mode: 0o755}},
+		{Path: "/bench/marker", Stat: vfs.Stat{Type: vfs.TypeRegular, Mode: 0o644}, Data: []byte("5eed0f601de2\n")},
+		{Path: "/srv", Stat: vfs.Stat{Type: vfs.TypeDir, Mode: 0o755}},
+		{Path: "/srv/app.txt", Stat: vfs.Stat{Type: vfs.TypeRegular, Mode: 0o644}, Data: make([]byte, 1024)},
+		{Path: "/tmp/.wh.build", Stat: vfs.Stat{Type: vfs.TypeRegular}},
+	}
+	pkg, ok := world.Alpine.Meta("sl")
+	if !ok {
+		b.Fatal("no sl package")
+	}
+	apk, err := pkgmgr.BuildAPK(pkg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pack := func(ents []tarutil.Entry) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tarutil.Pack(ents); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	unpack := func(ents []tarutil.Entry) func(b *testing.B) {
+		return func(b *testing.B) {
+			layer, err := tarutil.Pack(ents)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(layer)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tarutil.Unpack(vfs.New(), layer); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("base/pack", pack(base))
+	b.Run("base/unpack", unpack(base))
+	b.Run("apk/encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := pkgmgr.BuildAPK(pkg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("apk/parse", func(b *testing.B) {
+		b.SetBytes(int64(len(apk)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := pkgmgr.ParseAPK(apk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("commit/pack", pack(commit))
+	b.Run("commit/unpack", unpack(commit))
 }
 
 // E9 rendered as a measurement: state kept per method after the yum

@@ -219,41 +219,43 @@ func (d *Daemon) Pool() *build.Pool { return d.pool }
 func (d *Daemon) Report() cas.Report { return d.report }
 
 // Submit admits one build request: it allocates an operation, charges
-// the admission counter, and hands the operation to the dispatcher. At
-// capacity it fails fast with ErrQueueFull — the bounded queue the API
-// surfaces as 429 — and during drain with ErrDraining (503).
-func (d *Daemon) Submit(ctx context.Context, req BuildRequest) (*operation, error) {
+// the admission counter, and hands the operation to the dispatcher. It
+// returns the operation as admitted — rendered before the dispatcher can
+// see it, so its status is always queued. At capacity it fails fast with
+// ErrQueueFull — the bounded queue the API surfaces as 429 — and during
+// drain with ErrDraining (503).
+func (d *Daemon) Submit(ctx context.Context, req BuildRequest) (Operation, error) {
 	if err := validate(req, d.cfg.Jobs); err != nil {
-		return nil, err
+		return Operation{}, err
 	}
 	force := d.cfg.Force
 	if req.Force != "" {
 		m, err := parseForce(req.Force)
 		if err != nil {
-			return nil, err
+			return Operation{}, err
 		}
 		force = m
 	}
 	id, err := newID()
 	if err != nil {
-		return nil, fmt.Errorf("daemon: operation id: %w", err)
+		return Operation{}, fmt.Errorf("daemon: operation id: %w", err)
 	}
 
 	d.mu.Lock()
 	if !d.started {
 		d.mu.Unlock()
 		mAdmissionRejected.With("not_started").Inc()
-		return nil, ErrNotStarted
+		return Operation{}, ErrNotStarted
 	}
 	if d.draining {
 		d.mu.Unlock()
 		mAdmissionRejected.With("draining").Inc()
-		return nil, ErrDraining
+		return Operation{}, ErrDraining
 	}
 	if d.active >= cap(d.queue) {
 		d.mu.Unlock()
 		mAdmissionRejected.With("queue_full").Inc()
-		return nil, ErrQueueFull
+		return Operation{}, ErrQueueFull
 	}
 	d.active++
 	// The operation's context derives from the daemon's base context
@@ -274,13 +276,14 @@ func (d *Daemon) Submit(ctx context.Context, req BuildRequest) (*operation, erro
 		created: time.Now(),
 		status:  StatusQueued,
 	}
+	admitted := op.render(d.cfg.TranscriptTail)
 	// The admission counter bounds live operations at cap(queue), so
 	// this send always finds buffer space and never blocks under mu.
 	d.queue <- op
 	d.mu.Unlock()
 
 	d.reg.add(op)
-	return op, nil
+	return admitted, nil
 }
 
 // dispatch feeds admitted operations to the pool. The channels arrive as

@@ -143,7 +143,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, srv.URL+"/v1/builds", req, &op); code != http.StatusAccepted {
 		t.Fatalf("POST /v1/builds: status %d", code)
 	}
-	if op.ID == "" || !(op.Status == StatusQueued || op.Status == StatusRunning) {
+	if op.ID == "" || op.Status != StatusQueued {
 		t.Fatalf("unexpected initial operation: %+v", op)
 	}
 	fin := pollOp(t, srv.URL, op.ID)

@@ -143,8 +143,8 @@ func (d *Daemon) handleBuilds(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	w.Header().Set("Location", "/v1/operations/"+op.id)
-	writeJSON(w, http.StatusAccepted, op.render(d.cfg.TranscriptTail))
+	w.Header().Set("Location", "/v1/operations/"+op.ID)
+	writeJSON(w, http.StatusAccepted, op)
 }
 
 // handleOperations lists every operation, oldest first.

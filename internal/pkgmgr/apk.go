@@ -1,15 +1,12 @@
 package pkgmgr
 
 import (
-	"archive/tar"
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
 	"repro/internal/simos"
+	"repro/internal/tarutil"
 	"repro/internal/vfs"
 )
 
@@ -20,8 +17,6 @@ import (
 
 // BuildAPK encodes a package.
 func BuildAPK(p *Package) ([]byte, error) {
-	var buf bytes.Buffer
-	tw := tar.NewWriter(&buf)
 	var info strings.Builder
 	fmt.Fprintf(&info, "pkgname = %s\n", p.Name)
 	fmt.Fprintf(&info, "pkgver = %s\n", p.Version)
@@ -35,43 +30,17 @@ func BuildAPK(p *Package) ([]byte, error) {
 	if p.PostInstall != "" {
 		fmt.Fprintf(&info, "postinstall = %s\n", encodeScript(p.PostInstall))
 	}
-	hdr := &tar.Header{Name: ".PKGINFO", Mode: 0o644, Size: int64(info.Len()), Typeflag: tar.TypeReg}
-	if err := tw.WriteHeader(hdr); err != nil {
-		return nil, err
-	}
-	io.WriteString(tw, info.String())
-	if err := writeFileSpecs(tw, p.Files); err != nil {
-		return nil, err
-	}
-	if err := tw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return packPayload(".PKGINFO", info.String(), p.Files)
 }
 
 // ParseAPK decodes a package.
 func ParseAPK(blob []byte) (*Package, error) {
-	tr := tar.NewReader(bytes.NewReader(blob))
 	p := &Package{}
-	for {
-		hdr, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pkgmgr: apk: %w", err)
-		}
-		if hdr.Name == ".PKGINFO" {
-			data, _ := io.ReadAll(tr)
-			parsePkginfo(p, string(data))
-			continue
-		}
-		f, err := specFromTar(hdr, tr)
-		if err != nil {
-			return nil, err
-		}
-		p.Files = append(p.Files, f)
+	files, err := readPayload(blob, ".PKGINFO", func(text string) { parsePkginfo(p, text) })
+	if err != nil {
+		return nil, fmt.Errorf("pkgmgr: apk: %w", err)
 	}
+	p.Files = files
 	if p.Name == "" {
 		return nil, fmt.Errorf("pkgmgr: apk: missing .PKGINFO")
 	}
@@ -106,74 +75,49 @@ func encodeScript(s string) string { return strings.ReplaceAll(s, "\n", "\\n") }
 
 func decodeScript(s string) string { return strings.ReplaceAll(s, "\\n", "\n") }
 
-// writeFileSpecs emits FileSpecs as tar members (shared with deb).
-func writeFileSpecs(tw *tar.Writer, files []FileSpec) error {
+// packPayload encodes a package tar (shared with deb): a metadata member
+// named meta holding text, then the package files.
+func packPayload(meta, text string, files []FileSpec) ([]byte, error) {
+	ents := make([]tarutil.Entry, 0, 1+len(files))
+	ents = append(ents, tarutil.Entry{
+		Path: "/" + meta,
+		Stat: vfs.Stat{Type: vfs.TypeRegular, Mode: 0o644},
+		Data: []byte(text),
+	})
 	for _, f := range files {
-		hdr := &tar.Header{
-			Name: strings.TrimPrefix(f.Path, "/"),
-			Mode: int64(f.Mode), Uid: f.UID, Gid: f.GID,
-		}
-		switch f.Type {
-		case vfs.TypeDir:
-			hdr.Typeflag = tar.TypeDir
-			hdr.Name += "/"
-		case vfs.TypeRegular:
-			hdr.Typeflag = tar.TypeReg
-			hdr.Size = int64(len(f.Data))
-		case vfs.TypeSymlink:
-			hdr.Typeflag = tar.TypeSymlink
-			hdr.Linkname = f.Target
-		case vfs.TypeCharDev:
-			hdr.Typeflag = tar.TypeChar
-			hdr.Devmajor, hdr.Devminor = int64(f.Major), int64(f.Minor)
-		case vfs.TypeBlockDev:
-			hdr.Typeflag = tar.TypeBlock
-			hdr.Devmajor, hdr.Devminor = int64(f.Major), int64(f.Minor)
-		case vfs.TypeFIFO:
-			hdr.Typeflag = tar.TypeFifo
-		}
-		if err := tw.WriteHeader(hdr); err != nil {
-			return err
-		}
-		if f.Type == vfs.TypeRegular {
-			if _, err := tw.Write(f.Data); err != nil {
-				return err
-			}
-		}
+		ents = append(ents, tarutil.Entry{
+			Path: f.Path,
+			Stat: vfs.Stat{Type: f.Type, Mode: f.Mode, UID: f.UID, GID: f.GID,
+				Rdev: vfs.Makedev(f.Major, f.Minor)},
+			Data:   f.Data,
+			Target: f.Target,
+		})
 	}
-	return nil
+	return tarutil.Pack(ents)
 }
 
-// specFromTar decodes one tar member into a FileSpec (shared with deb).
-func specFromTar(hdr *tar.Header, tr *tar.Reader) (FileSpec, error) {
-	f := FileSpec{
-		Path: "/" + strings.Trim(hdr.Name, "/"),
-		Mode: uint32(hdr.Mode) & 0o7777,
-		UID:  hdr.Uid, GID: hdr.Gid,
+// readPayload decodes a package tar (shared with deb): the text of the
+// member named meta goes to parseMeta, every other member becomes a
+// FileSpec whose Data aliases blob.
+func readPayload(blob []byte, meta string, parseMeta func(text string)) ([]FileSpec, error) {
+	ents, err := tarutil.Read(blob)
+	if err != nil {
+		return nil, err
 	}
-	switch hdr.Typeflag {
-	case tar.TypeDir:
-		f.Type = vfs.TypeDir
-	case tar.TypeReg:
-		f.Type = vfs.TypeRegular
-		data, err := io.ReadAll(tr)
-		if err != nil {
-			return f, err
+	var files []FileSpec
+	for _, e := range ents {
+		if e.Path == "/"+meta {
+			parseMeta(string(e.Data))
+			continue
 		}
-		f.Data = data
-	case tar.TypeSymlink:
-		f.Type = vfs.TypeSymlink
-		f.Target = hdr.Linkname
-	case tar.TypeChar:
-		f.Type = vfs.TypeCharDev
-		f.Major, f.Minor = uint32(hdr.Devmajor), uint32(hdr.Devminor)
-	case tar.TypeBlock:
-		f.Type = vfs.TypeBlockDev
-		f.Major, f.Minor = uint32(hdr.Devmajor), uint32(hdr.Devminor)
-	case tar.TypeFifo:
-		f.Type = vfs.TypeFIFO
+		files = append(files, FileSpec{
+			Path: e.Path, Type: e.Stat.Type, Mode: e.Stat.Mode,
+			UID: e.Stat.UID, GID: e.Stat.GID,
+			Data: e.Data, Target: e.Target,
+			Major: e.Stat.Rdev.Major(), Minor: e.Stat.Rdev.Minor(),
+		})
 	}
-	return f, nil
+	return files, nil
 }
 
 // apkInstalledDB is where apk records installed packages.

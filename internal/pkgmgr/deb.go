@@ -1,11 +1,7 @@
 package pkgmgr
 
 import (
-	"archive/tar"
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/errno"
@@ -19,8 +15,6 @@ import (
 
 // BuildDEB encodes a package.
 func BuildDEB(p *Package) ([]byte, error) {
-	var buf bytes.Buffer
-	tw := tar.NewWriter(&buf)
 	var ctl strings.Builder
 	fmt.Fprintf(&ctl, "Package: %s\n", p.Name)
 	fmt.Fprintf(&ctl, "Version: %s\n", p.Version)
@@ -31,43 +25,17 @@ func BuildDEB(p *Package) ([]byte, error) {
 	if p.PostInstall != "" {
 		fmt.Fprintf(&ctl, "Postinst: %s\n", encodeScript(p.PostInstall))
 	}
-	hdr := &tar.Header{Name: "control", Mode: 0o644, Size: int64(ctl.Len()), Typeflag: tar.TypeReg}
-	if err := tw.WriteHeader(hdr); err != nil {
-		return nil, err
-	}
-	io.WriteString(tw, ctl.String())
-	if err := writeFileSpecs(tw, p.Files); err != nil {
-		return nil, err
-	}
-	if err := tw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return packPayload("control", ctl.String(), p.Files)
 }
 
 // ParseDEB decodes a package.
 func ParseDEB(blob []byte) (*Package, error) {
-	tr := tar.NewReader(bytes.NewReader(blob))
 	p := &Package{}
-	for {
-		hdr, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pkgmgr: deb: %w", err)
-		}
-		if hdr.Name == "control" {
-			data, _ := io.ReadAll(tr)
-			parseControl(p, string(data))
-			continue
-		}
-		f, err := specFromTar(hdr, tr)
-		if err != nil {
-			return nil, err
-		}
-		p.Files = append(p.Files, f)
+	files, err := readPayload(blob, "control", func(text string) { parseControl(p, text) })
+	if err != nil {
+		return nil, fmt.Errorf("pkgmgr: deb: %w", err)
 	}
+	p.Files = files
 	if p.Name == "" {
 		return nil, fmt.Errorf("pkgmgr: deb: missing control")
 	}

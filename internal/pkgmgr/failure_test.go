@@ -1,6 +1,8 @@
 package pkgmgr
 
 import (
+	"archive/tar"
+	"bytes"
 	"strings"
 	"testing"
 
@@ -100,5 +102,40 @@ func TestDpkgCorruptBlobInRepo(t *testing.T) {
 	status, out := runCmd(t, p, "apt-get -o APT::Sandbox::User=root install -y curl")
 	if status == 0 {
 		t.Fatalf("corrupt deb must fail:\n%s", out)
+	}
+}
+
+// A package member FileSpec cannot express — a hard link, a type tar
+// knows but the simulation does not — fails the parse instead of turning
+// into a zero-type (regular file) spec.
+func TestParsePayloadRejectsInexpressibleMember(t *testing.T) {
+	formats := []struct {
+		meta, text string
+		parse      func([]byte) (*Package, error)
+	}{
+		{".PKGINFO", "pkgname = x\npkgver = 1\n", ParseAPK},
+		{"control", "Package: x\nVersion: 1\n", ParseDEB},
+	}
+	members := []*tar.Header{
+		{Name: "usr/bin/b", Linkname: "usr/bin/a", Typeflag: tar.TypeLink},
+		{Name: "usr/bin/c", Typeflag: tar.TypeCont},
+	}
+	for _, f := range formats {
+		for _, m := range members {
+			var buf bytes.Buffer
+			tw := tar.NewWriter(&buf)
+			tw.WriteHeader(&tar.Header{Name: f.meta, Typeflag: tar.TypeReg, Mode: 0o644, Size: int64(len(f.text))})
+			tw.Write([]byte(f.text))
+			tw.WriteHeader(&tar.Header{Name: "usr/bin/a", Typeflag: tar.TypeReg, Mode: 0o755})
+			if err := tw.WriteHeader(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := tw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if p, err := f.parse(buf.Bytes()); err == nil {
+				t.Errorf("%s with a type %q member parsed: %+v", f.meta, m.Typeflag, p.Files)
+			}
+		}
 	}
 }

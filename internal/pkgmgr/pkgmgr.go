@@ -16,7 +16,7 @@
 //     -o APT::Sandbox::User=root.
 //
 // Packages are synthetic but structurally real; the managers parse the
-// bytes with internal/cpio and archive/tar and issue their filesystem
+// bytes with internal/cpio and internal/tarutil and issue their filesystem
 // operations through the simulated process's libc (ctx.C), so every
 // emulation mechanism — seccomp, preload, ptrace — sees exactly what it
 // would see from the real tools.

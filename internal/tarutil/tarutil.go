@@ -3,6 +3,14 @@
 // the layer format of internal/image (FROM pulls, layer commits) and the
 // payload format of apk/deb packages in internal/pkgmgr.
 //
+// Every tar the program writes or reads goes through this package's codec
+// (codec.go): Pack encodes each member as one USTAR header block written
+// directly, and Unpack and Read decode USTAR blocks in place. A member
+// USTAR cannot represent — xattrs, long or non-ASCII names, numbers too
+// large for their octal fields, PAX and GNU extension headers — falls
+// back to archive/tar for that one member, so the bytes written and the
+// members read are exactly archive/tar's and layer digests do not move.
+//
 // Unpacking is where root emulation earns its keep in real builders:
 // extracting as the kernel (RootContext) preserves recorded ownership the
 // way a privileged tar would, while extracting as a process (the package
@@ -14,9 +22,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
 	"path"
 	"sort"
 	"strings"
@@ -102,67 +108,57 @@ func Snapshot(fs *vfs.FS) ([]Entry, error) {
 
 // Pack serialises entries into a tar stream. The buffer is pre-sized from
 // the entry sizes (512-byte header + 512-padded body each) so the encoder
-// never re-grows it.
+// never re-grows it unless an entry needs archive/tar's PAX or GNU
+// encoding. Sockets have no tar type and are skipped, as GNU tar does.
 //
 //chlint:keyroot
 func Pack(entries []Entry) ([]byte, error) {
-	size := 2 * 512 // archive terminator
+	size := 2 * blockSize // archive terminator
 	for i := range entries {
-		size += 512 + (len(entries[i].Data)+511)&^511
+		size += blockSize + len(entries[i].Data) + padding(len(entries[i].Data))
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, size))
-	tw := tar.NewWriter(buf)
-	for _, ent := range entries {
-		hdr := &tar.Header{
-			Name:    strings.TrimPrefix(ent.Path, "/"),
-			Mode:    int64(ent.Stat.Mode),
-			Uid:     ent.Stat.UID,
-			Gid:     ent.Stat.GID,
-			ModTime: ent.Stat.Mtime,
-		}
-		if len(ent.Xattrs) > 0 {
-			hdr.PAXRecords = map[string]string{}
-			for k, v := range ent.Xattrs {
-				hdr.PAXRecords["SCHILY.xattr."+k] = v
-			}
-		}
-		switch ent.Stat.Type {
-		case vfs.TypeDir:
-			hdr.Typeflag = tar.TypeDir
-			hdr.Name += "/"
-		case vfs.TypeRegular:
-			hdr.Typeflag = tar.TypeReg
-			hdr.Size = int64(len(ent.Data))
-		case vfs.TypeSymlink:
-			hdr.Typeflag = tar.TypeSymlink
-			hdr.Linkname = ent.Target
-		case vfs.TypeCharDev:
-			hdr.Typeflag = tar.TypeChar
-			hdr.Devmajor = int64(ent.Stat.Rdev.Major())
-			hdr.Devminor = int64(ent.Stat.Rdev.Minor())
-		case vfs.TypeBlockDev:
-			hdr.Typeflag = tar.TypeBlock
-			hdr.Devmajor = int64(ent.Stat.Rdev.Major())
-			hdr.Devminor = int64(ent.Stat.Rdev.Minor())
-		case vfs.TypeFIFO:
-			hdr.Typeflag = tar.TypeFifo
-		case vfs.TypeSocket:
-			// tar has no socket type; skip, as GNU tar does.
+	buf := make([]byte, 0, size)
+	for i := range entries {
+		ent := &entries[i]
+		if ent.Stat.Type == vfs.TypeSocket {
 			continue
 		}
-		if err := tw.WriteHeader(hdr); err != nil {
-			return nil, fmt.Errorf("tarutil: header %s: %w", ent.Path, err)
+		h := header{
+			name:   strings.TrimPrefix(ent.Path, "/"),
+			mode:   int64(ent.Stat.Mode),
+			uid:    ent.Stat.UID,
+			gid:    ent.Stat.GID,
+			mtime:  ent.Stat.Mtime,
+			xattrs: ent.Xattrs,
 		}
-		if ent.Stat.Type == vfs.TypeRegular {
-			if _, err := tw.Write(ent.Data); err != nil {
-				return nil, fmt.Errorf("tarutil: body %s: %w", ent.Path, err)
+		// A type missing here keeps flag 0, which archive/tar writes as
+		// a regular file.
+		switch ent.Stat.Type {
+		case vfs.TypeDir:
+			h.typeflag = tar.TypeDir
+			h.name += "/"
+		case vfs.TypeRegular:
+			h.typeflag = tar.TypeReg
+			h.body = ent.Data
+		case vfs.TypeSymlink:
+			h.typeflag = tar.TypeSymlink
+			h.linkname = ent.Target
+		case vfs.TypeCharDev, vfs.TypeBlockDev:
+			h.typeflag = tar.TypeChar
+			if ent.Stat.Type == vfs.TypeBlockDev {
+				h.typeflag = tar.TypeBlock
 			}
+			h.devmajor, h.devminor = int64(ent.Stat.Rdev.Major()), int64(ent.Stat.Rdev.Minor())
+		case vfs.TypeFIFO:
+			h.typeflag = tar.TypeFifo
+		}
+		var err error
+		if buf, err = appendMember(buf, &h); err != nil {
+			return nil, fmt.Errorf("tarutil: %s: %w", ent.Path, err)
 		}
 	}
-	if err := tw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	buf = append(buf, zeroBlock[:]...)
+	return append(buf, zeroBlock[:]...), nil
 }
 
 // PackFS is Snapshot followed by Pack.
@@ -179,18 +175,20 @@ func PackFS(fs *vfs.FS) ([]byte, error) {
 // Unpack applies a tar layer onto fs as the kernel (privileged): ownership,
 // modes, device nodes and xattrs land exactly as recorded, and whiteouts
 // delete. This is the image-store path — equivalent to unpacking as root.
+// File contents are copied into fs, never shared with layer.
 func Unpack(fs *vfs.FS, layer []byte) error {
 	rc := vfs.RootContext()
-	tr := tar.NewReader(bytes.NewReader(layer))
+	r := reader{b: layer}
 	for {
-		hdr, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
+		var hdr header
+		ok, err := r.next(&hdr)
 		if err != nil {
 			return fmt.Errorf("tarutil: %w", err)
 		}
-		name := "/" + strings.Trim(hdr.Name, "/")
+		if !ok {
+			return nil
+		}
+		name := "/" + strings.Trim(hdr.name, "/")
 		base := path.Base(name)
 		dir := path.Dir(name)
 
@@ -211,59 +209,106 @@ func Unpack(fs *vfs.FS, layer []byte) error {
 
 		// Replace any existing non-directory entry.
 		if st, e := fs.Stat(rc, name, false); e == errno.OK {
-			if !(st.Type == vfs.TypeDir && hdr.Typeflag == tar.TypeDir) {
+			if !(st.Type == vfs.TypeDir && hdr.typeflag == tar.TypeDir) {
 				removeAll(fs, name)
 			}
 		}
 		fs.MkdirAll(rc, dir, 0o755, 0, 0)
 
-		mode := uint32(hdr.Mode) & 0o7777
-		switch hdr.Typeflag {
+		mode := uint32(hdr.mode) & 0o7777
+		switch hdr.typeflag {
 		case tar.TypeDir:
-			if e := fs.Mkdir(rc, name, mode, hdr.Uid, hdr.Gid); e != errno.OK && e != errno.EEXIST {
+			if e := fs.Mkdir(rc, name, mode, hdr.uid, hdr.gid); e != errno.OK && e != errno.EEXIST {
 				return fmt.Errorf("tarutil: mkdir %s: %v", name, e)
 			}
-			if e := fs.Chown(rc, name, hdr.Uid, hdr.Gid, false); e != errno.OK {
+			if e := fs.Chown(rc, name, hdr.uid, hdr.gid, false); e != errno.OK {
 				return fmt.Errorf("tarutil: chown %s: %v", name, e)
 			}
 			fs.Chmod(rc, name, mode, false)
 		case tar.TypeReg:
-			data, err := io.ReadAll(tr)
-			if err != nil {
-				return fmt.Errorf("tarutil: read %s: %w", name, err)
-			}
-			if e := fs.WriteFile(rc, name, data, mode, hdr.Uid, hdr.Gid); e != errno.OK {
+			if e := fs.WriteFile(rc, name, hdr.body, mode, hdr.uid, hdr.gid); e != errno.OK {
 				return fmt.Errorf("tarutil: write %s: %v", name, e)
 			}
-			fs.Chown(rc, name, hdr.Uid, hdr.Gid, false)
+			fs.Chown(rc, name, hdr.uid, hdr.gid, false)
 			fs.Chmod(rc, name, mode, false)
 		case tar.TypeSymlink:
-			if e := fs.Symlink(rc, hdr.Linkname, name, hdr.Uid, hdr.Gid); e != errno.OK {
+			if e := fs.Symlink(rc, hdr.linkname, name, hdr.uid, hdr.gid); e != errno.OK {
 				return fmt.Errorf("tarutil: symlink %s: %v", name, e)
 			}
 		case tar.TypeLink:
-			if e := fs.Link(rc, "/"+strings.Trim(hdr.Linkname, "/"), name); e != errno.OK {
+			if e := fs.Link(rc, "/"+strings.Trim(hdr.linkname, "/"), name); e != errno.OK {
 				return fmt.Errorf("tarutil: link %s: %v", name, e)
 			}
 		case tar.TypeChar, tar.TypeBlock:
 			typ := vfs.TypeCharDev
-			if hdr.Typeflag == tar.TypeBlock {
+			if hdr.typeflag == tar.TypeBlock {
 				typ = vfs.TypeBlockDev
 			}
-			dev := vfs.Makedev(uint32(hdr.Devmajor), uint32(hdr.Devminor))
-			if e := fs.Mknod(rc, name, typ, mode, dev, hdr.Uid, hdr.Gid); e != errno.OK {
+			dev := vfs.Makedev(uint32(hdr.devmajor), uint32(hdr.devminor))
+			if e := fs.Mknod(rc, name, typ, mode, dev, hdr.uid, hdr.gid); e != errno.OK {
 				return fmt.Errorf("tarutil: mknod %s: %v", name, e)
 			}
 		case tar.TypeFifo:
-			if e := fs.Mknod(rc, name, vfs.TypeFIFO, mode, 0, hdr.Uid, hdr.Gid); e != errno.OK {
+			if e := fs.Mknod(rc, name, vfs.TypeFIFO, mode, 0, hdr.uid, hdr.gid); e != errno.OK {
 				return fmt.Errorf("tarutil: mkfifo %s: %v", name, e)
 			}
 		}
-		for k, v := range hdr.PAXRecords {
-			if attr, ok := strings.CutPrefix(k, "SCHILY.xattr."); ok {
-				fs.SetXattr(rc, name, attr, []byte(v), false)
-			}
+		for k, v := range hdr.xattrs {
+			fs.SetXattr(rc, name, k, []byte(v), false)
 		}
+	}
+}
+
+// Read decodes a tar stream into entries, in archive order: the package
+// payload path, which interprets members itself rather than applying them
+// to a filesystem. Whiteouts are returned as the plain files they are
+// stored as. A member an Entry cannot express — a hard link, or a type
+// other than file, directory, symlink, device or FIFO — is an error.
+// Entry.Data aliases archive; callers must not modify it.
+func Read(archive []byte) ([]Entry, error) {
+	var out []Entry
+	r := reader{b: archive}
+	for {
+		var hdr header
+		ok, err := r.next(&hdr)
+		if err != nil {
+			return nil, fmt.Errorf("tarutil: %w", err)
+		}
+		if !ok {
+			return out, nil
+		}
+		ent := Entry{
+			Path: "/" + strings.Trim(hdr.name, "/"),
+			Stat: vfs.Stat{
+				Mode:  uint32(hdr.mode) & 0o7777,
+				UID:   hdr.uid,
+				GID:   hdr.gid,
+				Mtime: hdr.mtime,
+			},
+			Xattrs: hdr.xattrs,
+		}
+		switch hdr.typeflag {
+		case tar.TypeReg:
+			ent.Stat.Type = vfs.TypeRegular
+			ent.Stat.Size = int64(len(hdr.body))
+			ent.Data = hdr.body
+		case tar.TypeDir:
+			ent.Stat.Type = vfs.TypeDir
+		case tar.TypeSymlink:
+			ent.Stat.Type = vfs.TypeSymlink
+			ent.Target = hdr.linkname
+		case tar.TypeChar, tar.TypeBlock:
+			ent.Stat.Type = vfs.TypeCharDev
+			if hdr.typeflag == tar.TypeBlock {
+				ent.Stat.Type = vfs.TypeBlockDev
+			}
+			ent.Stat.Rdev = vfs.Makedev(uint32(hdr.devmajor), uint32(hdr.devminor))
+		case tar.TypeFifo:
+			ent.Stat.Type = vfs.TypeFIFO
+		default:
+			return nil, fmt.Errorf("tarutil: %s: tar member type %q has no entry form", ent.Path, hdr.typeflag)
+		}
+		out = append(out, ent)
 	}
 }
 
