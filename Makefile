@@ -14,9 +14,14 @@ test:
 	go test ./...
 
 # The concurrency gate: the pool, the shared caches and the registry must
-# be race-clean with the detector on.
+# be race-clean with the detector on. The second line repeats the
+# single-flight tests (flight.Group and its users: the instruction cache's
+# fills and lazy loads, the store's flatten fills) so each run samples many
+# interleavings, not one.
 race:
 	go test -race ./...
+	go test -race -count=20 -run 'SingleFlight|ConcurrentAccounting|ReleasesWaiters|Hammer|LazyFlight' \
+		./internal/build ./internal/image ./internal/flight
 
 # One pass over every benchmark, including the E8/E15 build matrix. The
 # raw output (benchstat input format) lands in BENCH_layercommit.txt and a

@@ -186,7 +186,7 @@ func buildOnce(b *testing.B, distro, name, text string, mode build.ForceMode) fl
 	}
 	store.Put(img)
 	wantErr := mode == build.ForceNone && distro == pkgmgr.DistroCentOS7
-	res, err := build.Build(text, build.Options{
+	res, err := build.BuildContext(context.Background(), text, build.Options{
 		Tag: "bench", Force: mode, Store: store, World: world,
 	})
 	if (err != nil) != wantErr {
@@ -443,7 +443,7 @@ func BenchmarkStateFootprint(b *testing.B) {
 				store := image.NewStore()
 				img, _ := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
 				store.Put(img)
-				res, err := build.Build("FROM centos:7\nRUN yum install -y openssh\n",
+				res, err := build.BuildContext(context.Background(), "FROM centos:7\nRUN yum install -y openssh\n",
 					build.Options{Tag: "bench", Force: mode, Store: store, World: world})
 				if err != nil {
 					b.Fatal(err)
@@ -468,12 +468,12 @@ func BenchmarkBuildCached(b *testing.B) {
 	text := "FROM centos:7\nRUN yum install -y openssh\n"
 	opt := build.Options{Tag: "bench", Force: build.ForceSeccomp,
 		Store: store, World: world, Cache: cache}
-	if _, err := build.Build(text, opt); err != nil {
+	if _, err := build.BuildContext(context.Background(), text, opt); err != nil {
 		b.Fatal(err) // warm the cache
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := build.Build(text, opt)
+		res, err := build.BuildContext(context.Background(), text, opt)
 		if err != nil || res.CacheHits == 0 {
 			b.Fatalf("cached rebuild: hits=%d err=%v", res.CacheHits, err)
 		}
@@ -499,13 +499,13 @@ func BenchmarkObsOverhead(b *testing.B) {
 		text := "FROM centos:7\nRUN yum install -y openssh\n"
 		opt := build.Options{Tag: "bench", Force: build.ForceSeccomp,
 			Store: store, World: world, Cache: cache}
-		if _, err := build.Build(text, opt); err != nil {
+		if _, err := build.BuildContext(context.Background(), text, opt); err != nil {
 			b.Fatal(err) // warm the cache
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := build.Build(text, opt)
+			res, err := build.BuildContext(context.Background(), text, opt)
 			if err != nil || res.CacheHits == 0 {
 				b.Fatalf("cached rebuild: hits=%d err=%v", res.CacheHits, err)
 			}
@@ -662,7 +662,7 @@ COPY --from=late /srv/data /app/data
 				store, world := freshFixtures(b)
 				cache := build.NewCache()
 				b.StartTimer()
-				res, err := build.Build(text, opt(store, world, cache, jobs))
+				res, err := build.BuildContext(context.Background(), text, opt(store, world, cache, jobs))
 				if err != nil || res.StagesBuilt != stages {
 					b.Fatalf("stages=%d err=%v", res.StagesBuilt, err)
 				}
@@ -676,13 +676,13 @@ COPY --from=late /srv/data /app/data
 	b.Run("warm", func(b *testing.B) {
 		store, world := freshFixtures(b)
 		cache := build.NewCache()
-		if _, err := build.Build(text, opt(store, world, cache, 2)); err != nil {
+		if _, err := build.BuildContext(context.Background(), text, opt(store, world, cache, 2)); err != nil {
 			b.Fatal(err) // warm the shared cache
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := build.Build(text, opt(store, world, cache, 2))
+			res, err := build.BuildContext(context.Background(), text, opt(store, world, cache, 2))
 			if err != nil || res.CacheHits == 0 {
 				b.Fatalf("hits=%d err=%v", res.CacheHits, err)
 			}
@@ -724,7 +724,7 @@ func BenchmarkBuildPersistent(b *testing.B) {
 			b.Fatal(err)
 		}
 		store.Put(img)
-		res, err := build.Build(text, build.Options{
+		res, err := build.BuildContext(context.Background(), text, build.Options{
 			Tag: "bench", Force: build.ForceSeccomp,
 			Store: store, World: world, Cache: build.NewPersistentCache(d),
 		})
@@ -759,13 +759,13 @@ func BenchmarkBuildPersistent(b *testing.B) {
 		cache := build.NewCache()
 		opt := build.Options{Tag: "bench", Force: build.ForceSeccomp,
 			Store: store, World: world, Cache: cache}
-		if _, err := build.Build(text, opt); err != nil {
+		if _, err := build.BuildContext(context.Background(), text, opt); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := build.Build(text, opt)
+			res, err := build.BuildContext(context.Background(), text, opt)
 			if err != nil || res.Executed != 0 {
 				b.Fatalf("executed=%d err=%v", res.Executed, err)
 			}
@@ -795,7 +795,7 @@ func BenchmarkBuildFilterVariants(b *testing.B) {
 				store := image.NewStore()
 				img, _ := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
 				store.Put(img)
-				res, err := build.Build("FROM centos:7\nRUN yum install -y openssh\n",
+				res, err := build.BuildContext(context.Background(), "FROM centos:7\nRUN yum install -y openssh\n",
 					build.Options{Tag: "bench", Force: build.ForceSeccomp,
 						Store: store, World: world, FilterConfig: v.cfg})
 				if err != nil {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -48,7 +49,7 @@ func main() {
 		r.opt.Store = store
 		r.opt.World = world
 		r.opt.Output = os.Stdout
-		res, err := build.Build(dockerfile, r.opt)
+		res, err := build.BuildContext(context.Background(), dockerfile, r.opt)
 		switch {
 		case r.fails && err == nil:
 			fmt.Fprintln(os.Stderr, "unexpected success")

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -40,14 +41,14 @@ func main() {
 	}
 	store.Put(base)
 	cache := build.NewCache()
-	context := map[string][]byte{
+	buildCtx := map[string][]byte{
 		"solver.c": []byte("/* 3-D stencil solver */\nint main(void){return 0;}\n"),
 	}
 
 	fmt.Println("=== first build (cold cache)")
-	res, err := build.Build(dockerfile, build.Options{
+	res, err := build.BuildContext(context.Background(), dockerfile, build.Options{
 		Tag: "simapp:1.4", Force: build.ForceSeccomp, Store: store,
-		World: world, Context: context, Output: os.Stdout, Cache: cache,
+		World: world, Context: buildCtx, Output: os.Stdout, Cache: cache,
 		BuildArgs: map[string]string{"VERSION": "1.4"},
 	})
 	if err != nil {
@@ -57,9 +58,9 @@ func main() {
 		len(res.Image.Layers), res.Counters.Faked, res.CacheHits)
 
 	fmt.Println("=== rebuild (warm cache: every RUN/COPY replays)")
-	res2, err := build.Build(dockerfile, build.Options{
+	res2, err := build.BuildContext(context.Background(), dockerfile, build.Options{
 		Tag: "simapp:1.4", Force: build.ForceSeccomp, Store: store,
-		World: world, Context: context, Output: os.Stdout, Cache: cache,
+		World: world, Context: buildCtx, Output: os.Stdout, Cache: cache,
 		BuildArgs: map[string]string{"VERSION": "1.4"},
 	})
 	if err != nil {

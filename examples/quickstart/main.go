@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -30,7 +31,7 @@ func main() {
 
 	for _, mode := range []build.ForceMode{build.ForceNone, build.ForceSeccomp} {
 		fmt.Printf("=== ch-image build -t win --force=%s .\n", mode)
-		res, err := build.Build(dockerfile, build.Options{
+		res, err := build.BuildContext(context.Background(), dockerfile, build.Options{
 			Tag: "win", Force: mode, Store: store, World: world, Output: os.Stdout,
 		})
 		if err != nil {

@@ -13,10 +13,9 @@ import (
 //     drop on refactors;
 //  2. library code never calls context.Background() or context.TODO():
 //     a context manufactured mid-stack silently detaches the work from
-//     the caller's cancellation and deadlines. The legacy context-free
-//     compat wrappers (Store.Flatten → FlattenContext and friends) each
-//     carry a //chlint:allow ctxfirst annotation naming themselves the
-//     exception.
+//     the caller's cancellation and deadlines. The one legacy
+//     context-free compat wrapper (Store.Put → PutContext) carries a
+//     //chlint:allow ctxfirst annotation naming itself the exception.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
 	Doc:  "context.Context parameters come first; context.Background() only in annotated compat wrappers",

@@ -258,22 +258,18 @@ type Result struct {
 // buildUID is the invoking (unprivileged) user every build runs as.
 const buildUID = 1000
 
-// Build executes Dockerfile text under opts. Multi-stage Dockerfiles and
-// --target builds are routed through the stage scheduler, which runs
-// independent stages concurrently and prunes unreferenced ones. The
-// returned Result is never nil: on failure it still carries the counters
-// and modeled time accrued up to the failing instruction.
-func Build(text string, opt Options) (*Result, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; BuildContext is the real entry point
-	return BuildContext(context.Background(), text, opt)
-}
-
-// BuildContext is Build under a context: cancelling ctx stops the build
-// at its next instruction boundary with an error wrapping ctx's cause,
-// and Options.BuildTimeout layers a whole-build deadline on top. A build
-// that succeeds but fails to persist — cache write-through or store
-// backing errors — still returns nil error, with Result.Degraded set
-// (the degraded-operation contract; see docs/cas.md).
+// BuildContext executes Dockerfile text under opts. Multi-stage
+// Dockerfiles and --target builds are routed through the stage scheduler,
+// which runs independent stages concurrently and prunes unreferenced
+// ones. The returned Result is never nil: on failure it still carries the
+// counters and modeled time accrued up to the failing instruction.
+//
+// Cancelling ctx stops the build at its next instruction boundary with an
+// error wrapping ctx's cause, and Options.BuildTimeout layers a
+// whole-build deadline on top. A build that succeeds but fails to persist
+// — cache write-through or store backing errors — still returns nil
+// error, with Result.Degraded set (the degraded-operation contract; see
+// docs/cas.md).
 func BuildContext(ctx context.Context, text string, opt Options) (res *Result, err error) {
 	if opt.BuildTimeout > 0 {
 		var cancel context.CancelFunc
@@ -367,10 +363,6 @@ func noteDegraded(res *Result, opt Options) {
 // f has a single stage. It returns the stage's Result and image.
 // Cancelling ctx stops the stage at its next instruction boundary.
 func buildOneStage(ctx context.Context, f *dockerfile.File, stage int, imgs []*image.Image, opt Options) (*Result, *image.Image, error) {
-	if ctx == nil {
-		//chlint:allow ctxfirst -- defensive nil-ctx guard for direct internal callers
-		ctx = context.Background()
-	}
 	ctx, span := obs.StartSpan(ctx, fmt.Sprintf("stage %d (%s)", stage+1, stageLabel(f.Stages[stage])))
 	defer span.End()
 	b := &builder{
@@ -616,7 +608,7 @@ func (b *builder) stepFrom(ins dockerfile.Instruction) error {
 	// the invoking user — exactly what ch-image's storage directory
 	// holds, and why the container needs emulation to chown at all. The
 	// store memoises the unpacked chain; we get a private clone.
-	fs, err := b.opt.Store.FlattenContext(b.ctx, base)
+	fs, err := b.opt.Store.Flatten(b.ctx, base)
 	if err != nil {
 		return fmt.Errorf("build: flatten %s: %w", ref, err)
 	}
@@ -860,7 +852,7 @@ func (b *builder) stepCopyFrom(ins dockerfile.Instruction) error {
 		}
 	}()
 
-	entries, err := b.opt.Store.FlattenedEntriesContext(b.ctx, src)
+	entries, err := b.opt.Store.FlattenedEntries(b.ctx, src)
 	if err != nil {
 		return fmt.Errorf("build: line %d: COPY --from=%s: %w", ins.Line, ins.From, err)
 	}
@@ -1066,7 +1058,7 @@ func (b *builder) replay(key, cmd string) (bool, error) {
 	if b.opt.Cache == nil {
 		return false, nil
 	}
-	ent, hit, _ := b.opt.Cache.getOrBegin(b.ctx, key)
+	ent, hit := b.opt.Cache.getOrBegin(b.ctx, key)
 	if !hit {
 		return false, nil
 	}

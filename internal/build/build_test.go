@@ -1,6 +1,7 @@
 package build
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ func mustBuild(t *testing.T, text string, opt Options) (*Result, string) {
 	if opt.Tag == "" {
 		opt.Tag = "test"
 	}
-	res, err := Build(text, opt)
+	res, err := BuildContext(context.Background(), text, opt)
 	if err != nil {
 		t.Fatalf("build failed: %v\ntranscript:\n%s", err, out.String())
 	}
@@ -51,7 +52,7 @@ func mustFail(t *testing.T, text string, opt Options) (*Result, string, error) {
 	if opt.Tag == "" {
 		opt.Tag = "test"
 	}
-	res, err := Build(text, opt)
+	res, err := BuildContext(context.Background(), text, opt)
 	if err == nil {
 		t.Fatalf("build unexpectedly succeeded\ntranscript:\n%s", out.String())
 	}
@@ -65,17 +66,17 @@ func mustFail(t *testing.T, text string, opt Options) (*Result, string, error) {
 
 func TestBuildParseErrorSurfaces(t *testing.T) {
 	w, s := fixtures(t)
-	if _, err := Build("FROM alpine:3.19\nBOGUS thing\n", Options{World: w, Store: s}); err == nil {
+	if _, err := BuildContext(context.Background(), "FROM alpine:3.19\nBOGUS thing\n", Options{World: w, Store: s}); err == nil {
 		t.Fatal("unknown instruction must fail the build")
 	}
-	if _, err := Build("RUN true\n", Options{World: w, Store: s}); err == nil {
+	if _, err := BuildContext(context.Background(), "RUN true\n", Options{World: w, Store: s}); err == nil {
 		t.Fatal("RUN before FROM must fail")
 	}
 }
 
 func TestBuildUnknownBaseImage(t *testing.T) {
 	w, s := fixtures(t)
-	_, err := Build("FROM nosuch:1\nRUN true\n", Options{World: w, Store: s})
+	_, err := BuildContext(context.Background(), "FROM nosuch:1\nRUN true\n", Options{World: w, Store: s})
 	if err == nil || !strings.Contains(err.Error(), "not in storage") {
 		t.Fatalf("err = %v", err)
 	}
@@ -160,7 +161,7 @@ func TestBuildFailingRunStopsBuild(t *testing.T) {
 	if !strings.Contains(err.Error(), "status 1") {
 		t.Fatalf("err = %v", err)
 	}
-	if _, ok := s.Get("broken"); ok {
+	if _, ok := s.GetContext(context.Background(), "broken"); ok {
 		t.Fatal("failed build must not tag an image")
 	}
 }
@@ -299,7 +300,7 @@ func TestBuildTagsStoreAndPushes(t *testing.T) {
 	w, s := fixtures(t)
 	res, _ := mustBuild(t, "FROM alpine:3.19\nRUN apk add sl\n",
 		Options{World: w, Store: s, Force: ForceSeccomp, Tag: "app:1"})
-	got, ok := s.Get("app:1")
+	got, ok := s.GetContext(context.Background(), "app:1")
 	if !ok || got != res.Image {
 		t.Fatal("result image not tagged into the store")
 	}

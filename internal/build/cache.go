@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/image"
 )
 
@@ -40,34 +41,17 @@ import (
 type Cache struct {
 	// dir is set once at construction (nil for a purely in-memory
 	// cache) and never reassigned, so it lives above mu: loadStep reads
-	// it without the lock while holding the key's flight.
+	// it without the lock while leading the key's flight.
 	dir *cas.Dir
 
 	mu      sync.Mutex
 	entries map[string]cacheEntry
-	flights map[string]*stepFlight
+	flights flight.Group[cacheEntry]
 	hits    int
 	misses  int
 
-	lazy map[string]cas.Step // persisted entries not yet loaded
-
-	// Write-through failures aggregate here (capped like the image
-	// store's backing errors; overflow counted in persistDropped).
-	persistErrs    []error
-	persistDropped int
-}
-
-// persistErrCap bounds the aggregated write-through failure list.
-const persistErrCap = 32
-
-// stepFlight is one instruction being executed by some builder right now.
-// Waiters block on done; the outcome field is written before the channel
-// closes. An abandoned fill (the builder's step failed) wakes waiters with
-// filled=false and they retry — one of them becomes the new filler.
-type stepFlight struct {
-	done   chan struct{}
-	ent    cacheEntry
-	filled bool
+	lazy        map[string]cas.Step // persisted entries not yet loaded
+	persistErrs cas.Failures        // write-through failures
 }
 
 // cacheEntry is one completed instruction: the packed layer it produced
@@ -77,9 +61,13 @@ type cacheEntry struct {
 	modified int
 }
 
+// errAbandoned ends a fill whose step failed: its waiters retry, and one
+// of them becomes the next filler.
+var errAbandoned = errors.New("build: step fill abandoned")
+
 // NewCache creates an empty instruction cache.
 func NewCache() *Cache {
-	return &Cache{entries: map[string]cacheEntry{}, flights: map[string]*stepFlight{}}
+	return &Cache{entries: map[string]cacheEntry{}}
 }
 
 // NewPersistentCache creates an instruction cache backed by an open
@@ -110,49 +98,26 @@ func (c *Cache) PersistErr() error {
 func (c *Cache) PersistErrs() []error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.persistErrs) == 0 {
-		return nil
-	}
-	out := append([]error(nil), c.persistErrs...)
-	if c.persistDropped > 0 {
-		out = append(out, fmt.Errorf("build: %d further persistence failure(s) dropped", c.persistDropped))
-	}
-	return out
-}
-
-// notePersistErrLocked records one write-through failure. Callers hold c.mu.
-func (c *Cache) notePersistErrLocked(err error) {
-	if err == nil {
-		return
-	}
-	if len(c.persistErrs) >= persistErrCap {
-		c.persistDropped++
-		return
-	}
-	c.persistErrs = append(c.persistErrs, err)
+	return c.persistErrs.List()
 }
 
 // loadStep reads a persisted entry's layer blob (digest-verified by the
 // Dir on the way out). Called WITHOUT c.mu held — this is disk I/O, and
-// the loading goroutine holds the key's flight instead, so other builders
+// the loading goroutine leads the key's flight instead, so other builders
 // only wait on it for this key, never for the whole cache. A blob that
 // fails verification was quarantined by the Dir; the entry is dropped and
 // the step re-executes as an ordinary miss.
-func (c *Cache) loadStep(ctx context.Context, st cas.Step) (cacheEntry, bool) {
+func (c *Cache) loadStep(ctx context.Context, st cas.Step) (cacheEntry, error) {
 	ent := cacheEntry{modified: st.Modified}
-	if st.Layer != "" {
-		var data []byte
-		err := cas.DefaultRetry.Do(ctx, func() error {
-			var rerr error
-			data, rerr = c.dir.Blob(ctx, st.Layer)
-			return rerr
-		})
-		if err != nil {
-			return cacheEntry{}, false
-		}
-		ent.layer = data
+	if st.Layer == "" {
+		return ent, nil
 	}
-	return ent, true
+	err := cas.DefaultRetry.Do(ctx, func() error {
+		var rerr error
+		ent.layer, rerr = c.dir.Blob(ctx, st.Layer)
+		return rerr
+	})
+	return ent, err
 }
 
 // Stats reports lifetime hit/miss totals across all builds sharing the
@@ -175,68 +140,63 @@ func (c *Cache) Len() int {
 }
 
 // getOrBegin is the single entry point for a builder reaching a cacheable
-// step. Outcomes:
-//
-//	hit  == true:  ent is the recorded step; replay it.
-//	fill == true:  the caller owns the execution and MUST finish with
-//	               either complete (success) or abandon (failure).
+// step. On a hit, ent is the recorded step; replay it. On a miss the
+// caller owns the execution and MUST finish with either complete
+// (success) or abandon (failure).
 //
 // A caller that finds the key in flight blocks until the filler finishes;
 // a completed fill returns as a hit, an abandoned one loops and contends
 // to become the next filler.
-func (c *Cache) getOrBegin(ctx context.Context, key string) (ent cacheEntry, hit, fill bool) {
+func (c *Cache) getOrBegin(ctx context.Context, key string) (ent cacheEntry, hit bool) {
 	for {
 		c.mu.Lock()
 		if ent, ok := c.entries[key]; ok {
-			c.hits++
-			mCacheHits.Inc()
+			c.hitLocked()
 			c.mu.Unlock()
-			return ent, true, false
+			return ent, true
 		}
-		if st, ok := c.lazy[key]; ok {
-			// Rehydrate a persisted entry. The blob read happens outside
-			// the lock under a flight for this key: concurrent builders on
-			// the same key wait and replay, everyone else proceeds.
-			delete(c.lazy, key)
-			f := &stepFlight{done: make(chan struct{})}
-			c.flights[key] = f
+		f, leader := c.flights.Join(key)
+		if !leader {
 			c.mu.Unlock()
-			ent, loaded := c.loadStep(ctx, st)
-			c.mu.Lock()
-			delete(c.flights, key)
-			if loaded {
-				c.entries[key] = ent
-				c.hits++
-				mCacheHits.Inc()
-				c.mu.Unlock()
-				f.ent, f.filled = ent, true
-				close(f.done)
-				return ent, true, false
-			}
-			// Corrupt on disk: wake any waiters unfilled and contend with
-			// them for an ordinary fill.
-			c.mu.Unlock()
-			close(f.done)
-			continue
-		}
-		if f, inflight := c.flights[key]; inflight {
-			c.mu.Unlock()
-			<-f.done
-			if f.filled {
+			if ent, err := f.Wait(); err == nil {
 				c.mu.Lock()
-				c.hits++
-				mCacheHits.Inc()
+				c.hitLocked()
 				c.mu.Unlock()
-				return f.ent, true, false
+				return ent, true
 			}
-			continue // abandoned: contend for the fill
+			continue // abandoned or failed to load: contend for the fill
 		}
-		c.flights[key] = &stepFlight{done: make(chan struct{})}
-		c.misses++
-		mCacheMisses.Inc()
+		st, lazy := c.lazy[key]
+		if !lazy {
+			c.misses++
+			mCacheMisses.Inc()
+			c.mu.Unlock()
+			return cacheEntry{}, false
+		}
+		// Rehydrate a persisted entry. The blob read happens outside the
+		// lock while leading this key's flight: concurrent builders on the
+		// same key wait and replay, everyone else proceeds. Corrupt on disk,
+		// the waiters wake with the error and contend for an ordinary fill.
+		delete(c.lazy, key)
 		c.mu.Unlock()
-		return cacheEntry{}, false, true
+		ent, err := c.loadStep(ctx, st)
+		c.mu.Lock()
+		if err == nil {
+			c.entries[key] = ent
+			c.hitLocked()
+		}
+		c.flights.Finish(key, ent, err)
+		c.mu.Unlock()
+		if err == nil {
+			return ent, true
+		}
 	}
+}
+
+// hitLocked counts one replay. Callers hold c.mu.
+func (c *Cache) hitLocked() {
+	c.hits++
+	mCacheHits.Inc()
 }
 
 // complete records a finished step and releases any builders waiting on
@@ -251,22 +211,15 @@ func (c *Cache) complete(ctx context.Context, key string, ent cacheEntry) {
 	}
 	c.mu.Lock()
 	c.entries[key] = ent
-	f := c.flights[key]
-	delete(c.flights, key)
+	c.flights.Finish(key, ent, nil)
 	c.mu.Unlock()
-	if f != nil {
-		f.ent, f.filled = ent, true
-		close(f.done)
-	}
 	if c.dir != nil {
 		err := cas.DefaultRetry.Do(ctx, func() error {
 			return c.dir.PutStep(ctx, key, ent.layer, ent.modified)
 		})
-		if err != nil {
-			c.mu.Lock()
-			c.notePersistErrLocked(err)
-			c.mu.Unlock()
-		}
+		c.mu.Lock()
+		c.persistErrs.Add(err)
+		c.mu.Unlock()
 	}
 }
 
@@ -274,12 +227,8 @@ func (c *Cache) complete(ctx context.Context, key string, ent cacheEntry) {
 // there is nothing to record. Waiters wake and retry.
 func (c *Cache) abandon(key string) {
 	c.mu.Lock()
-	f := c.flights[key]
-	delete(c.flights, key)
+	c.flights.Finish(key, cacheEntry{}, errAbandoned)
 	c.mu.Unlock()
-	if f != nil {
-		close(f.done)
-	}
 }
 
 // chain folds a step descriptor into a running content-addressed key.

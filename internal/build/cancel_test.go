@@ -83,7 +83,7 @@ func TestBuildTimeoutFailsWithDeadlineError(t *testing.T) {
 			}
 		},
 	}
-	res, err := Build(echoDockerfile, opt)
+	res, err := BuildContext(context.Background(), echoDockerfile, opt)
 	if err == nil {
 		t.Fatal("build should fail its deadline")
 	}
@@ -107,7 +107,7 @@ func TestInstrTimeoutFailsOverrunningInstruction(t *testing.T) {
 		// into a per-instruction deadline failure.
 		InstrTimeout: time.Nanosecond,
 	}
-	res, err := Build("ARG V=1\nFROM alpine:3.19\n", opt)
+	res, err := BuildContext(context.Background(), "ARG V=1\nFROM alpine:3.19\n", opt)
 	if err == nil {
 		t.Fatal("instruction should overrun its deadline")
 	}

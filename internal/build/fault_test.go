@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cas"
+	"repro/internal/image"
 	"repro/internal/pkgmgr"
 )
 
@@ -155,7 +156,7 @@ func TestFaultSoak(t *testing.T) {
 	defer d.Close()
 	_, s := fixtures(t)
 	s.SetBacking(d)
-	res, err := Build("FROM alpine:3.19\nRUN echo a > /a\n", Options{
+	res, err := BuildContext(context.Background(), "FROM alpine:3.19\nRUN echo a > /a\n", Options{
 		Tag: "soak:final", Force: ForceSeccomp, Store: s, World: w,
 		Cache: NewPersistentCache(d),
 	})
@@ -181,7 +182,7 @@ func TestENOSPCWriteThroughDegradesBuild(t *testing.T) {
 	s.SetBacking(d)
 	d.SetFailpoints(cas.FailOps(fmt.Errorf("injected: %w", syscall.ENOSPC), cas.OpBlobWrite))
 
-	res, err := Build(echoDockerfile, Options{
+	res, err := BuildContext(context.Background(), echoDockerfile, Options{
 		Tag: "e:1", Force: ForceSeccomp, Store: s, World: w,
 		Cache: NewPersistentCache(d),
 	})
@@ -194,7 +195,7 @@ func TestENOSPCWriteThroughDegradesBuild(t *testing.T) {
 	if !errors.Is(errors.Join(res.DegradedErrs...), syscall.ENOSPC) {
 		t.Fatalf("DegradedErrs should carry the ENOSPC: %v", res.DegradedErrs)
 	}
-	if _, ok := s.Get("e:1"); !ok {
+	if _, ok := s.GetContext(context.Background(), "e:1"); !ok {
 		t.Fatal("degraded build must still tag its image in memory")
 	}
 
@@ -206,6 +207,51 @@ func TestENOSPCWriteThroughDegradesBuild(t *testing.T) {
 	}
 	if rep.Quarantined() {
 		t.Fatalf("ENOSPC faults damaged the store: %+v", rep)
+	}
+}
+
+// Permanent write-through failures past the cap are counted, not stored:
+// a Cache and a Store each facing 40 failed writes report the first 32
+// plus one summary entry naming the 8 dropped.
+func TestPersistFailuresCapped(t *testing.T) {
+	const failures, kept = 40, 32
+	ctx := context.Background()
+	d, _, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.SetFailpoints(cas.FailOps(errors.New("injected: disk gone"), cas.OpBlobWrite, cas.OpJournalAppend))
+
+	c := NewPersistentCache(d)
+	s := image.NewStore()
+	s.SetBacking(d)
+	for i := 0; i < failures; i++ {
+		key := fmt.Sprintf("step-%d", i)
+		if _, hit := c.getOrBegin(ctx, key); hit {
+			t.Fatalf("%s: unexpected hit", key)
+		}
+		c.complete(ctx, key, cacheEntry{layer: []byte(key)})
+		data := []byte(fmt.Sprintf("layer %d", i))
+		s.Put(&image.Image{
+			Name:   fmt.Sprintf("cap:%d", i),
+			Layers: []image.Layer{{Digest: image.Digest(data), Data: data}},
+		})
+	}
+	for name, errs := range map[string][]error{"PersistErrs": c.PersistErrs(), "BackingErrs": s.BackingErrs()} {
+		if len(errs) != kept+1 {
+			t.Errorf("%s: %d entries, want %d failures + 1 summary", name, len(errs), kept)
+			continue
+		}
+		for _, err := range errs[:kept] {
+			if !strings.Contains(err.Error(), "injected: disk gone") {
+				t.Errorf("%s: recorded %v, want the injected failure", name, err)
+			}
+		}
+		want := fmt.Sprintf("%d further persistence failure(s) dropped", failures-kept)
+		if got := errs[kept].Error(); !strings.Contains(got, want) {
+			t.Errorf("%s: summary %q, want it to say %q", name, got, want)
+		}
 	}
 }
 
@@ -223,7 +269,7 @@ func TestQuarantinedBlobMidReplayHeals(t *testing.T) {
 	}
 	w, s1 := fixtures(t)
 	s1.SetBacking(d1)
-	res, err := Build(text, Options{
+	res, err := BuildContext(context.Background(), text, Options{
 		Tag: "h:1", Force: ForceSeccomp, Store: s1, World: w,
 		Cache: NewPersistentCache(d1),
 	})
@@ -244,9 +290,7 @@ func TestQuarantinedBlobMidReplayHeals(t *testing.T) {
 	if victim == "" {
 		t.Fatal("no persisted step layer to corrupt")
 	}
-	hexpart := strings.TrimPrefix(victim, "sha256:")
-	blobPath := filepath.Join(root, "blobs", "sha256", hexpart[:2], hexpart[2:])
-	if err := os.WriteFile(blobPath, []byte("rotted bytes"), 0o644); err != nil {
+	if err := os.WriteFile(blobFile(root, victim), []byte("rotted bytes"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -259,7 +303,7 @@ func TestQuarantinedBlobMidReplayHeals(t *testing.T) {
 	}
 	_, s2 := fixtures(t)
 	s2.SetBacking(d2)
-	res, err = Build(text, Options{
+	res, err = BuildContext(context.Background(), text, Options{
 		Tag: "h:1", Force: ForceSeccomp, Store: s2, World: w,
 		Cache: NewPersistentCache(d2),
 	})
@@ -282,7 +326,7 @@ func TestQuarantinedBlobMidReplayHeals(t *testing.T) {
 	}
 	_, s3 := fixtures(t)
 	s3.SetBacking(d3)
-	res, err = Build(text, Options{
+	res, err = BuildContext(context.Background(), text, Options{
 		Tag: "h:1", Force: ForceSeccomp, Store: s3, World: w,
 		Cache: NewPersistentCache(d3),
 	})
@@ -299,7 +343,7 @@ func TestCorruptInMemoryCacheLayerIsFatal(t *testing.T) {
 	w, s := fixtures(t)
 	cache := NewCache()
 	opt := Options{Tag: "c:1", Force: ForceSeccomp, Store: s, World: w, Cache: cache}
-	if _, err := Build(echoDockerfile, opt); err != nil {
+	if _, err := BuildContext(context.Background(), echoDockerfile, opt); err != nil {
 		t.Fatal(err)
 	}
 	cache.mu.Lock()
@@ -315,7 +359,7 @@ func TestCorruptInMemoryCacheLayerIsFatal(t *testing.T) {
 	if poisoned == 0 {
 		t.Fatal("no layered entries to poison")
 	}
-	_, err := Build(echoDockerfile, opt)
+	_, err := BuildContext(context.Background(), echoDockerfile, opt)
 	if err == nil || !strings.Contains(err.Error(), "corrupt cache layer") {
 		t.Fatalf("want fatal corrupt-cache-layer error, got %v", err)
 	}

@@ -71,7 +71,7 @@ func TestWarmAcrossProcesses(t *testing.T) {
 	const text = "FROM centos:7\nRUN yum install -y openssh\nRUN mkdir -p /opt && echo art > /opt/bin\n"
 
 	w1, s1, c1, _ := persistFixtures(t, root)
-	res1, err := Build(text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s1, World: w1, Cache: c1})
+	res1, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s1, World: w1, Cache: c1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestWarmAcrossProcesses(t *testing.T) {
 	}
 
 	w2, s2, c2, _ := persistFixtures(t, root)
-	res2, err := Build(text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2})
+	res2, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +110,13 @@ func TestWarmAcrossProcesses(t *testing.T) {
 func TestEditInvalidatesSuffixAcrossProcesses(t *testing.T) {
 	root := t.TempDir()
 	w1, s1, c1, _ := persistFixtures(t, root)
-	if _, err := Build("FROM centos:7\nRUN yum install -y openssh\nRUN echo one > /v1\n",
+	if _, err := BuildContext(context.Background(), "FROM centos:7\nRUN yum install -y openssh\nRUN echo one > /v1\n",
 		Options{Tag: "app:1", Force: ForceSeccomp, Store: s1, World: w1, Cache: c1}); err != nil {
 		t.Fatal(err)
 	}
 
 	w2, s2, c2, _ := persistFixtures(t, root)
-	res, err := Build("FROM centos:7\nRUN yum install -y openssh\nRUN echo two > /v2\n",
+	res, err := BuildContext(context.Background(), "FROM centos:7\nRUN yum install -y openssh\nRUN echo two > /v2\n",
 		Options{Tag: "app:2", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ FROM alpine:3.19
 COPY --from=build /opt/solver /app/solver
 `
 	w1, s1, c1, _ := persistFixtures(t, root)
-	res1, err := Build(text, Options{Tag: "slim:1", Force: ForceSeccomp, Store: s1, World: w1, Cache: c1, StageJobs: 2})
+	res1, err := BuildContext(context.Background(), text, Options{Tag: "slim:1", Force: ForceSeccomp, Store: s1, World: w1, Cache: c1, StageJobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ COPY --from=build /opt/solver /app/solver
 	}
 
 	w2, s2, c2, _ := persistFixtures(t, root)
-	res2, err := Build(text, Options{Tag: "slim:1", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2, StageJobs: 2})
+	res2, err := BuildContext(context.Background(), text, Options{Tag: "slim:1", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2, StageJobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCorruptBlobReExecutesOnlyAffectedSteps(t *testing.T) {
 	root := t.TempDir()
 	const text = "FROM centos:7\nRUN yum install -y openssh\nRUN mkdir -p /opt && echo art > /opt/bin\n"
 	w1, s1, c1, d1 := persistFixtures(t, root)
-	if _, err := Build(text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s1, World: w1, Cache: c1}); err != nil {
+	if _, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s1, World: w1, Cache: c1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -191,8 +191,7 @@ func TestCorruptBlobReExecutesOnlyAffectedSteps(t *testing.T) {
 	if victim == "" {
 		t.Fatal("echo step's layer not found in journal")
 	}
-	hexpart := strings.TrimPrefix(victim, "sha256:")
-	p := filepath.Join(root, "blobs", "sha256", hexpart[:2], hexpart[2:])
+	p := blobFile(root, victim)
 	data, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +204,7 @@ func TestCorruptBlobReExecutesOnlyAffectedSteps(t *testing.T) {
 	if rep := d2.Report(); rep.BlobsQuarantined != 1 {
 		t.Fatalf("corruption not quarantined at open: %+v", rep)
 	}
-	res, err := Build(text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2})
+	res, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +213,7 @@ func TestCorruptBlobReExecutesOnlyAffectedSteps(t *testing.T) {
 	}
 	// The store healed: a third process runs fully warm again.
 	w3, s3, c3, _ := persistFixtures(t, root)
-	res3, err := Build(text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s3, World: w3, Cache: c3})
+	res3, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s3, World: w3, Cache: c3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +222,19 @@ func TestCorruptBlobReExecutesOnlyAffectedSteps(t *testing.T) {
 	}
 }
 
+// blobFile is the path of a blob in a cas directory.
+func blobFile(root, digest string) string {
+	hexpart := strings.TrimPrefix(digest, "sha256:")
+	return filepath.Join(root, "blobs", "sha256", hexpart[:2], hexpart[2:])
+}
+
 // A torn journal tail (crash mid-append) costs at most the torn record:
 // the next invocation quarantines the fragment and replays the rest.
 func TestTornJournalWarmRecovery(t *testing.T) {
 	root := t.TempDir()
 	const text = "FROM alpine:3.19\nRUN apk add sl\n"
 	w1, s1, c1, _ := persistFixtures(t, root)
-	if _, err := Build(text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s1, World: w1, Cache: c1}); err != nil {
+	if _, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s1, World: w1, Cache: c1}); err != nil {
 		t.Fatal(err)
 	}
 	j := filepath.Join(root, "journal")
@@ -244,7 +249,7 @@ func TestTornJournalWarmRecovery(t *testing.T) {
 	if rep := d2.Report(); rep.JournalQuarantined != 1 {
 		t.Fatalf("torn tail not quarantined: %+v", rep)
 	}
-	res, err := Build(text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2})
+	res, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +265,7 @@ func TestOptionsCacheDir(t *testing.T) {
 	const text = "FROM alpine:3.19\nRUN apk add sl\n"
 	run := func() *Result {
 		w, s := fixturesBacked(t, root)
-		res, err := Build(text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s, World: w, CacheDir: root})
+		res, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s, World: w, CacheDir: root})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +308,7 @@ func TestOptionsCacheDirOnFileFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, s := fixtures(t)
-	_, err := Build("FROM alpine:3.19\nRUN apk add sl\n",
+	_, err := BuildContext(context.Background(), "FROM alpine:3.19\nRUN apk add sl\n",
 		Options{Tag: "x", Store: s, World: w, CacheDir: f})
 	if err == nil || !strings.Contains(err.Error(), "not a directory") {
 		t.Fatalf("err=%v", err)
@@ -335,7 +340,7 @@ func TestPoolWithPersistentCache(t *testing.T) {
 	}
 
 	w2, s2, c2, _ := persistFixtures(t, root)
-	res, err := Build(text, Options{Tag: "pool:9", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2})
+	res, err := BuildContext(context.Background(), text, Options{Tag: "pool:9", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +355,7 @@ func TestOptionsCacheDirRestoresCallerBacking(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "cas")
 	w, s := fixturesBacked(t, root) // attaches the caller's backing
 	prev := s.Backing()
-	if _, err := Build("FROM alpine:3.19\nRUN apk add sl\n",
+	if _, err := BuildContext(context.Background(), "FROM alpine:3.19\nRUN apk add sl\n",
 		Options{Tag: "app:1", Force: ForceSeccomp, Store: s, World: w, CacheDir: root}); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +363,7 @@ func TestOptionsCacheDirRestoresCallerBacking(t *testing.T) {
 		t.Fatal("caller's backing not restored after Build")
 	}
 	// The restored backing still works: a post-Build Put persists.
-	img, _ := s.Get("app:1")
+	img, _ := s.GetContext(context.Background(), "app:1")
 	late := img.Clone("late:1")
 	s.Put(late)
 	if err := s.BackingErr(); err != nil {
@@ -366,7 +371,7 @@ func TestOptionsCacheDirRestoresCallerBacking(t *testing.T) {
 	}
 	w2, s2 := fixturesBacked(t, root)
 	_ = w2
-	if _, ok := s2.Get("late:1"); !ok {
+	if _, ok := s2.GetContext(context.Background(), "late:1"); !ok {
 		t.Fatal("post-Build Put through restored backing lost")
 	}
 }
@@ -379,7 +384,7 @@ func TestOptionsCacheVerifyLazyWarms(t *testing.T) {
 	const text = "FROM alpine:3.19\nRUN apk add sl\n"
 	run := func() *Result {
 		w, s := fixturesBacked(t, root)
-		res, err := Build(text, Options{
+		res, err := BuildContext(context.Background(), text, Options{
 			Tag: "app:1", Force: ForceSeccomp, Store: s, World: w,
 			CacheDir: root, CacheVerify: cas.VerifyLazy,
 		})
@@ -425,7 +430,7 @@ func TestOptionsCacheMaxBytesBudgetsAfterBuild(t *testing.T) {
 		return w, s
 	}
 	w, s := seed()
-	if _, err := Build(text, Options{
+	if _, err := BuildContext(context.Background(), text, Options{
 		Tag: "app:1", Force: ForceSeccomp, Store: s, World: w,
 		CacheDir: root, CacheMaxBytes: 1,
 	}); err != nil {

@@ -3,9 +3,12 @@ package build
 import (
 	"context"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cas"
 	"repro/internal/image"
 	"repro/internal/vfs"
 )
@@ -143,7 +146,7 @@ func TestPoolConcurrentAccountingInvariants(t *testing.T) {
 	}
 	// Every tag landed in the shared store.
 	for i := range jobs {
-		if _, ok := store.Get(fmt.Sprintf("pooled:%d", i)); !ok {
+		if _, ok := store.GetContext(context.Background(), fmt.Sprintf("pooled:%d", i)); !ok {
 			t.Errorf("pooled:%d missing from store", i)
 		}
 	}
@@ -197,7 +200,7 @@ func TestPoolCollectAllErrors(t *testing.T) {
 	if results[1].Err != nil {
 		t.Errorf("collect-all must still run the healthy job: %v", results[1].Err)
 	}
-	if _, ok := s.Get("ok:1"); !ok {
+	if _, ok := s.GetContext(context.Background(), "ok:1"); !ok {
 		t.Error("healthy job's image missing from store")
 	}
 }
@@ -237,6 +240,99 @@ func TestPoolSharedCacheFailureReleasesWaiters(t *testing.T) {
 	if misses != n {
 		t.Errorf("cache misses = %d, want %d (one abandoned fill per builder)", misses, n)
 	}
+}
+
+// A corrupt persisted step discovered under concurrency: the store opens
+// with lazy verification, so the first builder to reach the step leads
+// its lazy load, finds the blob corrupt and fails the flight. Every
+// waiter wakes, one of them fills the step by executing it, and the rest
+// replay its result — one execution pool-wide, identical images.
+func TestPoolLazyFlightFailureRefillsOnce(t *testing.T) {
+	const n = 8
+	const text = "FROM alpine:3.19\nRUN echo a > /a\nRUN echo lazy > /lazy-flight\n"
+	root := t.TempDir()
+	w1, s1, c1, d1 := persistFixtures(t, root)
+	ref, err := BuildContext(context.Background(), text, Options{Tag: "ref:1", Force: ForceSeccomp, Store: s1, World: w1, Cache: c1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantChain := image.ChainDigest(ref.Image.Layers)
+
+	// Flip the bytes of the second RUN's layer blob in place: the file
+	// stays present, so only verify-on-read can find the damage.
+	var victim string
+	for _, st := range d1.Steps() {
+		if st.Layer == "" {
+			continue
+		}
+		data, err := d1.Blob(context.Background(), st.Layer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(data), "lazy-flight") {
+			victim = st.Layer
+		}
+	}
+	if victim == "" {
+		t.Fatal("second RUN's layer not found in journal")
+	}
+	p := blobFile(root, victim)
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] ^= 0xff
+	}
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, rep, err := cas.Open(root, cas.WithVerify(cas.VerifyLazy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if rep.BlobsQuarantined != 0 {
+		t.Fatalf("lazy open quarantined eagerly: %+v", rep)
+	}
+	// Slow blob reads hold each lazy load open long enough for the other
+	// builders to pile up behind it as waiters.
+	d2.SetFailpoints(slowReads(20 * time.Millisecond))
+	w2, s2 := fixtures(t)
+	cache := NewPersistentCache(d2)
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = Job{Dockerfile: text, Options: Options{
+			Tag: fmt.Sprintf("lazy:%d", i), Force: ForceSeccomp, Store: s2, World: w2, Cache: cache,
+		}}
+	}
+	results, err := (&Pool{Workers: 4}).RunContext(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := cache.Stats(); misses != 1 {
+		t.Errorf("cache misses = %d, want 1 (only the corrupt step re-executes, once)", misses)
+	}
+	for _, r := range results {
+		if got := image.ChainDigest(r.Result.Image.Layers); got != wantChain {
+			t.Errorf("%s: chain digest %s, want the reference %s", r.Name, got, wantChain)
+		}
+	}
+	if got := d2.Report().BlobsQuarantined; got != 1 {
+		t.Errorf("blobs quarantined = %d, want 1", got)
+	}
+}
+
+// slowReads is a cas injector that fails nothing and delays every blob
+// read by its duration.
+type slowReads time.Duration
+
+func (d slowReads) Fail(op cas.Op) error {
+	if op == cas.OpBlobRead {
+		time.Sleep(time.Duration(d))
+	}
+	return nil
 }
 
 // Satellite: cached layers are immune to callers scribbling on the
@@ -298,7 +394,7 @@ func TestPoolCacheLayerAliasingDefended(t *testing.T) {
 	// blobs, so even the in-place corruption above cannot reach builds
 	// that derive from the tag.
 	derived, _ := mustBuild(t, "FROM pooled:0\nRUN echo c > /c\n", opt)
-	dfs, err := opt.Store.Flatten(derived.Image)
+	dfs, err := opt.Store.Flatten(context.Background(), derived.Image)
 	if err != nil {
 		t.Fatal(err)
 	}

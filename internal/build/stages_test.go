@@ -56,7 +56,7 @@ func TestMultiStageBuilderPattern(t *testing.T) {
 	if !strings.Contains(tr, "skipped, not referenced") {
 		t.Fatalf("transcript missing prune report:\n%s", tr)
 	}
-	got, ok := s.Get("slim:1")
+	got, ok := s.GetContext(context.Background(), "slim:1")
 	if !ok {
 		t.Fatal("final image not tagged")
 	}
@@ -69,7 +69,7 @@ func TestMultiStageBuilderPattern(t *testing.T) {
 	}
 	// Slim: the runtime image is alpine's layers plus exactly one COPY
 	// layer — none of the build stage's yum payload rides along.
-	base, _ := s.Get("alpine:3.19")
+	base, _ := s.GetContext(context.Background(), "alpine:3.19")
 	if len(got.Layers) != len(base.Layers)+1 {
 		t.Fatalf("layers: %d, want base+1 = %d", len(got.Layers), len(base.Layers)+1)
 	}
@@ -472,7 +472,7 @@ func TestMultiStagePooledMultiTag(t *testing.T) {
 // A parseable but FROM-less Dockerfile (ARG only) is a clean error, not a
 // panic.
 func TestBuildArgOnlyDockerfile(t *testing.T) {
-	res, err := Build("ARG A=1\n", Options{})
+	res, err := BuildContext(context.Background(), "ARG A=1\n", Options{})
 	if err == nil || !strings.Contains(err.Error(), "no FROM") {
 		t.Errorf("err = %v", err)
 	}
@@ -505,7 +505,7 @@ func TestMultiStageWarmReplaySkipsSourceFlatten(t *testing.T) {
 }
 
 func TestMultiStageParseErrorNonNilResult(t *testing.T) {
-	res, err := Build("FROM a\nCOPY --from=later /x /y\nFROM b AS later\n", Options{})
+	res, err := BuildContext(context.Background(), "FROM a\nCOPY --from=later /x /y\nFROM b AS later\n", Options{})
 	if err == nil {
 		t.Fatal("forward reference must fail")
 	}
@@ -533,7 +533,7 @@ func TestTargetStageStopsEarly(t *testing.T) {
 	if data, _ := readImageFile(t, res.Image, "/opt/out/bin"); string(data) != "artifact-v1\n" {
 		t.Fatalf("artifact: %q", data)
 	}
-	if _, ok := s.Get("builder:1"); !ok {
+	if _, ok := s.GetContext(context.Background(), "builder:1"); !ok {
 		t.Fatal("target image not in store")
 	}
 }

@@ -3,6 +3,7 @@ package cas
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"syscall"
 	"time"
@@ -111,4 +112,41 @@ func (p RetryPolicy) backoff(i int) time.Duration {
 		return d
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
+}
+
+// failureCap bounds a Failures list: past it, further failures are
+// counted, not stored, so a long degraded run cannot grow the list
+// without bound.
+const failureCap = 32
+
+// Failures records the write-through failures that outlived DefaultRetry:
+// the on-disk store ended up colder than memory, never wrong. It has no
+// lock of its own; its owner guards Add and List with its own mutex.
+type Failures struct {
+	errs    []error
+	dropped int
+}
+
+// Add records err; a nil err is ignored.
+func (f *Failures) Add(err error) {
+	switch {
+	case err == nil:
+	case len(f.errs) < failureCap:
+		f.errs = append(f.errs, err)
+	default:
+		f.dropped++
+	}
+}
+
+// List returns every recorded failure (a copy), plus a trailing summary
+// entry when failures past the cap were dropped; nil when none occurred.
+func (f *Failures) List() []error {
+	if len(f.errs) == 0 {
+		return nil
+	}
+	out := append([]error(nil), f.errs...)
+	if f.dropped > 0 {
+		out = append(out, fmt.Errorf("cas: %d further persistence failure(s) dropped", f.dropped))
+	}
+	return out
 }

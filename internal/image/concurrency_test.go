@@ -1,6 +1,7 @@
 package image
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func TestStoreFlattenSingleFlight(t *testing.T) {
 			defer done.Done()
 			start.Done()
 			<-gate // all goroutines reach the miss together
-			trees[i], errs[i] = s.Flatten(img)
+			trees[i], errs[i] = s.Flatten(context.Background(), img)
 		}(i)
 	}
 	start.Wait()
@@ -62,7 +63,7 @@ func TestStoreFlattenSingleFlight(t *testing.T) {
 	if b, e := trees[1].ReadFile(rc, "/etc/os-release"); !e.Ok() || string(b) != "ID=test\n" {
 		t.Errorf("clone 1 saw clone 0's write: %q %v", b, e)
 	}
-	later, err := s.Flatten(img)
+	later, err := s.Flatten(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,19 +97,20 @@ func TestStoreConcurrentHammer(t *testing.T) {
 			rc := vfs.RootContext()
 			for r := 0; r < rounds; r++ {
 				name := fmt.Sprintf("img:%d-%d", w, r)
-				fs, err := s.Flatten(base)
+				fs, err := s.Flatten(context.Background(), base)
 				if err != nil {
 					t.Errorf("worker %d: flatten: %v", w, err)
 					return
 				}
 				fs.WriteFile(rc, fmt.Sprintf("/w%d-r%d", w, r), []byte(name), 0o644, 0, 0)
-				derived, added, err := s.CommitLayer(name, base, fs)
+				checkLower(t, s, base)
+				derived, added, err := base.CommitLayer(name, fs)
 				if err != nil || !added {
 					t.Errorf("worker %d: commit: added=%v err=%v", w, added, err)
 					return
 				}
 				s.Put(derived)
-				if got, ok := s.Get(name); !ok || len(got.Layers) != 2 {
+				if got, ok := s.GetContext(context.Background(), name); !ok || len(got.Layers) != 2 {
 					t.Errorf("worker %d: get %s: ok=%v", w, name, ok)
 					return
 				}
@@ -120,7 +122,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 				}
 				s.Tags()
 				if r%5 == 4 {
-					s.Delete(name)
+					s.Delete(context.Background(), name)
 				}
 			}
 		}(w)
@@ -133,7 +135,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 	}
 	// Deleted tags are gone, survivors resolve.
 	for _, tag := range s.Tags() {
-		if _, ok := s.Get(tag); !ok {
+		if _, ok := s.GetContext(context.Background(), tag); !ok {
 			t.Errorf("listed tag %s does not resolve", tag)
 		}
 	}
@@ -183,7 +185,7 @@ func TestStoreFlattenImmuneToScribbledImage(t *testing.T) {
 			l.Data[i] ^= 0xff
 		}
 	}
-	fs, err := s.Flatten(img) // cold fill happens after the scribbling
+	fs, err := s.Flatten(context.Background(), img) // cold fill happens after the scribbling
 	if err != nil {
 		t.Fatalf("flatten of scribbled image: %v", err)
 	}

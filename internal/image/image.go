@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"repro/internal/cas"
+	"repro/internal/flight"
 	"repro/internal/tarutil"
 	"repro/internal/vfs"
 )
@@ -88,7 +89,6 @@ func (img *Image) Flatten() (*vfs.FS, error) {
 // CommitLayer diffs fs against the image's current flattened state and, if
 // anything changed, appends the diff as a new layer on a derived image
 // named newName. The returned bool reports whether a layer was added.
-// Store.CommitLayer does the same with the base snapshot cached.
 func (img *Image) CommitLayer(newName string, fs *vfs.FS) (*Image, bool, error) {
 	baseFS, err := img.Flatten()
 	if err != nil {
@@ -98,11 +98,6 @@ func (img *Image) CommitLayer(newName string, fs *vfs.FS) (*Image, bool, error) 
 	if err != nil {
 		return nil, false, err
 	}
-	return img.commitAgainst(newName, lower, fs)
-}
-
-// commitAgainst diffs fs against a known lower snapshot of img.
-func (img *Image) commitAgainst(newName string, lower []tarutil.Entry, fs *vfs.FS) (*Image, bool, error) {
 	upper, err := tarutil.Snapshot(fs)
 	if err != nil {
 		return nil, false, err
@@ -143,45 +138,36 @@ type Store struct {
 	images map[string]*Image
 	blobs  map[string][]byte
 
-	flattens map[string]*vfs.FS         // chain digest → pristine flattened tree
-	lowers   map[string][]tarutil.Entry // chain digest → snapshot of that tree
+	// chains memoises flattened layer chains by chain digest. Fills are
+	// single-flight: concurrent misses on one chain unpack+snapshot once.
+	chains     map[string]flatChain
+	flights    flight.Group[flatChain]
+	fills      int // completed fills (unpack+snapshot paid), for tests and stats
+	rehydrates int // chains loaded from the backing store instead of filled
 
 	// backing, when set, is the persistent content-addressed store the
 	// in-memory maps are a cache over: Put writes through (blobs, tag
-	// records, flatten-chain snapshots), Get and flattened fall back to it
-	// on miss and rehydrate lazily. A backing failure never fails the
-	// store — persistence degrades and the errors aggregate in
-	// backingErrs (capped; overflow counted in backingDropped).
-	backing        *cas.Dir
-	backingErrs    []error
-	backingDropped int
-
-	// Single-flight state for flatten-cache fills: concurrent misses on
-	// one chain must unpack+snapshot once, not clobber each other.
-	flightMu   sync.Mutex
-	flights    map[string]*flattenFlight
-	fills      int // completed fills (unpack+snapshot paid), for tests and stats
-	rehydrates int // chains loaded from the backing store instead of filled
+	// records, flatten-chain snapshots), GetContext and flattened fall
+	// back to it on miss and rehydrate lazily. A backing failure never
+	// fails the store — persistence degrades and the errors aggregate in
+	// backingErrs.
+	backing     *cas.Dir
+	backingErrs cas.Failures
 }
 
-// flattenFlight is one in-progress flatten-cache fill. Waiters block on
-// done and then read the result fields, which the filler writes before
-// closing the channel.
-type flattenFlight struct {
-	done  chan struct{}
+// flatChain is one memoised layer chain: the pristine flattened tree and
+// its snapshot (sorted tarutil entries, parents before children).
+type flatChain struct {
 	fs    *vfs.FS
 	lower []tarutil.Entry
-	err   error
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
 	return &Store{
-		images:   map[string]*Image{},
-		blobs:    map[string][]byte{},
-		flattens: map[string]*vfs.FS{},
-		lowers:   map[string][]tarutil.Entry{},
-		flights:  map[string]*flattenFlight{},
+		images: map[string]*Image{},
+		blobs:  map[string][]byte{},
+		chains: map[string]flatChain{},
 	}
 }
 
@@ -189,86 +175,53 @@ func NewStore() *Store {
 // Image.Flatten, but the unpacked tree for each distinct layer chain is
 // built once and cached; callers receive an independent deep clone they
 // may mutate freely. The cached tree is snapshotted once at fill time,
-// which both serves Store.CommitLayer and warms the per-file content
-// digests every clone inherits.
-func (s *Store) Flatten(img *Image) (*vfs.FS, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; FlattenContext is the real entry point
-	return s.FlattenContext(context.Background(), img)
-}
-
-// FlattenContext is Flatten under a context: cancellation aborts a
-// backing-store rehydration (the fill itself is in-memory work that runs
-// to completion).
-func (s *Store) FlattenContext(ctx context.Context, img *Image) (*vfs.FS, error) {
-	fs, _, err := s.flattened(ctx, img)
+// which both serves FlattenedEntries and warms the per-file content
+// digests every clone inherits. Cancelling ctx aborts a backing-store
+// rehydration (the fill itself is in-memory work that runs to
+// completion).
+func (s *Store) Flatten(ctx context.Context, img *Image) (*vfs.FS, error) {
+	c, err := s.flattened(ctx, img)
 	if err != nil {
 		return nil, err
 	}
-	return fs.Clone(), nil
+	return c.fs.Clone(), nil
 }
 
-// flattened returns the cached pristine tree and lower snapshot for img's
-// chain, filling the cache on miss. Fills are single-flight: of N
-// concurrent misses on one chain, exactly one goroutine pays the
-// unpack+snapshot (O(tree)); the rest block until it publishes and then
-// share the result. A failed fill is not cached — the next caller retries.
+// flattened returns the cached chain for img, filling the cache on miss.
+// Fills are single-flight: of N concurrent misses on one chain, exactly
+// one goroutine pays the unpack+snapshot (O(tree)); the rest block until
+// it publishes and then share the result, or its error. A failed fill is
+// not cached — the next caller retries.
 //
 // With a backing store attached, a miss first tries the persisted
 // flatten-chain index: the whole-tree snapshot recorded by an earlier
 // invocation unpacks in one pass (counted in Rehydrates, not
 // FlattenFills), and a genuine fill persists its snapshot for the next
 // invocation.
-func (s *Store) flattened(ctx context.Context, img *Image) (*vfs.FS, []tarutil.Entry, error) {
+func (s *Store) flattened(ctx context.Context, img *Image) (flatChain, error) {
 	key := ChainDigest(img.Layers)
-	s.mu.RLock()
-	fs, ok := s.flattens[key]
-	lower := s.lowers[key]
-	s.mu.RUnlock()
-	if ok {
-		return fs, lower, nil
-	}
-
-	s.flightMu.Lock()
-	// Re-check under the flight lock: a fill may have completed between
-	// the miss above and here.
-	s.mu.RLock()
-	fs, ok = s.flattens[key]
-	lower = s.lowers[key]
-	s.mu.RUnlock()
-	if ok {
-		s.flightMu.Unlock()
-		return fs, lower, nil
-	}
-	if f, inflight := s.flights[key]; inflight {
-		s.flightMu.Unlock()
-		<-f.done
-		return f.fs, f.lower, f.err
-	}
-	f := &flattenFlight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.flightMu.Unlock()
-
-	rehydrated := s.rehydrateChain(ctx, key, f)
-	if !rehydrated {
-		f.fs, f.err = s.flattenPristine(img)
-		if f.err == nil {
-			f.lower, f.err = tarutil.Snapshot(f.fs)
-		}
-	}
-	if f.err != nil {
-		f.fs, f.lower = nil, nil
-	} else {
-		s.mu.Lock()
-		s.flattens[key] = f.fs
-		s.lowers[key] = f.lower
+	s.mu.Lock()
+	if c, ok := s.chains[key]; ok {
 		s.mu.Unlock()
-		if !rehydrated {
-			s.persistChain(ctx, key, img, f.lower)
+		return c, nil
+	}
+	f, leader := s.flights.Join(key)
+	s.mu.Unlock()
+	if !leader {
+		return f.Wait()
+	}
+
+	c, rehydrated := s.rehydrateChain(ctx, key)
+	var err error
+	if !rehydrated {
+		c.fs, err = s.flattenPristine(img)
+		if err == nil {
+			c.lower, err = tarutil.Snapshot(c.fs)
 		}
 	}
-	s.flightMu.Lock()
-	delete(s.flights, key)
-	if f.err == nil {
+	s.mu.Lock()
+	if err == nil {
+		s.chains[key] = c
 		if rehydrated {
 			s.rehydrates++
 			mFlattenRehydrates.Inc()
@@ -276,24 +229,28 @@ func (s *Store) flattened(ctx context.Context, img *Image) (*vfs.FS, []tarutil.E
 			s.fills++
 			mFlattenFills.Inc()
 		}
+	} else {
+		c = flatChain{}
 	}
-	s.flightMu.Unlock()
-	close(f.done)
-	return f.fs, f.lower, f.err
+	s.flights.Finish(key, c, err)
+	s.mu.Unlock()
+	if err == nil && !rehydrated {
+		s.persistChain(ctx, key, img, c.lower)
+	}
+	return c, err
 }
 
 // rehydrateChain tries to satisfy a flatten-cache miss from the backing
-// store's persisted chain snapshot. On success it populates f and returns
-// true; any failure (no backing, no record, corrupt snapshot) returns
-// false and the caller pays the ordinary fill.
-func (s *Store) rehydrateChain(ctx context.Context, key string, f *flattenFlight) bool {
+// store's persisted chain snapshot. Any failure (no backing, no record,
+// corrupt snapshot) reports false and the caller pays the ordinary fill.
+func (s *Store) rehydrateChain(ctx context.Context, key string) (flatChain, bool) {
 	backing := s.Backing()
 	if backing == nil {
-		return false
+		return flatChain{}, false
 	}
 	ch, ok := backing.Chain(key)
 	if !ok {
-		return false
+		return flatChain{}, false
 	}
 	var snap []byte
 	err := cas.DefaultRetry.Do(ctx, func() error {
@@ -302,18 +259,17 @@ func (s *Store) rehydrateChain(ctx context.Context, key string, f *flattenFlight
 		return rerr
 	})
 	if err != nil {
-		return false
+		return flatChain{}, false
 	}
 	fs := vfs.New()
 	if err := tarutil.Unpack(fs, snap); err != nil {
-		return false
+		return flatChain{}, false
 	}
 	lower, err := tarutil.Snapshot(fs)
 	if err != nil {
-		return false
+		return flatChain{}, false
 	}
-	f.fs, f.lower = fs, lower
-	return true
+	return flatChain{fs, lower}, true
 }
 
 // persistChain writes a freshly filled flatten chain through to the
@@ -345,7 +301,7 @@ func (s *Store) persistChain(ctx context.Context, key string, img *Image, lower 
 		return backing.PutChain(ctx, key, digests, packed)
 	})
 	s.mu.Lock()
-	s.noteBackingErrLocked(err)
+	s.backingErrs.Add(err)
 	s.mu.Unlock()
 }
 
@@ -375,26 +331,17 @@ func (s *Store) flattenPristine(img *Image) (*vfs.FS, error) {
 // the chain. The returned slice and everything it references are shared
 // across callers and must be treated as read-only; copy Entry.Data before
 // retaining or mutating it.
-func (s *Store) FlattenedEntries(img *Image) ([]tarutil.Entry, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; FlattenedEntriesContext is the real entry point
-	return s.FlattenedEntriesContext(context.Background(), img)
-}
-
-// FlattenedEntriesContext is FlattenedEntries under a context.
-func (s *Store) FlattenedEntriesContext(ctx context.Context, img *Image) ([]tarutil.Entry, error) {
-	_, lower, err := s.flattened(ctx, img)
-	if err != nil {
-		return nil, err
-	}
-	return lower, nil
+func (s *Store) FlattenedEntries(ctx context.Context, img *Image) ([]tarutil.Entry, error) {
+	c, err := s.flattened(ctx, img)
+	return c.lower, err
 }
 
 // FlattenFills reports how many flatten-cache fills have completed — under
 // correct single-flight behaviour, one per distinct layer chain however
 // many builders raced on it.
 func (s *Store) FlattenFills() int {
-	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.fills
 }
 
@@ -402,31 +349,13 @@ func (s *Store) FlattenFills() int {
 // store's persisted snapshots instead of being filled from layers — the
 // warm-from-disk counterpart of FlattenFills.
 func (s *Store) Rehydrates() int {
-	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.rehydrates
 }
 
-// CommitLayer is Image.CommitLayer using the store's flatten cache: the
-// base image's lower snapshot is computed once per layer chain, so each
-// commit costs one walk of fs instead of an unpack plus two full
-// snapshots.
-func (s *Store) CommitLayer(newName string, img *Image, fs *vfs.FS) (*Image, bool, error) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; CommitLayerContext is the real entry point
-	return s.CommitLayerContext(context.Background(), newName, img, fs)
-}
-
-// CommitLayerContext is CommitLayer under a context.
-func (s *Store) CommitLayerContext(ctx context.Context, newName string, img *Image, fs *vfs.FS) (*Image, bool, error) {
-	_, lower, err := s.flattened(ctx, img)
-	if err != nil {
-		return nil, false, err
-	}
-	return img.commitAgainst(newName, lower, fs)
-}
-
 // SetBacking attaches a persistent content-addressed store: subsequent
-// Puts write through (layer blobs, tag records) and Gets and flatten
+// Puts write through (layer blobs, tag records) and GetContext and flatten
 // fills fall back to it, so tags, layers and flatten chains survive the
 // process and the next invocation starts warm. Attach the backing before
 // seeding the store — images Put earlier are not retroactively persisted.
@@ -445,11 +374,6 @@ func (s *Store) Backing() *cas.Dir {
 	return s.backing
 }
 
-// backingErrCap bounds the aggregated persistence-failure list: past it,
-// further failures are counted, not stored, so a long degraded build
-// cannot grow the error list without bound.
-const backingErrCap = 32
-
 // BackingErr reports the persistence failures since the backing was
 // attached as one joined error, nil when every write-through landed. A
 // failure means the on-disk cache is colder than memory, never that it
@@ -463,26 +387,7 @@ func (s *Store) BackingErr() error {
 func (s *Store) BackingErrs() []error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.backingErrs) == 0 {
-		return nil
-	}
-	out := append([]error(nil), s.backingErrs...)
-	if s.backingDropped > 0 {
-		out = append(out, fmt.Errorf("image: %d further persistence failure(s) dropped", s.backingDropped))
-	}
-	return out
-}
-
-// noteBackingErrLocked records one persistence failure. Callers hold s.mu.
-func (s *Store) noteBackingErrLocked(err error) {
-	if err == nil {
-		return
-	}
-	if len(s.backingErrs) >= backingErrCap {
-		s.backingDropped++
-		return
-	}
-	s.backingErrs = append(s.backingErrs, err)
+	return s.backingErrs.List()
 }
 
 // GCBacking runs a garbage collection on the attached persistent store,
@@ -497,7 +402,7 @@ func (s *Store) GCBacking(ctx context.Context, b cas.Budget) (cas.GCStats, error
 	}
 	stats, err := backing.GC(ctx, b)
 	s.mu.Lock()
-	s.noteBackingErrLocked(err)
+	s.backingErrs.Add(err)
 	s.mu.Unlock()
 	return stats, err
 }
@@ -554,21 +459,16 @@ func (s *Store) PutContext(ctx context.Context, img *Image) {
 		return backing.PutTag(ctx, img.Name, digests, cfg)
 	})
 	s.mu.Lock()
-	s.noteBackingErrLocked(err)
+	s.backingErrs.Add(err)
 	s.mu.Unlock()
 }
 
-// Get resolves a tag, falling back to the backing store: a tag persisted
-// by an earlier invocation is rehydrated (layers loaded and digest-
-// verified) on first access and cached in memory from then on.
-func (s *Store) Get(name string) (*Image, bool) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; GetContext is the real entry point
-	return s.GetContext(context.Background(), name)
-}
-
-// GetContext is Get under a context: cancellation aborts a backing-store
-// rehydration and reports a miss (callers on a cancelled context are
-// about to fail at their own boundary check anyway).
+// GetContext resolves a tag, falling back to the backing store: a tag
+// persisted by an earlier invocation is rehydrated (layers loaded and
+// digest-verified) on first access and cached in memory from then on.
+// Cancellation aborts a backing-store rehydration and reports a miss
+// (callers on a cancelled context are about to fail at their own
+// boundary check anyway).
 func (s *Store) GetContext(ctx context.Context, name string) (*Image, bool) {
 	s.mu.RLock()
 	img, ok := s.images[name]
@@ -605,7 +505,7 @@ func (s *Store) GetContext(ctx context.Context, name string) (*Image, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.images[name]; ok {
-		return cur, true // raced with a concurrent Put/Get; keep the winner
+		return cur, true // raced with a concurrent Put/GetContext; keep the winner
 	}
 	for _, l := range loaded.Layers {
 		if _, ok := s.blobs[l.Digest]; !ok {
@@ -619,17 +519,11 @@ func (s *Store) GetContext(ctx context.Context, name string) (*Image, bool) {
 }
 
 // Delete removes a tag, writing the untag through to the backing store —
-// otherwise Get's backing fallback would resurrect it on the next miss.
-// Blobs are kept; reclaiming them is the backing store's GC's job
-// (`ch-image cache gc`).
-func (s *Store) Delete(name string) {
-	//chlint:allow ctxfirst -- context-free compat wrapper; DeleteContext is the real entry point
-	s.DeleteContext(context.Background(), name)
-}
-
-// DeleteContext is Delete under a context; like PutContext, cancellation
-// only degrades the write-through.
-func (s *Store) DeleteContext(ctx context.Context, name string) {
+// otherwise GetContext's backing fallback would resurrect it on the next
+// miss. Blobs are kept; reclaiming them is the backing store's GC's job
+// (`ch-image cache gc`). Like PutContext, cancellation only degrades the
+// write-through.
+func (s *Store) Delete(ctx context.Context, name string) {
 	s.mu.Lock()
 	backing := s.backing
 	delete(s.images, name)
@@ -641,7 +535,7 @@ func (s *Store) DeleteContext(ctx context.Context, name string) {
 		return backing.DeleteTag(ctx, name)
 	})
 	s.mu.Lock()
-	s.noteBackingErrLocked(err)
+	s.backingErrs.Add(err)
 	s.mu.Unlock()
 }
 

@@ -1,11 +1,13 @@
 package image
 
 import (
+	"context"
 	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/errno"
+	"repro/internal/tarutil"
 	"repro/internal/vfs"
 )
 
@@ -78,11 +80,11 @@ func TestStoreFlattenCache(t *testing.T) {
 	img, _ := FromFS("test:1", baseFS(t), Config{})
 	rc := vfs.RootContext()
 
-	a, err := s.Flatten(img)
+	a, err := s.Flatten(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Flatten(img)
+	b, err := s.Flatten(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestStoreFlattenCache(t *testing.T) {
 	if b.Exists(rc, "/etc/dirty") {
 		t.Fatal("flatten cache leaked a mutation between callers")
 	}
-	c, err := s.Flatten(img)
+	c, err := s.Flatten(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,46 +106,65 @@ func TestStoreFlattenCache(t *testing.T) {
 	}
 }
 
-// TestStoreCommitLayer: the cached-lower commit path produces the same
-// image a plain CommitLayer does.
+// TestStoreCommitLayer: the store's memoised snapshot of a chain is the
+// lower Image.CommitLayer diffs against, and committing a Store.Flatten
+// clone keeps its additions and deletions.
 func TestStoreCommitLayer(t *testing.T) {
+	ctx := context.Background()
 	s := NewStore()
 	img, _ := FromFS("test:1", baseFS(t), Config{})
 	rc := vfs.RootContext()
 
-	mutate := func() *vfs.FS {
-		fs, err := s.Flatten(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs.WriteFile(rc, "/etc/new", []byte("new"), 0o644, 0, 0)
-		fs.Unlink(rc, "/etc/os-release")
-		return fs
+	fs, err := s.Flatten(ctx, img)
+	if err != nil {
+		t.Fatal(err)
 	}
-	viaStore, addedS, err := s.CommitLayer("test:2", img, mutate())
-	if err != nil || !addedS {
-		t.Fatalf("store commit: added=%v err=%v", addedS, err)
+	checkLower(t, s, img)
+	fs.WriteFile(rc, "/etc/new", []byte("new"), 0o644, 0, 0)
+	fs.Unlink(rc, "/etc/os-release")
+	derived, added, err := img.CommitLayer("test:2", fs)
+	if err != nil || !added {
+		t.Fatalf("commit: added=%v err=%v", added, err)
 	}
-	plain, addedP, err := img.CommitLayer("test:2", mutate())
-	if err != nil || !addedP {
-		t.Fatalf("plain commit: added=%v err=%v", addedP, err)
+	dfs, _ := derived.Flatten()
+	if dfs.Exists(rc, "/etc/os-release") {
+		t.Fatal("deletion lost in commit")
 	}
-	if len(viaStore.Layers) != len(plain.Layers) {
-		t.Fatalf("layer counts differ: %d vs %d", len(viaStore.Layers), len(plain.Layers))
+	if !dfs.Exists(rc, "/etc/new") {
+		t.Fatal("addition lost in commit")
 	}
-	// Same diff content (digests include mtimes, so compare entry paths).
-	fsS, _ := viaStore.Flatten()
-	fsP, _ := plain.Flatten()
-	if fsS.Exists(rc, "/etc/os-release") || fsP.Exists(rc, "/etc/os-release") {
-		t.Fatal("deletion lost in a commit path")
+	checkLower(t, s, derived)
+	// No-op commit of an untouched clone adds nothing.
+	clean, _ := s.Flatten(ctx, img)
+	if _, added, err := img.CommitLayer("test:3", clean); err != nil || added {
+		t.Fatalf("no-op commit: added=%v err=%v", added, err)
 	}
-	if !fsS.Exists(rc, "/etc/new") || !fsP.Exists(rc, "/etc/new") {
-		t.Fatal("addition lost in a commit path")
+}
+
+// checkLower reports whether the store's memoised snapshot of img's chain
+// (FlattenedEntries) matches a fresh snapshot of img.Flatten(). Diff
+// ignores mtimes and inode numbers, exactly as layer commits do. Safe to
+// call from test goroutines.
+func checkLower(t *testing.T, s *Store, img *Image) {
+	t.Helper()
+	got, err := s.FlattenedEntries(context.Background(), img)
+	if err != nil {
+		t.Errorf("flattened entries of %s: %v", img.Name, err)
+		return
 	}
-	// No-op commit through the cache adds nothing.
-	fs, _ := s.Flatten(img)
-	if _, added, err := s.CommitLayer("test:3", img, fs); err != nil || added {
-		t.Fatalf("no-op store commit: added=%v err=%v", added, err)
+	fs, err := img.Flatten()
+	if err != nil {
+		t.Errorf("flatten %s: %v", img.Name, err)
+		return
+	}
+	want, err := tarutil.Snapshot(fs)
+	if err != nil {
+		t.Errorf("snapshot %s: %v", img.Name, err)
+		return
+	}
+	if len(got) != len(want) || len(tarutil.Diff(want, got)) != 0 || len(tarutil.Diff(got, want)) != 0 {
+		t.Errorf("%s: store's lower snapshot (%d entries) differs from a fresh one (%d entries)",
+			img.Name, len(got), len(want))
 	}
 }
 
@@ -189,7 +210,7 @@ func TestStoreTagsAndBlobs(t *testing.T) {
 	if len(tags) != 2 || tags[0] != "a:1" || tags[1] != "b:2" {
 		t.Fatalf("tags: %v", tags)
 	}
-	got, ok := s.Get("a:1")
+	got, ok := s.GetContext(context.Background(), "a:1")
 	if !ok || got.Name != "a:1" {
 		t.Fatal("get failed")
 	}
@@ -197,8 +218,8 @@ func TestStoreTagsAndBlobs(t *testing.T) {
 	if !ok || len(blob) == 0 {
 		t.Fatal("blob missing")
 	}
-	s.Delete("a:1")
-	if _, ok := s.Get("a:1"); ok {
+	s.Delete(context.Background(), "a:1")
+	if _, ok := s.GetContext(context.Background(), "a:1"); ok {
 		t.Fatal("delete failed")
 	}
 }

@@ -52,7 +52,7 @@ func TestStoreTagSurvivesProcess(t *testing.T) {
 
 	s2 := NewStore()
 	s2.SetBacking(openDir(t, root))
-	got, ok := s2.Get("app:1")
+	got, ok := s2.GetContext(context.Background(), "app:1")
 	if !ok {
 		t.Fatal("persisted tag not found by fresh store")
 	}
@@ -71,11 +71,11 @@ func TestStoreTagSurvivesProcess(t *testing.T) {
 		t.Fatalf("content: %q", data)
 	}
 	// Second Get serves from memory (same pointer).
-	again, _ := s2.Get("app:1")
+	again, _ := s2.GetContext(context.Background(), "app:1")
 	if again != got {
 		t.Fatal("rehydrated image not cached in memory")
 	}
-	if _, ok := s2.Get("never:1"); ok {
+	if _, ok := s2.GetContext(context.Background(), "never:1"); ok {
 		t.Fatal("unknown tag resolved")
 	}
 }
@@ -89,7 +89,7 @@ func TestFlattenChainRehydrates(t *testing.T) {
 	s1 := NewStore()
 	s1.SetBacking(openDir(t, root))
 	s1.Put(img)
-	fs1, err := s1.Flatten(img)
+	fs1, err := s1.Flatten(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestFlattenChainRehydrates(t *testing.T) {
 
 	s2 := NewStore()
 	s2.SetBacking(openDir(t, root))
-	img2, ok := s2.Get("app:1")
+	img2, ok := s2.GetContext(context.Background(), "app:1")
 	if !ok {
 		t.Fatal("tag lost")
 	}
-	fs2, err := s2.Flatten(img2)
+	fs2, err := s2.Flatten(context.Background(), img2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,12 @@ func TestFlattenChainRehydrates(t *testing.T) {
 	if d := tarutil.Diff(sn1, sn2); len(d) != 0 {
 		t.Fatalf("rehydrated tree differs from filled tree: %d entries", len(d))
 	}
-	// CommitLayer against the rehydrated chain sees no phantom changes.
-	if _, added, err := s2.CommitLayer("noop:1", img2, fs2); err != nil || added {
+	// Both stores' lower snapshots, filled and rehydrated, match a fresh
+	// one, and a commit against the rehydrated tree sees no phantom
+	// changes.
+	checkLower(t, s1, img)
+	checkLower(t, s2, img2)
+	if _, added, err := img2.CommitLayer("noop:1", fs2); err != nil || added {
 		t.Fatalf("phantom diff against rehydrated chain: added=%v err=%v", added, err)
 	}
 }
@@ -152,7 +156,7 @@ func TestCorruptChainSnapshotFallsBackToFill(t *testing.T) {
 	s1 := NewStore()
 	s1.SetBacking(openDir(t, root))
 	s1.Put(img)
-	if _, err := s1.Flatten(img); err != nil {
+	if _, err := s1.Flatten(context.Background(), img); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.BackingErr(); err != nil {
@@ -187,11 +191,11 @@ func TestCorruptChainSnapshotFallsBackToFill(t *testing.T) {
 	}
 	s2 := NewStore()
 	s2.SetBacking(d2)
-	img2, ok := s2.Get("app:1")
+	img2, ok := s2.GetContext(context.Background(), "app:1")
 	if !ok {
 		t.Fatal("tag with intact layers lost")
 	}
-	if _, err := s2.Flatten(img2); err != nil {
+	if _, err := s2.Flatten(context.Background(), img2); err != nil {
 		t.Fatal(err)
 	}
 	if s2.FlattenFills() != 1 || s2.Rehydrates() != 0 {
@@ -210,10 +214,10 @@ func TestBackingAttachOrder(t *testing.T) {
 
 	s2 := NewStore()
 	s2.SetBacking(openDir(t, root))
-	if _, ok := s2.Get("early:1"); ok {
+	if _, ok := s2.GetContext(context.Background(), "early:1"); ok {
 		t.Fatal("pre-attach Put leaked to disk")
 	}
-	if _, ok := s2.Get("late:1"); !ok {
+	if _, ok := s2.GetContext(context.Background(), "late:1"); !ok {
 		t.Fatal("post-attach Put not persisted")
 	}
 }
@@ -225,8 +229,8 @@ func TestDeleteWritesThroughUntag(t *testing.T) {
 	s := NewStore()
 	s.SetBacking(openDir(t, root))
 	s.Put(testImage(t, "gone:1"))
-	s.Delete("gone:1")
-	if _, ok := s.Get("gone:1"); ok {
+	s.Delete(context.Background(), "gone:1")
+	if _, ok := s.GetContext(context.Background(), "gone:1"); ok {
 		t.Fatal("deleted tag resurrected from backing in-process")
 	}
 	if err := s.BackingErr(); err != nil {
@@ -234,7 +238,7 @@ func TestDeleteWritesThroughUntag(t *testing.T) {
 	}
 	s2 := NewStore()
 	s2.SetBacking(openDir(t, root))
-	if _, ok := s2.Get("gone:1"); ok {
+	if _, ok := s2.GetContext(context.Background(), "gone:1"); ok {
 		t.Fatal("deleted tag resurrected in the next process")
 	}
 }

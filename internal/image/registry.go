@@ -74,7 +74,7 @@ func (r *Registry) handle(w http.ResponseWriter, req *http.Request) {
 		name, tag := path[:i], path[i+len("/manifests/"):]
 		switch req.Method {
 		case http.MethodGet:
-			r.serveManifest(w, name, tag)
+			r.serveManifest(w, req, name, tag)
 		case http.MethodPut:
 			r.acceptManifest(w, req, name, tag)
 		default:
@@ -151,8 +151,8 @@ func (r *Registry) acceptManifest(w http.ResponseWriter, req *http.Request, name
 	w.WriteHeader(http.StatusCreated)
 }
 
-func (r *Registry) serveManifest(w http.ResponseWriter, name, tag string) {
-	img, ok := r.store.Get(name + ":" + tag)
+func (r *Registry) serveManifest(w http.ResponseWriter, req *http.Request, name, tag string) {
+	img, ok := r.store.GetContext(req.Context(), name+":"+tag)
 	if !ok {
 		http.Error(w, "manifest unknown", http.StatusNotFound)
 		return
