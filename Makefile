@@ -105,9 +105,9 @@ bench-smoke:
 		esac; \
 	done
 
-# The cross-invocation acceptance check: two ch-image builds in two
-# SEPARATE processes against one --cache-dir; the second must execute
-# nothing. CACHE_SMOKE_DIR is overridable so CI can persist the cas
+# The cross-invocation acceptance check: ch-image builds in SEPARATE
+# processes against one --cache-dir; after the first, each must execute
+# nothing, under both --cache-verify modes. CACHE_SMOKE_DIR is overridable so CI can persist the cas
 # fixture between jobs and runs (exercising warm-from-disk open-time
 # validation on every CI run).
 CACHE_SMOKE_DIR ?= .cache-smoke
@@ -119,6 +119,11 @@ cache-smoke:
 	@grep -q '^instructions executed: 0 ' $(CACHE_SMOKE_DIR)/second.out || \
 		{ echo "cache-smoke FAILED: second process executed instructions:"; cat $(CACHE_SMOKE_DIR)/second.out; exit 1; }
 	@echo "cache-smoke OK: second process ran fully warm from $(CACHE_SMOKE_DIR)/cas"
+	@# The same warm replay with blob checks deferred to first read.
+	go run ./cmd/ch-image build -t smoke:1 --cache-dir $(CACHE_SMOKE_DIR)/cas --cache-verify lazy $(CACHE_SMOKE_DIR)/ctx > $(CACHE_SMOKE_DIR)/lazy.out
+	@grep -q '^instructions executed: 0 ' $(CACHE_SMOKE_DIR)/lazy.out || \
+		{ echo "cache-smoke FAILED: lazy-verify process executed instructions:"; cat $(CACHE_SMOKE_DIR)/lazy.out; exit 1; }
+	@echo "cache-smoke OK: lazy-verify process ran fully warm from $(CACHE_SMOKE_DIR)/cas"
 	@# Cross-process flock: a build and a budgeted gc race on ONE
 	@# --cache-dir. The gc's exclusive lock conversion blocks behind the
 	@# build's shared hold (up to --lock-wait) instead of rewriting the

@@ -85,17 +85,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "       ch-image list")
 }
 
-// verifyMode maps the --cache-verify flag onto cas.VerifyMode.
-func verifyMode(s string) (cas.VerifyMode, error) {
-	switch s {
-	case "full":
-		return cas.VerifyFull, nil
-	case "lazy":
-		return cas.VerifyLazy, nil
-	}
-	return 0, fmt.Errorf("unknown --cache-verify mode %q (want full or lazy)", s)
-}
-
 // openCacheDir opens the persistent store, reporting fsck findings the
 // way fsck(8) would: loudly, but without failing the run.
 func openCacheDir(dir string, opts ...cas.Option) (*cas.Dir, error) {
@@ -104,9 +93,7 @@ func openCacheDir(dir string, opts ...cas.Option) (*cas.Dir, error) {
 		return nil, err
 	}
 	if rep.Quarantined() {
-		fmt.Fprintf(os.Stderr,
-			"ch-image: cache-dir %s: quarantined %d corrupt blob(s) and %d journal line(s), dropped %d record(s); affected steps will re-execute\n",
-			dir, rep.BlobsQuarantined, rep.JournalQuarantined, rep.RecordsDropped)
+		fmt.Fprintf(os.Stderr, "ch-image: cache-dir %s: %s\n", dir, rep)
 	}
 	return d, nil
 }
@@ -119,18 +106,7 @@ func seededStore(w *pkgmgr.World, d *cas.Dir) (*image.Store, error) {
 	if d != nil {
 		s.SetBacking(d)
 	}
-	for _, db := range []struct{ distro, name string }{
-		{pkgmgr.DistroAlpine, "alpine:3.19"},
-		{pkgmgr.DistroCentOS7, "centos:7"},
-		{pkgmgr.DistroDebian, "debian:12"},
-	} {
-		img, err := w.BaseImage(db.distro, db.name)
-		if err != nil {
-			return nil, err
-		}
-		s.Put(img)
-	}
-	return s, nil
+	return s, w.SeedBases(s)
 }
 
 func cmdBuild(ctx context.Context, args []string) int {
@@ -186,18 +162,9 @@ func cmdBuild(ctx context.Context, args []string) int {
 		return 2
 	}
 
-	var mode build.ForceMode
-	switch *force {
-	case "none":
-		mode = build.ForceNone
-	case "seccomp":
-		mode = build.ForceSeccomp
-	case "fakeroot":
-		mode = build.ForceFakeroot
-	case "proot":
-		mode = build.ForceProot
-	default:
-		fmt.Fprintf(os.Stderr, "ch-image: unknown --force mode %q\n", *force)
+	mode, err := build.ParseForce(*force)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ch-image: --force: %v\n", err)
 		return 2
 	}
 
@@ -215,9 +182,9 @@ func cmdBuild(ctx context.Context, args []string) int {
 		}
 	}
 
-	verify, err := verifyMode(*cacheVerify)
+	verify, err := cas.ParseVerify(*cacheVerify)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ch-image: %v\n", err)
+		fmt.Fprintf(os.Stderr, "ch-image: --cache-verify: %v\n", err)
 		return 2
 	}
 	var dir *cas.Dir
@@ -492,9 +459,9 @@ func cmdCache(ctx context.Context, args []string) int {
 		fmt.Fprintln(os.Stderr, "ch-image: cache: subcommand required: ls, gc or reset")
 		return 2
 	}
-	verify, err := verifyMode(*cacheVerify)
+	verify, err := cas.ParseVerify(*cacheVerify)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ch-image: %v\n", err)
+		fmt.Fprintf(os.Stderr, "ch-image: cache: --cache-verify: %v\n", err)
 		return 2
 	}
 	d, err := openCacheDir(*cacheDir, cas.WithVerify(verify), cas.WithLockWait(*lockWait))

@@ -144,16 +144,27 @@ func TestCLICacheDirOnFileRejected(t *testing.T) {
 	}
 }
 
-// Two cmdBuild invocations with completely fresh state against one
-// --cache-dir: the CLI-level warm path.
+// cmdBuild invocations with completely fresh state against one
+// --cache-dir: the CLI-level warm path. A second run executes nothing,
+// under the default full-verify open and under --cache-verify lazy.
 func TestCLIPersistentCacheWarmSecondRun(t *testing.T) {
 	ctx := writeContext(t, "FROM alpine:3.19\nRUN apk add sl\n", nil)
 	cache := filepath.Join(t.TempDir(), "cas")
 	if code := cmdBuild(context.Background(), []string{"-t", "w:1", "--cache-dir", cache, ctx}); code != 0 {
 		t.Fatalf("cold: exit %d", code)
 	}
-	if code := cmdBuild(context.Background(), []string{"-t", "w:1", "--cache-dir", cache, ctx}); code != 0 {
-		t.Fatalf("warm: exit %d", code)
+	for _, verify := range [][]string{nil, {"--cache-verify", "lazy"}} {
+		args := append([]string{"-t", "w:1", "--cache-dir", cache}, verify...)
+		var code int
+		out := capture(t, &os.Stdout, func() {
+			code = cmdBuild(context.Background(), append(args, ctx))
+		})
+		if code != 0 {
+			t.Fatalf("warm %v: exit %d", verify, code)
+		}
+		if !strings.Contains(out, "\ninstructions executed: 0 ") {
+			t.Fatalf("warm %v executed instructions:\n%s", verify, out)
+		}
 	}
 }
 
@@ -281,16 +292,16 @@ func TestCLIBuildCacheVerifyAndBudget(t *testing.T) {
 	}
 }
 
-// captureStderr runs fn with os.Stderr redirected to a pipe and returns
-// what fn wrote there.
-func captureStderr(t *testing.T, fn func()) string {
+// capture runs fn with *f (os.Stdout or os.Stderr) redirected to a pipe
+// and returns what fn wrote there.
+func capture(t *testing.T, f **os.File, fn func()) string {
 	t.Helper()
-	old := os.Stderr
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stderr = w
+	*f = w
 	done := make(chan string, 1)
 	go func() {
 		b, _ := io.ReadAll(r)
@@ -298,11 +309,11 @@ func captureStderr(t *testing.T, fn func()) string {
 	}()
 	defer func() {
 		w.Close()
-		os.Stderr = old
+		*f = old
 	}()
 	fn()
 	w.Close()
-	os.Stderr = old
+	*f = old
 	return <-done
 }
 
@@ -314,7 +325,7 @@ func TestCLIDegradedBuildWarnsAndExitsZero(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "cas")
 	t.Setenv("CH_IMAGE_CAS_FAULTS", "blob-write")
 	var code int
-	stderr := captureStderr(t, func() {
+	stderr := capture(t, &os.Stderr, func() {
 		code = cmdBuild(context.Background(), []string{"-t", "d:1", "--cache-dir", cache, ctx})
 	})
 	if code != 0 {
@@ -340,7 +351,7 @@ func TestCLIBadFaultSpec(t *testing.T) {
 func TestCLIBuildTimeout(t *testing.T) {
 	ctx := writeContext(t, "FROM alpine:3.19\nRUN apk add sl\n", nil)
 	var code int
-	stderr := captureStderr(t, func() {
+	stderr := capture(t, &os.Stderr, func() {
 		code = cmdBuild(context.Background(), []string{"-t", "t:1", "--timeout", "1ns", ctx})
 	})
 	if code != 1 {
@@ -358,7 +369,7 @@ func TestCLIInterruptExits130(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var code int
-	stderr := captureStderr(t, func() {
+	stderr := capture(t, &os.Stderr, func() {
 		code = cmdBuild(cctx, []string{"-t", "i:1", dir})
 	})
 	if code != 130 {

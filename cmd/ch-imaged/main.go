@@ -55,28 +55,14 @@ func serve(ctx context.Context, args []string) int {
 		return 2
 	}
 
-	var mode build.ForceMode
-	switch *force {
-	case "none":
-		mode = build.ForceNone
-	case "seccomp":
-		mode = build.ForceSeccomp
-	case "fakeroot":
-		mode = build.ForceFakeroot
-	case "proot":
-		mode = build.ForceProot
-	default:
-		fmt.Fprintf(os.Stderr, "ch-imaged: unknown --force mode %q\n", *force)
+	mode, err := build.ParseForce(*force)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ch-imaged: --force: %v\n", err)
 		return 2
 	}
-	var verify cas.VerifyMode
-	switch *cacheVerify {
-	case "full":
-		verify = cas.VerifyFull
-	case "lazy":
-		verify = cas.VerifyLazy
-	default:
-		fmt.Fprintf(os.Stderr, "ch-imaged: unknown --cache-verify mode %q\n", *cacheVerify)
+	verify, err := cas.ParseVerify(*cacheVerify)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ch-imaged: --cache-verify: %v\n", err)
 		return 2
 	}
 

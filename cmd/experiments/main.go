@@ -39,16 +39,8 @@ func check(id, claim string, ok bool, measured string) {
 func fixtures() (*pkgmgr.World, *image.Store) {
 	w := pkgmgr.NewWorld()
 	s := image.NewStore()
-	for _, d := range []struct{ distro, name string }{
-		{pkgmgr.DistroAlpine, "alpine:3.19"},
-		{pkgmgr.DistroCentOS7, "centos:7"},
-		{pkgmgr.DistroDebian, "debian:12"},
-	} {
-		img, err := w.BaseImage(d.distro, d.name)
-		if err != nil {
-			panic(err)
-		}
-		s.Put(img)
+	if err := w.SeedBases(s); err != nil {
+		panic(err)
 	}
 	return w, s
 }
@@ -426,15 +418,8 @@ COPY --from=build /opt/solver /app/solver
 			w := pkgmgr.NewWorld()
 			s := image.NewStore()
 			s.SetBacking(d)
-			for _, db := range []struct{ distro, name string }{
-				{pkgmgr.DistroCentOS7, "centos:7"},
-				{pkgmgr.DistroAlpine, "alpine:3.19"},
-			} {
-				img, err := w.BaseImage(db.distro, db.name)
-				if err != nil {
-					return nil, nil, err
-				}
-				s.Put(img)
+			if err := w.SeedBases(s); err != nil {
+				return nil, nil, err
 			}
 			res, err := build.BuildContext(context.Background(), text, build.Options{
 				Tag: "e19:1", Force: build.ForceSeccomp,

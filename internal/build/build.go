@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/cas"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/dockerfile"
@@ -79,6 +78,17 @@ func (m ForceMode) String() string {
 	return "none"
 }
 
+// ParseForce maps a --force flag value (the names String renders) to its
+// mode.
+func ParseForce(s string) (ForceMode, error) {
+	for m := ForceNone; m <= ForceProot; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown force mode %q (want none, seccomp, fakeroot or proot)", s)
+}
+
 // Options configures one build.
 type Options struct {
 	// Tag names the result image in the store ("name:tag").
@@ -96,35 +106,6 @@ type Options struct {
 	// Cache, when non-nil, enables the per-instruction build cache;
 	// share one across builds for warm rebuilds.
 	Cache *Cache
-
-	// CacheDir, when non-empty, names a persistent content-addressed
-	// store (internal/cas) opened for this build: Store is backed by it
-	// and, when Cache is nil, a persistent instruction cache is created
-	// from it — so a second invocation of the same build in a *different
-	// process* replays warm from disk. The handle is scoped to the call:
-	// Build swaps it in as the Store's backing and restores the previous
-	// backing (closing its own handle) before returning — which is why
-	// CacheDir must NOT be used by concurrent Builds sharing one Store:
-	// the swap/restore pairs interleave and a stale or closed backing can
-	// win. Concurrent callers, and callers running many builds (an open
-	// is a full fsck pass over the store), should wire persistence once
-	// themselves: cas.Open + NewPersistentCache + Store.SetBacking.
-	CacheDir string
-
-	// CacheVerify selects how much validation the CacheDir open performs:
-	// cas.VerifyFull (the zero value) reads and re-hashes every blob up
-	// front; cas.VerifyLazy defers blob validation to first read, making
-	// the open O(journal) instead of O(store bytes). Ignored when
-	// CacheDir is empty.
-	CacheVerify cas.VerifyMode
-
-	// CacheMaxBytes, when > 0, runs a size-budgeted GC on the CacheDir
-	// store after the build: least-recently-recorded unpinned entries are
-	// evicted until the blob store fits the budget. A GC failure (for
-	// example cas.ErrBusy while another process holds the store) does not
-	// fail the build; it is recorded as a Store backing error. Ignored
-	// when CacheDir is empty.
-	CacheMaxBytes int64
 
 	// TargetStage, when non-empty, stops a multi-stage build at the named
 	// stage (`ch-image build --target`): that stage — referenced by its AS
@@ -276,19 +257,7 @@ func BuildContext(ctx context.Context, text string, opt Options) (res *Result, e
 		ctx, cancel = context.WithTimeout(ctx, opt.BuildTimeout)
 		defer cancel()
 	}
-	// Outcome accounting runs after the degraded annotation below (LIFO):
-	// classification must observe Result.Degraded.
 	defer func() { mBuilds.With(buildOutcome(res, err)).Inc() }()
-	// Registered before every cleanup below so it runs after them (LIFO):
-	// the degraded annotation must observe persistence failures recorded
-	// by the deferred budget GC and the backing restore. The closure reads
-	// opt, so the persistent cache installed in the CacheDir block is
-	// visible to it.
-	defer func() {
-		if err == nil && res != nil {
-			noteDegraded(res, opt)
-		}
-	}()
 	f, err := dockerfile.Parse(text)
 	if err != nil {
 		return &Result{}, err
@@ -297,46 +266,14 @@ func BuildContext(ctx context.Context, text string, opt Options) (res *Result, e
 		// Parseable but FROM-less: an ARG-only Dockerfile.
 		return &Result{}, fmt.Errorf("build: no FROM instruction")
 	}
-	if opt.CacheDir != "" {
-		d, _, err := cas.Open(opt.CacheDir, cas.WithVerify(opt.CacheVerify))
-		if err != nil {
-			return &Result{}, fmt.Errorf("build: cache dir: %w", err)
-		}
-		// The handle lives for this call only: restore whatever backing
-		// the caller had and close ours on the way out, or every Build
-		// would leak a journal fd and the store would keep writing through
-		// a handle the caller never sees.
-		defer d.Close() // LIFO: runs after the backing is restored below
-		if opt.Cache == nil {
-			opt.Cache = NewPersistentCache(d)
-		}
-		if opt.Store != nil {
-			prev := opt.Store.Backing()
-			opt.Store.SetBacking(d)
-			defer opt.Store.SetBacking(prev)
-		}
-		if opt.CacheMaxBytes > 0 {
-			// Registered after the backing swap so it runs before the
-			// restore (LIFO): the budget applies to the store this build
-			// just warmed. GCBacking records failures as backing errors
-			// rather than failing the finished build. The GC runs even
-			// when the build was cancelled — it is cleanup of a store the
-			// build already wrote, not more build work — so it detaches
-			// from ctx's cancellation while keeping its values.
-			defer func() {
-				gcCtx := context.WithoutCancel(ctx)
-				if opt.Store != nil && opt.Store.Backing() == d {
-					opt.Store.GCBacking(gcCtx, cas.Budget{MaxBytes: opt.CacheMaxBytes})
-				} else {
-					d.GC(gcCtx, cas.Budget{MaxBytes: opt.CacheMaxBytes})
-				}
-			}()
-		}
-	}
 	if len(f.Stages) > 1 || opt.TargetStage != "" {
-		return buildStages(ctx, f, opt)
+		res, err = buildStages(ctx, f, opt)
+	} else {
+		res, _, err = buildOneStage(ctx, f, 0, nil, opt)
 	}
-	res, _, err = buildOneStage(ctx, f, 0, nil, opt)
+	if err == nil {
+		noteDegraded(res, opt)
+	}
 	return res, err
 }
 

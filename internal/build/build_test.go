@@ -17,16 +17,8 @@ func fixtures(t *testing.T) (*pkgmgr.World, *image.Store) {
 	t.Helper()
 	w := pkgmgr.NewWorld()
 	s := image.NewStore()
-	for _, d := range []struct{ distro, name string }{
-		{pkgmgr.DistroAlpine, "alpine:3.19"},
-		{pkgmgr.DistroCentOS7, "centos:7"},
-		{pkgmgr.DistroDebian, "debian:12"},
-	} {
-		img, err := w.BaseImage(d.distro, d.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Put(img)
+	if err := w.SeedBases(s); err != nil {
+		t.Fatal(err)
 	}
 	return w, s
 }
@@ -63,6 +55,20 @@ func mustFail(t *testing.T, text string, opt Options) (*Result, string, error) {
 }
 
 // --- parsing → execution ---------------------------------------------------
+
+// ParseForce accepts exactly the names ForceMode.String renders.
+func TestParseForce(t *testing.T) {
+	for _, m := range []ForceMode{ForceNone, ForceSeccomp, ForceFakeroot, ForceProot} {
+		if got, err := ParseForce(m.String()); err != nil || got != m {
+			t.Errorf("ParseForce(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"", "magic", "Seccomp"} {
+		if _, err := ParseForce(bad); err == nil {
+			t.Errorf("ParseForce(%q) accepted", bad)
+		}
+	}
+}
 
 func TestBuildParseErrorSurfaces(t *testing.T) {
 	w, s := fixtures(t)

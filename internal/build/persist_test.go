@@ -16,10 +16,11 @@ import (
 // persistFixtures simulates one process's view of a shared --cache-dir:
 // a fresh world, a fresh store backed by the cas directory (attached
 // before seeding, so base-image blobs persist), and a fresh persistent
-// instruction cache rehydrated from the directory's journal.
-func persistFixtures(t *testing.T, root string) (*pkgmgr.World, *image.Store, *Cache, *cas.Dir) {
+// instruction cache rehydrated from the directory's journal. opts are
+// passed to cas.Open.
+func persistFixtures(t *testing.T, root string, opts ...cas.Option) (*pkgmgr.World, *image.Store, *Cache, *cas.Dir) {
 	t.Helper()
-	d, _, err := cas.Open(root)
+	d, _, err := cas.Open(root, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,16 +28,8 @@ func persistFixtures(t *testing.T, root string) (*pkgmgr.World, *image.Store, *C
 	w := pkgmgr.NewWorld()
 	s := image.NewStore()
 	s.SetBacking(d)
-	for _, db := range []struct{ distro, name string }{
-		{pkgmgr.DistroAlpine, "alpine:3.19"},
-		{pkgmgr.DistroCentOS7, "centos:7"},
-		{pkgmgr.DistroDebian, "debian:12"},
-	} {
-		img, err := w.BaseImage(db.distro, db.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Put(img)
+	if err := w.SeedBases(s); err != nil {
+		t.Fatal(err)
 	}
 	return w, s, NewPersistentCache(d), d
 }
@@ -258,63 +251,6 @@ func TestTornJournalWarmRecovery(t *testing.T) {
 	}
 }
 
-// Options.CacheDir is the one-call wiring: Build opens the store, backs
-// the image store and creates the persistent cache itself.
-func TestOptionsCacheDir(t *testing.T) {
-	root := filepath.Join(t.TempDir(), "cas")
-	const text = "FROM alpine:3.19\nRUN apk add sl\n"
-	run := func() *Result {
-		w, s := fixturesBacked(t, root)
-		res, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s, World: w, CacheDir: root})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if res := run(); res.Executed != 1 {
-		t.Fatalf("cold: executed=%d", res.Executed)
-	}
-	if res := run(); res.Executed != 0 || res.CacheHits != 1 {
-		t.Fatalf("warm: executed=%d hits=%d", res.Executed, res.CacheHits)
-	}
-}
-
-// fixturesBacked seeds a store whose backing Build will attach via
-// Options.CacheDir — seeding must come after the backing attach to
-// persist base blobs, so it opens the same dir itself first.
-func fixturesBacked(t *testing.T, root string) (*pkgmgr.World, *image.Store) {
-	t.Helper()
-	d, _, err := cas.Open(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close() })
-	w := pkgmgr.NewWorld()
-	s := image.NewStore()
-	s.SetBacking(d)
-	img, err := w.BaseImage(pkgmgr.DistroAlpine, "alpine:3.19")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put(img)
-	return w, s
-}
-
-// Options.CacheDir pointing at a regular file is a build error, not a
-// panic or a silent in-memory fallback.
-func TestOptionsCacheDirOnFileFails(t *testing.T) {
-	f := filepath.Join(t.TempDir(), "afile")
-	if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, s := fixtures(t)
-	_, err := BuildContext(context.Background(), "FROM alpine:3.19\nRUN apk add sl\n",
-		Options{Tag: "x", Store: s, World: w, CacheDir: f})
-	if err == nil || !strings.Contains(err.Error(), "not a directory") {
-		t.Fatalf("err=%v", err)
-	}
-}
-
 // A pool of builders sharing one persistent cache must be race-clean and
 // leave a store the next process can fully warm from. Run with -race.
 func TestPoolWithPersistentCache(t *testing.T) {
@@ -349,44 +285,19 @@ func TestPoolWithPersistentCache(t *testing.T) {
 	}
 }
 
-// Build with Options.CacheDir must restore the caller's own backing when
-// it returns, not detach it: later Puts keep persisting.
-func TestOptionsCacheDirRestoresCallerBacking(t *testing.T) {
-	root := filepath.Join(t.TempDir(), "cas")
-	w, s := fixturesBacked(t, root) // attaches the caller's backing
-	prev := s.Backing()
-	if _, err := BuildContext(context.Background(), "FROM alpine:3.19\nRUN apk add sl\n",
-		Options{Tag: "app:1", Force: ForceSeccomp, Store: s, World: w, CacheDir: root}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Backing() != prev {
-		t.Fatal("caller's backing not restored after Build")
-	}
-	// The restored backing still works: a post-Build Put persists.
-	img, _ := s.GetContext(context.Background(), "app:1")
-	late := img.Clone("late:1")
-	s.Put(late)
-	if err := s.BackingErr(); err != nil {
-		t.Fatal(err)
-	}
-	w2, s2 := fixturesBacked(t, root)
-	_ = w2
-	if _, ok := s2.GetContext(context.Background(), "late:1"); !ok {
-		t.Fatal("post-Build Put through restored backing lost")
-	}
-}
-
-// Options.CacheVerify=lazy must warm exactly like the default full-verify
+// A lazy-verify open must warm exactly like the default full-verify
 // open — the mode changes when corruption is discovered, never what a
 // healthy store replays.
 func TestOptionsCacheVerifyLazyWarms(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "cas")
 	const text = "FROM alpine:3.19\nRUN apk add sl\n"
 	run := func() *Result {
-		w, s := fixturesBacked(t, root)
+		w, s, c, d := persistFixtures(t, root, cas.WithVerify(cas.VerifyLazy))
+		if n := d.Report().BlobsChecked; n != 0 {
+			t.Fatalf("lazy open read back %d blob(s)", n)
+		}
 		res, err := BuildContext(context.Background(), text, Options{
-			Tag: "app:1", Force: ForceSeccomp, Store: s, World: w,
-			CacheDir: root, CacheVerify: cas.VerifyLazy,
+			Tag: "app:1", Force: ForceSeccomp, Store: s, World: w, Cache: c,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -401,41 +312,19 @@ func TestOptionsCacheVerifyLazyWarms(t *testing.T) {
 	}
 }
 
-// Options.CacheMaxBytes runs the budgeted GC after the build, on the
-// handle Build itself opened: tag pins survive an impossible budget, the
-// GC failure mode is a colder cache rather than a failed build, and the
-// next build still loads the tagged image.
+// A size-budgeted GC after a build, the Store.GCBacking call behind
+// ch-image --cache-max-bytes: tag pins survive an impossible budget, and
+// a fresh process still loads the tagged image.
 func TestOptionsCacheMaxBytesBudgetsAfterBuild(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "cas")
-	const text = "FROM alpine:3.19\nRUN apk add sl\n"
-	// Seed through our own handle, then close it: Build's handle must be
-	// the sole opener or the deferred GC would wait on our shared lock.
-	seed := func() (*pkgmgr.World, *image.Store) {
-		d, _, err := cas.Open(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := pkgmgr.NewWorld()
-		s := image.NewStore()
-		s.SetBacking(d)
-		img, err := w.BaseImage(pkgmgr.DistroAlpine, "alpine:3.19")
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Put(img)
-		s.SetBacking(nil)
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return w, s
-	}
-	w, s := seed()
-	if _, err := BuildContext(context.Background(), text, Options{
-		Tag: "app:1", Force: ForceSeccomp, Store: s, World: w,
-		CacheDir: root, CacheMaxBytes: 1,
+	ctx := context.Background()
+	w, s, c, _ := persistFixtures(t, root)
+	if _, err := BuildContext(ctx, "FROM alpine:3.19\nRUN apk add sl\n", Options{
+		Tag: "app:1", Force: ForceSeccomp, Store: s, World: w, Cache: c,
 	}); err != nil {
 		t.Fatal(err)
 	}
+	s.GCBacking(ctx, cas.Budget{MaxBytes: 1})
 	if err := s.BackingErr(); err != nil {
 		t.Fatalf("budgeted GC recorded an error: %v", err)
 	}
@@ -467,5 +356,9 @@ func TestOptionsCacheMaxBytesBudgetsAfterBuild(t *testing.T) {
 		if st.Layer != "" && !pinned[st.Layer] {
 			t.Fatalf("step %q with unpinned layer survived an impossible budget", st.Key)
 		}
+	}
+	// Flatten-chain snapshots are never pinned, so none survives.
+	if n := d.Chains(); n != 0 {
+		t.Fatalf("%d chain snapshot(s) survived an impossible budget", n)
 	}
 }

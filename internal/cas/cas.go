@@ -120,6 +120,13 @@ func (r Report) Quarantined() bool {
 	return r.BlobsQuarantined > 0 || r.JournalQuarantined > 0 || r.RecordsDropped > 0
 }
 
+// String words the damage an open found, for the one stderr line a CLI
+// prints when Quarantined.
+func (r Report) String() string {
+	return fmt.Sprintf("quarantined %d corrupt blob(s) and %d journal line(s), dropped %d record(s); affected steps will re-execute",
+		r.BlobsQuarantined, r.JournalQuarantined, r.RecordsDropped)
+}
+
 // VerifyMode selects how much validation Open performs.
 type VerifyMode int
 
@@ -139,13 +146,24 @@ const (
 	VerifyLazy
 )
 
+// ParseVerify maps a --cache-verify flag value, "full" or "lazy", to its
+// mode.
+func ParseVerify(s string) (VerifyMode, error) {
+	switch s {
+	case "full":
+		return VerifyFull, nil
+	case "lazy":
+		return VerifyLazy, nil
+	}
+	return 0, fmt.Errorf("unknown verify mode %q (want full or lazy)", s)
+}
+
 // Option configures Open.
 type Option func(*openConfig)
 
 type openConfig struct {
 	verify   VerifyMode
 	lockWait time.Duration
-	inj      Injector
 }
 
 // WithVerify selects the open-time validation mode (default VerifyFull).
@@ -159,12 +177,6 @@ func WithVerify(m VerifyMode) Option {
 // DefaultLockWait; <= 0 tries once). The compaction at open never waits.
 func WithLockWait(wait time.Duration) Option {
 	return func(c *openConfig) { c.lockWait = wait }
-}
-
-// WithFailpoints installs a fault injector on the handle from the start
-// (see Injector); SetFailpoints changes it later.
-func WithFailpoints(inj Injector) Option {
-	return func(c *openConfig) { c.inj = inj }
 }
 
 // Dir is an open content-addressed store rooted at a directory. All
@@ -231,7 +243,6 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 		root:     root,
 		lockWait: cfg.lockWait,
 		verify:   cfg.verify,
-		inj:      cfg.inj,
 	}
 	lk, err := openLock(d.path("lock"))
 	if err != nil {

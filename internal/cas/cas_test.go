@@ -115,6 +115,27 @@ func TestTagRejectsMissingLayer(t *testing.T) {
 	}
 }
 
+func TestParseVerify(t *testing.T) {
+	for name, want := range map[string]VerifyMode{"full": VerifyFull, "lazy": VerifyLazy} {
+		if got, err := ParseVerify(name); err != nil || got != want {
+			t.Errorf("ParseVerify(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "paranoid", "Lazy"} {
+		if _, err := ParseVerify(bad); err == nil {
+			t.Errorf("ParseVerify(%q) accepted", bad)
+		}
+	}
+}
+
+func TestReportString(t *testing.T) {
+	r := Report{BlobsChecked: 9, BlobsQuarantined: 1, JournalQuarantined: 2, RecordsDropped: 3}
+	const want = "quarantined 1 corrupt blob(s) and 2 journal line(s), dropped 3 record(s); affected steps will re-execute"
+	if got := r.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
 func TestOpenOnFileFails(t *testing.T) {
 	f := filepath.Join(t.TempDir(), "afile")
 	if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {

@@ -267,3 +267,15 @@ func TestOpenObservesLatency(t *testing.T) {
 		t.Fatalf("ch_cas_open_seconds observed %d opens, want 2", got)
 	}
 }
+
+// Open on a regular file names the problem: the path is not a directory.
+// Callers (ch-image --cache-dir, daemon.New) surface this error as is.
+func TestOpenRegularFileNotADirectory(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "afile")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(file); err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Fatalf("Open on a regular file: err=%v, want not a directory", err)
+	}
+}

@@ -133,9 +133,7 @@ func New(cfg Config) (*Daemon, error) {
 		d.dir = dir
 		d.report = rep
 		if rep.Quarantined() {
-			fmt.Fprintf(os.Stderr,
-				"ch-imaged: cache-dir %s: quarantined %d corrupt blob(s) and %d journal line(s), dropped %d record(s); affected steps will re-execute\n",
-				cfg.CacheDir, rep.BlobsQuarantined, rep.JournalQuarantined, rep.RecordsDropped)
+			fmt.Fprintf(os.Stderr, "ch-imaged: cache-dir %s: %s\n", cfg.CacheDir, rep)
 		}
 		if cfg.Faults != nil {
 			dir.SetFailpoints(cfg.Faults)
@@ -147,17 +145,8 @@ func New(cfg Config) (*Daemon, error) {
 	if d.dir != nil {
 		store.SetBacking(d.dir)
 	}
-	for _, db := range []struct{ distro, name string }{
-		{pkgmgr.DistroAlpine, "alpine:3.19"},
-		{pkgmgr.DistroCentOS7, "centos:7"},
-		{pkgmgr.DistroDebian, "debian:12"},
-	} {
-		img, err := d.world.BaseImage(db.distro, db.name)
-		if err != nil {
-			closeErr := d.closeDir()
-			return nil, errors.Join(fmt.Errorf("daemon: seed %s: %w", db.name, err), closeErr)
-		}
-		store.Put(img)
+	if err := d.world.SeedBases(store); err != nil {
+		return nil, errors.Join(fmt.Errorf("daemon: %w", err), d.closeDir())
 	}
 	d.store = store
 	if d.dir != nil {
@@ -230,9 +219,9 @@ func (d *Daemon) Submit(ctx context.Context, req BuildRequest) (Operation, error
 	}
 	force := d.cfg.Force
 	if req.Force != "" {
-		m, err := parseForce(req.Force)
+		m, err := build.ParseForce(req.Force)
 		if err != nil {
-			return Operation{}, err
+			return Operation{}, fmt.Errorf("daemon: %w", err)
 		}
 		force = m
 	}
@@ -423,21 +412,6 @@ func validate(req BuildRequest, jobs int) error {
 		return fmt.Errorf("daemon: stageJobs %d out of range 0..%d", req.StageJobs, jobs)
 	}
 	return nil
-}
-
-// parseForce maps the wire force names to build.ForceMode.
-func parseForce(s string) (build.ForceMode, error) {
-	switch s {
-	case "none":
-		return build.ForceNone, nil
-	case "seccomp":
-		return build.ForceSeccomp, nil
-	case "fakeroot":
-		return build.ForceFakeroot, nil
-	case "proot":
-		return build.ForceProot, nil
-	}
-	return 0, fmt.Errorf("daemon: unknown force mode %q", s)
 }
 
 // stats snapshots the daemon's counters for GET /v1/stats.

@@ -147,7 +147,7 @@ func (r *Registry) acceptManifest(w http.ResponseWriter, req *http.Request, name
 		}
 		img.Layers = append(img.Layers, Layer{Digest: l.Digest, Data: data})
 	}
-	r.store.Put(img)
+	r.store.PutContext(req.Context(), img)
 	w.WriteHeader(http.StatusCreated)
 }
 

@@ -162,6 +162,25 @@ func (w *World) BaseImage(distro, name string) (*image.Image, error) {
 	})
 }
 
+// SeedBases puts the stock base images — alpine:3.19, centos:7 and
+// debian:12 — into s. A store with a backing persists them, so attach
+// the backing first. It calls the context-free Store.Put because
+// daemon.New, which seeds through it, has no context.
+func (w *World) SeedBases(s *image.Store) error {
+	for _, b := range []struct{ distro, name string }{
+		{DistroAlpine, "alpine:3.19"},
+		{DistroCentOS7, "centos:7"},
+		{DistroDebian, "debian:12"},
+	} {
+		img, err := w.BaseImage(b.distro, b.name)
+		if err != nil {
+			return fmt.Errorf("pkgmgr: seed %s: %w", b.name, err)
+		}
+		s.Put(img)
+	}
+	return nil
+}
+
 // populateAlpine: the Fig. 1a workload. Every file is root:root, so apk
 // needs no chown at all.
 func populateAlpine(r *Repo) {

@@ -1,11 +1,14 @@
 package pkgmgr
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/container"
 	"repro/internal/errno"
+	"repro/internal/image"
 	"repro/internal/simos"
 	"repro/internal/vfs"
 )
@@ -345,5 +348,32 @@ func TestDnfAliasWorks(t *testing.T) {
 	status, out := runCmd(t, p, "dnf install -y which")
 	if status != 0 || !strings.Contains(out, "Complete!") {
 		t.Fatalf("dnf install: %d\n%s", status, out)
+	}
+}
+
+// SeedBases puts exactly the three stock bases into a store, each under
+// the chain digest BaseImage builds for it.
+func TestSeedBases(t *testing.T) {
+	w := NewWorld()
+	s := image.NewStore()
+	if err := w.SeedBases(s); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"alpine:3.19", "centos:7", "debian:12"}
+	if got := s.Tags(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tags %v, want %v", got, want)
+	}
+	for i, distro := range []string{DistroAlpine, DistroCentOS7, DistroDebian} {
+		ref, err := NewWorld().BaseImage(distro, want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, ok := s.GetContext(context.Background(), want[i])
+		if !ok {
+			t.Fatalf("%s missing", want[i])
+		}
+		if got, exp := image.ChainDigest(img.Layers), image.ChainDigest(ref.Layers); got != exp {
+			t.Errorf("%s: chain %s, want %s", want[i], got, exp)
+		}
 	}
 }
