@@ -17,11 +17,13 @@ test:
 # be race-clean with the detector on. The second line repeats the
 # single-flight tests (flight.Group and its users: the instruction cache's
 # fills and lazy loads, the store's flatten fills) so each run samples many
-# interleavings, not one.
+# interleavings, not one. The third repeats the daemon tests where an
+# operation's wait for a build slot races its cancel or the drain.
 race:
 	go test -race ./...
 	go test -race -count=20 -run 'SingleFlight|ConcurrentAccounting|ReleasesWaiters|Hammer|LazyFlight' \
 		./internal/build ./internal/image ./internal/flight
+	go test -race -count=20 -run 'CancelQueued|CancelRunning|Saturation|Drain' ./internal/daemon
 
 # One pass over every benchmark, including the E8/E15 build matrix. The
 # raw output (benchstat input format) lands in BENCH_layercommit.txt and a
@@ -166,20 +168,22 @@ fault-smoke:
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/tarutil
 
-# The daemon subprocess smoke: a real ch-imaged on a unix socket takes two
-# loadgen builds, then SIGTERM drains in-flight work and the process exits
-# 0 — the service analog of cache-smoke.
+# The daemon subprocess smoke: a real ch-imaged on a unix socket with 2
+# build slots and room for 1 more admitted build takes 32 loadgen builds
+# from 8 clients, so admission rejects with 429 (loadgen retries) and
+# admitted builds wait for a slot; then SIGTERM drains in-flight work and
+# the process exits 0 — the service analog of cache-smoke.
 DAEMON_SMOKE_DIR ?= .daemon-smoke
 daemon-smoke:
 	@rm -rf $(DAEMON_SMOKE_DIR) && mkdir -p $(DAEMON_SMOKE_DIR)
 	go build -o $(DAEMON_SMOKE_DIR)/ch-imaged ./cmd/ch-imaged
 	go build -o $(DAEMON_SMOKE_DIR)/loadgen ./cmd/loadgen
-	@$(DAEMON_SMOKE_DIR)/ch-imaged --listen unix:$(DAEMON_SMOKE_DIR)/sock --jobs 2 \
+	@$(DAEMON_SMOKE_DIR)/ch-imaged --listen unix:$(DAEMON_SMOKE_DIR)/sock --jobs 2 --queue 1 \
 		--cache-dir $(DAEMON_SMOKE_DIR)/cas \
 		--addr-file $(DAEMON_SMOKE_DIR)/addr 2> $(DAEMON_SMOKE_DIR)/daemon.log & \
 		daemon_pid=$$!; \
 		$(DAEMON_SMOKE_DIR)/loadgen --addr-file $(DAEMON_SMOKE_DIR)/addr \
-			-n 2 -c 2 --variants 2 --cold-every 0 --scrape > $(DAEMON_SMOKE_DIR)/loadgen.out; load_status=$$?; \
+			-n 32 -c 8 --variants 4 --cold-every 16 --min-hit-rate 0.75 --scrape > $(DAEMON_SMOKE_DIR)/loadgen.out; load_status=$$?; \
 		kill -TERM $$daemon_pid; wait $$daemon_pid; daemon_status=$$?; \
 		if [ $$load_status -ne 0 ] || [ $$daemon_status -ne 0 ]; then \
 			echo "daemon-smoke FAILED (loadgen=$$load_status daemon=$$daemon_status)"; \
@@ -187,7 +191,7 @@ daemon-smoke:
 		fi
 	@grep -q 'drained, exiting' $(DAEMON_SMOKE_DIR)/daemon.log || \
 		{ echo "daemon-smoke FAILED: no clean drain message:"; cat $(DAEMON_SMOKE_DIR)/daemon.log; exit 1; }
-	@echo "daemon-smoke OK: unix-socket daemon served 2 builds and drained on SIGTERM"
+	@echo "daemon-smoke OK: unix-socket daemon served 32 builds and drained on SIGTERM"
 
 # Static-analysis gate: go vet plus the project's own analyzers
 # (cmd/chlint → internal/analysis, stdlib-only; see docs/analysis.md).

@@ -1,8 +1,9 @@
 // ch-imaged is the build daemon: a long-running HTTP server that accepts
 // Dockerfile builds over the REST API in internal/daemon and executes
-// them asynchronously on one shared pool and one shared (optionally
-// persistent) cache. SIGINT/SIGTERM drains in-flight builds and exits 0.
-// See docs/daemon.md for the API.
+// them asynchronously over one shared (optionally persistent) cache; an
+// operation moves to running when it takes one of the --jobs slots.
+// SIGINT/SIGTERM drains in-flight builds and exits 0. See docs/daemon.md
+// for the API.
 package main
 
 import (
@@ -38,7 +39,7 @@ func serve(ctx context.Context, args []string) int {
 	fs := flag.NewFlagSet("ch-imaged", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:0", "listen address: host:port, or unix:PATH for a unix socket")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening (clients poll it)")
-	jobs := fs.Int("jobs", 4, "concurrent builds on the shared pool")
+	jobs := fs.Int("jobs", 4, "build slots: an admitted build runs once it takes one")
 	queue := fs.Int("queue", 0, "admitted builds allowed to wait beyond --jobs running ones before 429 (0 = 2*jobs)")
 	force := fs.String("force", "seccomp", "default root emulation: none, seccomp, fakeroot, proot")
 	cacheDir := fs.String("cache-dir", "", "persistent build-cache directory shared by every build; the daemon holds its flock for its lifetime")

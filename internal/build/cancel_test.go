@@ -136,3 +136,70 @@ func TestBuildContextPreCancelled(t *testing.T) {
 		t.Fatalf("nothing may execute under a dead context: %+v", res)
 	}
 }
+
+// A batch under an already-dead context runs nothing: every job reports
+// the cancelled not-started shape.
+func TestPoolPreCancelledJobsNeverRun(t *testing.T) {
+	w, s := fixtures(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	jobs := make([]Job, 3)
+	for i := range jobs {
+		jobs[i] = Job{Dockerfile: echoDockerfile, Options: Options{Force: ForceSeccomp, Store: s, World: w}}
+	}
+	results, err := (&Pool{Workers: 1}).RunContext(ctx, jobs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("aggregate error should wrap context.Canceled: %v", err)
+	}
+	for i, r := range results {
+		if !r.Cancelled {
+			t.Errorf("job %d: Cancelled = false, err = %v", i, r.Err)
+		}
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("job %d: err does not wrap context.Canceled: %v", i, r.Err)
+		}
+		if r.Result != nil {
+			t.Errorf("job %d: never-started job should have nil Result: %+v", i, r.Result)
+		}
+	}
+}
+
+// Cancelling a batch mid-run: the job parked at a boundary stops there,
+// and the job still waiting for the single worker reports Cancelled
+// without running.
+func TestPoolCancelSkipsUnstartedJobs(t *testing.T) {
+	w, s := fixtures(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	var boundaries atomic.Int64
+	parked := make(chan struct{})
+	gate := func(gctx context.Context, cmd string) {
+		if boundaries.Add(1) == 1 {
+			close(parked)
+		}
+		<-gctx.Done()
+	}
+	opt := Options{Force: ForceSeccomp, Store: s, World: w, testStepGate: gate}
+	jobs := []Job{
+		{Name: "running", Dockerfile: echoDockerfile, Options: opt},
+		{Name: "waiting", Dockerfile: echoDockerfile, Options: opt},
+	}
+	go func() {
+		<-parked
+		cancel()
+	}()
+	results, err := (&Pool{Workers: 1}).RunContext(ctx, jobs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("aggregate error should wrap context.Canceled: %v", err)
+	}
+	if r := results[0]; !r.Cancelled || r.Result == nil || r.Result.Executed != 0 {
+		t.Fatalf("parked job: Cancelled=%v Result=%+v err=%v", r.Cancelled, r.Result, r.Err)
+	}
+	if r := results[1]; !r.Cancelled || r.Result != nil {
+		t.Fatalf("waiting job: Cancelled=%v Result=%+v err=%v, want cancelled with nil Result", r.Cancelled, r.Result, r.Err)
+	}
+	if n := boundaries.Load(); n != 1 {
+		t.Fatalf("boundary crossings = %d, want 1 (the waiting job never started)", n)
+	}
+}

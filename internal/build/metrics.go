@@ -25,9 +25,7 @@ var (
 	mCacheMisses = obs.NewCounter("ch_build_cache_misses_total",
 		"Instruction-cache misses that began a fill.")
 	mPoolInFlight = obs.NewGauge("ch_build_pool_in_flight",
-		"Pool jobs executing right now.")
-	mPoolWaiting = obs.NewGauge("ch_build_pool_waiting",
-		"Submit calls waiting for a resident worker to accept the job.")
+		"Builds running through RunJob right now (pooled batches and daemon operations).")
 )
 
 // buildOutcome classifies one finished BuildContext call for the

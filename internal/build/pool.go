@@ -60,135 +60,11 @@ type JobResult struct {
 	Transcript string
 }
 
-// ErrNotServing reports a Submit against a pool that is not in service
-// mode — never Started, or already Drained.
-var ErrNotServing = errors.New("build: pool not serving")
-
-// Pool runs builds with bounded concurrency on Workers resident
-// goroutines. Start/Submit/Drain make it a build service that takes work
-// one job at a time (the ch-imaged daemon's mode); RunContext runs one
-// batch to completion on a private pool of its own, so the zero value is
-// ready for batch use.
+// Pool runs a batch of builds with bounded concurrency. The zero value
+// is ready for use.
 type Pool struct {
-	// Workers bounds concurrent builds; <= 0 means one worker per job in
-	// RunContext. Start requires Workers >= 1. Immutable once the pool
-	// is in use.
+	// Workers bounds concurrent builds; <= 0 means one worker per job.
 	Workers int
-
-	// wg tracks the resident workers; it synchronises itself and so
-	// lives above mu.
-	wg sync.WaitGroup
-
-	// mu guards the service state below it.
-	mu       sync.Mutex
-	serving  bool
-	submit   chan *serviceJob
-	stop     chan struct{}
-	inFlight int
-}
-
-// serviceJob is one Submit-ted build travelling to a resident worker.
-type serviceJob struct {
-	ctx  context.Context
-	job  Job
-	done chan JobResult // buffered: the worker's send never blocks
-}
-
-// Start switches the pool into service mode: Workers resident goroutines
-// consume Submit-ted jobs until Drain. Workers must be at least 1 — a
-// service has no batch length to default to.
-func (p *Pool) Start() error {
-	if p.Workers < 1 {
-		return fmt.Errorf("build: pool service mode needs Workers >= 1 (got %d)", p.Workers)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.serving {
-		return fmt.Errorf("build: pool already serving")
-	}
-	p.serving = true
-	p.submit = make(chan *serviceJob)
-	p.stop = make(chan struct{})
-	p.wg.Add(p.Workers)
-	for w := 0; w < p.Workers; w++ {
-		go p.serveLoop(p.submit, p.stop)
-	}
-	return nil
-}
-
-// serveLoop is one resident worker. The channels arrive as parameters so
-// the loop never reads the mutex-guarded fields they came from.
-func (p *Pool) serveLoop(submit <-chan *serviceJob, stop <-chan struct{}) {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-stop:
-			return
-		case sj := <-submit:
-			p.noteJob(1)
-			sj.done <- runJob(sj.ctx, sj.job)
-			p.noteJob(-1)
-		}
-	}
-}
-
-// noteJob adjusts the in-flight count.
-func (p *Pool) noteJob(delta int) {
-	mPoolInFlight.Add(int64(delta))
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.inFlight += delta
-}
-
-// Submit hands one job to a started pool and returns a channel that will
-// carry its JobResult. Submit blocks until a resident worker accepts the
-// job; cancelling ctx while waiting returns immediately with a channel
-// already carrying the cancelled not-started result. The same ctx governs
-// the build itself — cancel it to stop the job at its next instruction
-// boundary.
-func (p *Pool) Submit(ctx context.Context, job Job) (<-chan JobResult, error) {
-	p.mu.Lock()
-	serving, submit, stop := p.serving, p.submit, p.stop
-	p.mu.Unlock()
-	if !serving {
-		return nil, ErrNotServing
-	}
-	sj := &serviceJob{ctx: ctx, job: job, done: make(chan JobResult, 1)}
-	mPoolWaiting.Inc()
-	defer mPoolWaiting.Dec()
-	select {
-	case submit <- sj:
-		return sj.done, nil
-	case <-stop:
-		return nil, ErrNotServing
-	case <-ctx.Done():
-		sj.done <- runJob(ctx, job)
-		return sj.done, nil
-	}
-}
-
-// InFlight reports how many of the pool's jobs are executing right now; a
-// drained or idle pool reports 0 — the daemon's no-leak check.
-func (p *Pool) InFlight() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inFlight
-}
-
-// Drain leaves service mode: new Submits fail with ErrNotServing, the
-// resident workers finish the job they hold and exit, and Drain returns
-// once all of them have. Draining a pool that is not serving is a no-op.
-func (p *Pool) Drain() {
-	p.mu.Lock()
-	if !p.serving {
-		p.mu.Unlock()
-		return
-	}
-	p.serving = false
-	stop := p.stop
-	p.mu.Unlock()
-	close(stop)
-	p.wg.Wait()
 }
 
 // jobName picks the reported identity of a job: Name, then Options.Tag,
@@ -203,12 +79,12 @@ func jobName(job Job, fallback string) string {
 	return fallback
 }
 
-// runJob executes one job under ctx on behalf of a worker or of a
-// Submit whose ctx died while waiting. A ctx already dead on entry
-// reports the cancelled not-started shape without running anything; a
-// job whose Options.Output is nil gets a private buffer whose contents
-// land in JobResult.Transcript.
-func runJob(ctx context.Context, job Job) JobResult {
+// RunJob executes one job under ctx; Pool.RunContext's workers and the
+// ch-imaged daemon both run their builds through it. A ctx already dead
+// on entry reports the cancelled not-started shape (Cancelled, nil
+// Result) without running anything; a job whose Options.Output is nil
+// gets a private buffer whose contents land in JobResult.Transcript.
+func RunJob(ctx context.Context, job Job) JobResult {
 	name := jobName(job, "job")
 	if ctx.Err() != nil {
 		return JobResult{
@@ -217,6 +93,8 @@ func runJob(ctx context.Context, job Job) JobResult {
 			Cancelled: true,
 		}
 	}
+	mPoolInFlight.Inc()
+	defer mPoolInFlight.Dec()
 	var buf *bytes.Buffer
 	opt := job.Options
 	if opt.Output == nil {
@@ -236,39 +114,38 @@ func runJob(ctx context.Context, job Job) JobResult {
 // submission order, plus the aggregate error (errors.Join of the per-job
 // failures). Every job runs whatever its siblings do, and results are
 // complete even when the error is non-nil — the caller decides what a
-// partial batch is worth. The jobs run on a private pool of
-// min(Workers, len(jobs)) workers. Cancelling ctx stops every in-flight
-// build at its next instruction boundary; jobs not yet started report
-// Cancelled without running.
+// partial batch is worth. The jobs run on min(Workers, len(jobs))
+// goroutines. Cancelling ctx stops every in-flight build at its next
+// instruction boundary; jobs not yet started report Cancelled without
+// running.
 func (p *Pool) RunContext(ctx context.Context, jobs []Job) ([]JobResult, error) {
 	results := make([]JobResult, len(jobs))
-	if len(jobs) == 0 {
-		return results, nil
+	workers := p.Workers
+	if workers <= 0 || workers > len(jobs) {
+		workers = len(jobs)
 	}
-	batch := &Pool{Workers: p.Workers}
-	if batch.Workers <= 0 || batch.Workers > len(jobs) {
-		batch.Workers = len(jobs)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				job := jobs[i]
+				job.Name = jobName(job, fmt.Sprintf("job-%d", i))
+				results[i] = RunJob(ctx, job)
+			}
+		}()
 	}
-	if err := batch.Start(); err != nil {
-		return nil, err
+	for i := range jobs {
+		next <- i
 	}
-	done := make([]<-chan JobResult, len(jobs))
-	for i, job := range jobs {
-		job.Name = jobName(job, fmt.Sprintf("job-%d", i))
-		ch, err := batch.Submit(ctx, job)
-		if err != nil {
-			// Unreachable: batch serves until the Drain below.
-			batch.Drain()
-			return nil, err
-		}
-		done[i] = ch
-	}
-	batch.Drain()
+	close(next)
+	wg.Wait()
 
 	var errs []error
-	for i, ch := range done {
-		results[i] = <-ch
-		if r := results[i]; r.Err != nil {
+	for _, r := range results {
+		if r.Err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", r.Name, r.Err))
 		}
 	}

@@ -36,10 +36,13 @@ type BuildRequest struct {
 	StageJobs int `json:"stageJobs,omitempty"`
 
 	// TimeoutMS, when > 0, bounds the whole build in milliseconds; an
-	// overrunning build fails at its next instruction boundary.
+	// overrunning build fails at its next instruction boundary. Values
+	// above math.MaxInt64/1e6 do not fit a time.Duration and are rejected
+	// with 400.
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 
-	// InstrTimeoutMS, when > 0, bounds each instruction in milliseconds.
+	// InstrTimeoutMS, when > 0, bounds each instruction in milliseconds;
+	// the same upper limit applies.
 	InstrTimeoutMS int64 `json:"instrTimeoutMs,omitempty"`
 }
 
@@ -120,13 +123,13 @@ type ImagesResponse struct {
 
 // Stats is the body of GET /v1/stats.
 type Stats struct {
-	// Jobs is the pool's worker count; QueueCap the admission bound
+	// Jobs is the number of build slots; QueueCap the admission bound
 	// (running + queued operations the daemon accepts before 429).
 	Jobs     int `json:"jobs"`
 	QueueCap int `json:"queueCap"`
 
 	// Active counts admitted, unsettled operations; InFlight the builds
-	// executing on pool workers right now.
+	// holding a slot right now.
 	Active   int  `json:"active"`
 	InFlight int  `json:"inFlight"`
 	Draining bool `json:"draining"`

@@ -1,17 +1,19 @@
 // Package daemon is the ch-imaged build service: a long-running HTTP
 // server accepting Dockerfile builds and executing them asynchronously
-// on one shared build.Pool over one shared image.Store + build.Cache —
-// optionally persistent via one cas.Dir held (with its shared flock)
-// for the daemon's whole lifetime. The shape is LXD's daemon + async
-// operation objects: POST returns an operation ID immediately, clients
-// poll or cancel it, and a bounded admission counter rejects overload
-// with 429 instead of queueing unboundedly. See docs/daemon.md.
+// over one shared image.Store + build.Cache — optionally persistent via
+// one cas.Dir held (with its shared flock) for the daemon's whole
+// lifetime. Each admitted operation waits for one of Jobs slots and then
+// runs its build. The shape is LXD's daemon + async operation objects:
+// POST returns an operation ID immediately, clients poll or cancel it,
+// and a bounded admission counter rejects overload with 429 instead of
+// queueing unboundedly. See docs/daemon.md.
 package daemon
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"sync"
@@ -39,7 +41,7 @@ var (
 
 // Config parameterises a Daemon.
 type Config struct {
-	// Jobs is the shared pool's worker count; <= 0 means 4.
+	// Jobs bounds how many builds run at once; <= 0 means 4.
 	Jobs int
 
 	// Queue bounds how many admitted operations may wait beyond the
@@ -88,27 +90,28 @@ type Daemon struct {
 	store      *image.Store
 	cache      *build.Cache
 	report     cas.Report
-	pool       *build.Pool
 	reg        *registry
 	handler    http.Handler
 	persistent bool
 
+	// slots holds one token per running build, at most Jobs. It is
+	// immutable after New and synchronises itself, so it lives above mu.
+	slots chan struct{}
+
 	// mu guards the lifecycle state below it.
-	mu             sync.Mutex
-	started        bool
-	draining       bool
-	active         int
-	baseCtx        context.Context
-	queue          chan *operation
-	dispatcherDone chan struct{}
-	idle           chan struct{}
-	idleClosed     bool
-	dir            *cas.Dir
+	mu         sync.Mutex
+	started    bool
+	draining   bool
+	active     int
+	baseCtx    context.Context
+	idle       chan struct{}
+	idleClosed bool
+	dir        *cas.Dir
 }
 
 // New builds a Daemon: opens the cas store (if configured), seeds the
-// base images, and wires the shared pool, cache and HTTP handler. The
-// daemon serves nothing until Start.
+// base images, and wires the shared cache, build slots and HTTP handler.
+// The daemon serves nothing until Start.
 func New(cfg Config) (*Daemon, error) {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 4
@@ -123,7 +126,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:   cfg,
 		world: pkgmgr.NewWorld(),
 		reg:   newRegistry(cfg.MaxOperations),
-		pool:  &build.Pool{Workers: cfg.Jobs},
+		slots: make(chan struct{}, cfg.Jobs),
 	}
 	if cfg.CacheDir != "" {
 		dir, rep, err := cas.Open(cfg.CacheDir, cas.WithVerify(cfg.CacheVerify))
@@ -172,26 +175,20 @@ func (d *Daemon) closeDir() error {
 	return dir.Close()
 }
 
-// Start brings the daemon into service: the pool's resident workers come
-// up and the dispatcher begins feeding them. ctx is the daemon's base
-// context — every operation's context derives from it, detached from its
-// cancellation (operations stop via their own cancel or Shutdown's drain
-// deadline, not because the base context ended).
+// Start brings the daemon into service: from now on Submit admits
+// builds. ctx is the daemon's base context — every operation's context
+// derives from it, detached from its cancellation (operations stop via
+// their own cancel or Shutdown's drain deadline, not because the base
+// context ended).
 func (d *Daemon) Start(ctx context.Context) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.started {
 		return errors.New("daemon: already started")
 	}
-	if err := d.pool.Start(); err != nil {
-		return err
-	}
 	d.started = true
 	d.baseCtx = ctx
-	d.queue = make(chan *operation, d.cfg.Jobs+d.cfg.Queue)
-	d.dispatcherDone = make(chan struct{})
 	d.idle = make(chan struct{})
-	go d.dispatch(d.queue, d.dispatcherDone)
 	return nil
 }
 
@@ -201,16 +198,13 @@ func (d *Daemon) Handler() http.Handler { return d.handler }
 // Store exposes the shared image store (tests and /v1/images).
 func (d *Daemon) Store() *image.Store { return d.store }
 
-// Pool exposes the shared pool (the tests' no-leak accounting check).
-func (d *Daemon) Pool() *build.Pool { return d.pool }
-
 // Report returns the cas open report (zero without a CacheDir).
 func (d *Daemon) Report() cas.Report { return d.report }
 
 // Submit admits one build request: it allocates an operation, charges
-// the admission counter, and hands the operation to the dispatcher. It
-// returns the operation as admitted — rendered before the dispatcher can
-// see it, so its status is always queued. At capacity it fails fast with
+// the admission counter, and starts the goroutine that runs it. It
+// returns the operation as admitted — rendered before that goroutine
+// starts, so its status is always queued. At capacity it fails fast with
 // ErrQueueFull — the bounded queue the API surfaces as 429 — and during
 // drain with ErrDraining (503).
 func (d *Daemon) Submit(ctx context.Context, req BuildRequest) (Operation, error) {
@@ -241,7 +235,7 @@ func (d *Daemon) Submit(ctx context.Context, req BuildRequest) (Operation, error
 		mAdmissionRejected.With("draining").Inc()
 		return Operation{}, ErrDraining
 	}
-	if d.active >= cap(d.queue) {
+	if d.active >= d.cfg.Jobs+d.cfg.Queue {
 		d.mu.Unlock()
 		mAdmissionRejected.With("queue_full").Inc()
 		return Operation{}, ErrQueueFull
@@ -266,42 +260,30 @@ func (d *Daemon) Submit(ctx context.Context, req BuildRequest) (Operation, error
 		status:  StatusQueued,
 	}
 	admitted := op.render(d.cfg.TranscriptTail)
-	// The admission counter bounds live operations at cap(queue), so
-	// this send always finds buffer space and never blocks under mu.
-	d.queue <- op
 	d.mu.Unlock()
 
 	d.reg.add(op)
+	go d.run(op)
 	return admitted, nil
 }
 
-// dispatch feeds admitted operations to the pool. The channels arrive as
-// parameters so the loop never reads the mutex-guarded fields they came
-// from. It exits when Shutdown closes the queue.
-func (d *Daemon) dispatch(queue <-chan *operation, done chan<- struct{}) {
-	defer close(done)
-	for op := range queue {
-		ch, err := d.pool.Submit(op.ctx, d.jobFor(op))
-		if err != nil {
-			// Pool drained under us (shutdown race): settle the
-			// operation as failed-clean.
-			op.settle(build.JobResult{
-				Name: op.id,
-				Err:  fmt.Errorf("daemon: operation %s not started: %w", op.id, err),
-			}, time.Now())
-			op.cancel()
-			d.noteSettled(op)
-			continue
-		}
+// run carries one admitted operation to its end. It waits for one of
+// the Jobs slots and runs the build in it; if the operation's context
+// ends first — DELETE, or the drain deadline — the operation settles
+// cancelled without running. Either way it then returns the admission
+// slot.
+func (d *Daemon) run(op *operation) {
+	job := d.jobFor(op)
+	var r build.JobResult
+	select {
+	case d.slots <- struct{}{}:
 		op.markRunning(time.Now())
-		go d.await(op, ch)
+		r = build.RunJob(op.ctx, job)
+		<-d.slots
+	case <-op.ctx.Done():
+		r = build.RunJob(op.ctx, job)
 	}
-}
-
-// await settles op with the pool's result and credits the admission
-// counter back.
-func (d *Daemon) await(op *operation, ch <-chan build.JobResult) {
-	op.settle(<-ch, time.Now())
+	op.settle(r, time.Now())
 	op.cancel()
 	d.noteSettled(op)
 }
@@ -321,7 +303,7 @@ func (d *Daemon) noteSettled(op *operation) {
 	}
 }
 
-// jobFor turns an operation into the pool job that executes it. Store,
+// jobFor turns an operation into the build job that executes it. Store,
 // World and Cache are the daemon's shared ones — that sharing is the
 // warm-cache story; Output is the operation itself (transcript capture)
 // and Progress feeds its step counter.
@@ -359,8 +341,8 @@ func (d *Daemon) jobFor(op *operation) build.Job {
 // Shutdown drains the daemon: admission flips to 503, in-flight and
 // queued operations get until ctx's deadline to finish, anything still
 // live past it is cancelled (stopping at the next instruction boundary),
-// and the pool, dispatcher and cas handle are torn down. Idempotent-ish:
-// a second call returns nil immediately.
+// and the cas handle is closed. Idempotent-ish: a second call returns nil
+// immediately.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.mu.Lock()
 	if !d.started {
@@ -376,12 +358,8 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		d.idleClosed = true
 		close(d.idle)
 	}
-	queue, idle, dispatcherDone := d.queue, d.idle, d.dispatcherDone
+	idle := d.idle
 	d.mu.Unlock()
-
-	// No more admissions: the dispatcher drains what is queued and
-	// exits.
-	close(queue)
 
 	select {
 	case <-idle:
@@ -391,16 +369,19 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		d.reg.cancelLive()
 		<-idle
 	}
-	<-dispatcherDone
-	d.pool.Drain()
 	return d.closeDir()
 }
 
 // Operation looks up an operation by ID.
 func (d *Daemon) Operation(id string) (*operation, bool) { return d.reg.get(id) }
 
-// validate checks the request fields every build needs, and that
-// stageJobs stays within the daemon's jobs bound.
+// maxTimeoutMS is the largest millisecond timeout a time.Duration holds;
+// a larger one would wrap when converted.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
+// validate checks the request fields every build needs, that stageJobs
+// stays within the daemon's jobs bound, and that the timeouts fit a
+// time.Duration.
 func validate(req BuildRequest, jobs int) error {
 	if req.Tag == "" {
 		return errors.New("daemon: tag is required")
@@ -411,6 +392,12 @@ func validate(req BuildRequest, jobs int) error {
 	if req.StageJobs < 0 || req.StageJobs > jobs {
 		return fmt.Errorf("daemon: stageJobs %d out of range 0..%d", req.StageJobs, jobs)
 	}
+	if req.TimeoutMS > maxTimeoutMS {
+		return fmt.Errorf("daemon: timeoutMs %d above %d", req.TimeoutMS, maxTimeoutMS)
+	}
+	if req.InstrTimeoutMS > maxTimeoutMS {
+		return fmt.Errorf("daemon: instrTimeoutMs %d above %d", req.InstrTimeoutMS, maxTimeoutMS)
+	}
 	return nil
 }
 
@@ -418,17 +405,13 @@ func validate(req BuildRequest, jobs int) error {
 func (d *Daemon) stats() Stats {
 	d.mu.Lock()
 	active, draining := d.active, d.draining
-	queueCap := 0
-	if d.queue != nil {
-		queueCap = cap(d.queue)
-	}
 	d.mu.Unlock()
 	hits, misses := d.cache.Stats()
 	return Stats{
 		Jobs:        d.cfg.Jobs,
-		QueueCap:    queueCap,
+		QueueCap:    d.cfg.Jobs + d.cfg.Queue,
 		Active:      active,
-		InFlight:    d.pool.InFlight(),
+		InFlight:    len(d.slots),
 		Draining:    draining,
 		CacheHits:   hits,
 		CacheMisses: misses,

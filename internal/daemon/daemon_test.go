@@ -192,7 +192,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	if fin2.Result.CacheHits == 0 {
 		t.Fatal("warm rebuild should report cache hits")
 	}
-	if n := d.Pool().InFlight(); n != 0 {
+	if n := d.stats().InFlight; n != 0 {
 		t.Fatalf("pool InFlight after builds settled = %d, want 0", n)
 	}
 }
@@ -210,6 +210,12 @@ func TestDaemonValidation(t *testing.T) {
 		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", Force: "bogus"}, http.StatusBadRequest},
 		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", StageJobs: -1}, http.StatusBadRequest},
 		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", StageJobs: cfg.Jobs + 1}, http.StatusBadRequest},
+		// Timeouts a time.Duration cannot hold: the first would wrap to
+		// 64 ns, the second to a negative (unbounded) duration.
+		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", TimeoutMS: 76480200929599801}, http.StatusBadRequest},
+		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", TimeoutMS: 10000000000000}, http.StatusBadRequest},
+		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", InstrTimeoutMS: 76480200929599801}, http.StatusBadRequest},
+		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", InstrTimeoutMS: 10000000000000}, http.StatusBadRequest},
 		{BuildRequest{Tag: "x:1", Dockerfile: "FROM alpine:3.19\n", StageJobs: 0}, http.StatusAccepted},
 	}
 	for i, c := range cases {
@@ -301,9 +307,9 @@ func TestDaemonSaturation(t *testing.T) {
 func waitIdle(t *testing.T, d *Daemon) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for d.Pool().InFlight() != 0 {
+	for d.stats().InFlight != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool still reports %d in-flight jobs", d.Pool().InFlight())
+			t.Fatalf("pool still reports %d in-flight jobs", d.stats().InFlight)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -467,5 +473,58 @@ func TestDaemonDrainRejects503(t *testing.T) {
 	fin := pollOp(t, srv.URL, op.ID)
 	if fin.Status != StatusSucceeded {
 		t.Fatalf("drained operation: status %s, error %q", fin.Status, fin.Error)
+	}
+}
+
+// TestDaemonDrainDeadlineCancelsLive drives Shutdown past its grace
+// period: the running operation is cancelled at its boundary, the one
+// queued behind it settles cancelled without ever starting, and the
+// daemon's accounting returns to idle.
+func TestDaemonDrainDeadlineCancelsLive(t *testing.T) {
+	started := make(chan struct{})
+	var startOnce sync.Once
+	cfg := Config{
+		Jobs:  1,
+		Queue: 1,
+		stepGate: func(ctx context.Context, ev build.ProgressEvent) {
+			startOnce.Do(func() { close(started) })
+			<-ctx.Done()
+		},
+	}
+	d, srv := startDaemon(t, cfg)
+
+	var running, queued Operation
+	if code := doJSON(t, http.MethodPost, srv.URL+"/v1/builds",
+		BuildRequest{Tag: "parked:1", Dockerfile: "FROM alpine:3.19\nRUN echo a > /a\n"}, &running); code != http.StatusAccepted {
+		t.Fatalf("POST parked: status %d", code)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("build never reached an instruction boundary")
+	}
+	if code := doJSON(t, http.MethodPost, srv.URL+"/v1/builds",
+		BuildRequest{Tag: "queued:1", Dockerfile: "FROM alpine:3.19\nRUN echo q > /q\n"}, &queued); code != http.StatusAccepted {
+		t.Fatalf("POST queued: status %d", code)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	if fin := pollOp(t, srv.URL, running.ID); fin.Status != StatusCancelled {
+		t.Fatalf("running operation: status %s, error %q", fin.Status, fin.Error)
+	}
+	fin := pollOp(t, srv.URL, queued.ID)
+	if fin.Status != StatusCancelled {
+		t.Fatalf("queued operation: status %s, error %q", fin.Status, fin.Error)
+	}
+	if fin.Result != nil || fin.StartedAt != "" {
+		t.Fatalf("never-started operation: result %+v, startedAt %q", fin.Result, fin.StartedAt)
+	}
+	if st := d.stats(); st.Active != 0 || st.InFlight != 0 {
+		t.Fatalf("stats after drain: active=%d inFlight=%d, want 0/0", st.Active, st.InFlight)
 	}
 }

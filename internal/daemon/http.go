@@ -53,7 +53,7 @@ func (d *Daemon) metricsHandler() http.Handler {
 		d.mu.Lock()
 		active := d.active
 		d.mu.Unlock()
-		mQueueDepth.Set(int64(max(0, active-d.pool.InFlight())))
+		mQueueDepth.Set(int64(max(0, active-len(d.slots))))
 		prom.ServeHTTP(w, r)
 	})
 }

@@ -22,5 +22,5 @@ var (
 		"Operations currently in the registry, by state (refreshed at scrape).",
 		"state")
 	mQueueDepth = obs.NewGauge("ch_daemon_queue_depth",
-		"Admitted operations waiting for a pool worker (refreshed at scrape).")
+		"Admitted operations waiting for a build slot (refreshed at scrape).")
 )

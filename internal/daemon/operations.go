@@ -2,7 +2,7 @@ package daemon
 
 // Async operation objects in the LXD shape: every accepted build becomes
 // an operation with an ID, a status machine, and a cancel handle. The
-// HTTP layer renders operations; the dispatcher drives them.
+// HTTP layer renders operations; Daemon.run drives them.
 
 import (
 	"bytes"
