@@ -698,7 +698,7 @@ COPY --from=late /srv/data /app/data
 //   - warm-from-disk: a prewarmed cas directory, but completely fresh
 //     in-memory state every iteration (new world, store, instruction
 //     cache) — a *second process*: every instruction replays from disk,
-//     flatten chains rehydrate from persisted snapshots, zero fills.
+//     and the one base chain fills from its seeded layer.
 //   - warm-in-memory: the PR 2 path — same store and cache objects
 //     reused, the in-process upper bound.
 //

@@ -24,11 +24,11 @@
 // debian:12 with their package repositories.
 //
 // --cache-dir DIR makes the build cache persistent (internal/cas): layer
-// blobs, instruction-cache entries, tags and flatten-chain snapshots are
-// written through to DIR, and the next ch-image invocation against the
-// same DIR replays warm — "instructions executed: 0". The cache
-// subcommands inspect (ls), garbage-collect (gc, optionally dropping the
-// listed tags first) and wipe (reset) such a directory.
+// blobs, instruction-cache entries and tags are written through to DIR,
+// and the next ch-image invocation against the same DIR replays warm —
+// "instructions executed: 0". The cache subcommands inspect (ls),
+// garbage-collect (gc, optionally dropping the listed tags first) and
+// wipe (reset) such a directory.
 package main
 
 import (
@@ -420,7 +420,7 @@ func cmdBuildPool(ctx context.Context, text string, tags []string, jobs int, opt
 
 // cmdCache inspects and maintains a persistent cache directory:
 //
-//	ls                         list tags, cached instructions, chains and blob usage
+//	ls                         list tags, cached instructions and blob usage
 //	gc [--max-bytes N] [TAG...]  drop the listed tags, then collect: with no
 //	                           budget, everything no remaining tag reaches;
 //	                           with --max-bytes, the least-recently-recorded
@@ -480,7 +480,6 @@ func cmdCache(ctx context.Context, args []string) int {
 		}
 		count, bytes := d.BlobStats()
 		fmt.Printf("instruction cache: %d entr(ies)\n", len(d.Steps()))
-		fmt.Printf("flatten chains:    %d snapshot(s)\n", d.Chains())
 		fmt.Printf("blobs:             %d file(s), %d bytes\n", count, bytes)
 		return 0
 	case "gc":
@@ -504,9 +503,9 @@ func cmdCache(ctx context.Context, args []string) int {
 			fmt.Fprintf(os.Stderr, "ch-image: cache gc: %v\n", err)
 			return 1
 		}
-		fmt.Printf("gc: kept %d tag(s) and %d blob(s) (%d bytes); swept %d blob(s) (%d bytes), dropped %d step(s) and %d chain(s)\n",
+		fmt.Printf("gc: kept %d tag(s) and %d blob(s) (%d bytes); swept %d blob(s) (%d bytes), dropped %d step(s)\n",
 			stats.TagsKept, stats.BlobsKept, stats.BytesKept, stats.BlobsSwept, stats.BytesSwept,
-			stats.StepsDropped, stats.ChainsDropped)
+			stats.StepsDropped)
 		return 0
 	case "reset":
 		if err := d.Reset(ctx); err != nil {

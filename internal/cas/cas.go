@@ -3,13 +3,11 @@
 // directory. A Dir holds three things:
 //
 //   - a sharded blob directory (blobs/sha256/<aa>/<rest>) of write-once
-//     byte strings keyed by their digest: image layers, flatten-chain
-//     snapshots and instruction-cache layers all land here, deduplicated
-//     by content;
+//     byte strings keyed by their digest: image layers and
+//     instruction-cache layers both land here, deduplicated by content;
 //   - an append-only journal of metadata records — instruction-cache
-//     entries, image tags and flatten-chain indexes — each line carrying
-//     its own checksum so a torn tail or a flipped bit is detected, not
-//     replayed;
+//     entries and image tags — each line carrying its own checksum so a
+//     torn tail or a flipped bit is detected, not replayed;
 //   - a quarantine directory where corrupt blobs and journal lines are
 //     moved at open, so a damaged store degrades to a colder cache
 //     instead of a failed build.
@@ -86,24 +84,13 @@ type Tag struct {
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
-// Chain is one persisted flatten-chain index: the chain digest (see
-// image.ChainDigest), the layer digests the chain is made of (the GC
-// roots that keep it alive) and the digest of the packed whole-tree
-// snapshot blob a warm process rehydrates instead of re-flattening.
-type Chain struct {
-	Chain  string   `json:"chain"`
-	Layers []string `json:"layers,omitempty"`
-	Snap   string   `json:"snap"`
-}
-
 // record is one journal line. T selects which of the payload fields is
-// live: "step", "tag", "untag" (the name alone) or "chain".
+// live: "step", "tag" or "untag" (the name alone).
 type record struct {
 	T     string `json:"t"`
 	Stp   *Step  `json:"step,omitempty"`
 	Tag   *Tag   `json:"tag,omitempty"`
 	Untag string `json:"untag,omitempty"`
-	Chn   *Chain `json:"chain_idx,omitempty"`
 }
 
 // Report summarises what open-time validation found and did.
@@ -196,8 +183,7 @@ type Dir struct {
 	journal  *os.File
 	steps    map[string]Step
 	tags     map[string]Tag
-	chains   map[string]Chain
-	order    map[string]uint64 // "s:<key>"/"c:<chain>" → journal recency
+	order    map[string]uint64 // step key → journal recency
 	orderSeq uint64
 	tornTail bool // journal ends in an unterminated fragment
 	report   Report
@@ -388,7 +374,6 @@ func (d *Dir) loadLocked(fsck bool) error {
 func (d *Dir) clearRecordsLocked() {
 	d.steps = map[string]Step{}
 	d.tags = map[string]Tag{}
-	d.chains = map[string]Chain{}
 	d.order = map[string]uint64{}
 	d.orderSeq = 0
 	d.tornTail = false
@@ -658,17 +643,17 @@ func decodeLine(line []byte) (record, bool) {
 
 // applyLocked folds one validated record into the in-memory state. Later records
 // win, so re-recording a step or re-tagging a name behaves like a map
-// write, and "untag" deletes. Steps and chains also record their journal
-// position (most recent record wins there too): the recency order the
+// write, and "untag" deletes. Steps also record their journal position
+// (most recent record wins there too): the recency order the
 // size-budgeted GC evicts by, preserved across compactions because
-// writeCompactJournalLocked emits records in this order.
+// writeCompactJournalLocked emits steps in this order.
 func (d *Dir) applyLocked(rec record) {
 	switch rec.T {
 	case "step":
 		if rec.Stp != nil {
 			d.steps[rec.Stp.Key] = *rec.Stp
 			d.orderSeq++
-			d.order["s:"+rec.Stp.Key] = d.orderSeq
+			d.order[rec.Stp.Key] = d.orderSeq
 		}
 	case "tag":
 		if rec.Tag != nil {
@@ -676,23 +661,18 @@ func (d *Dir) applyLocked(rec record) {
 		}
 	case "untag":
 		delete(d.tags, rec.Untag)
-	case "chain":
-		if rec.Chn != nil {
-			d.chains[rec.Chn.Chain] = *rec.Chn
-			d.orderSeq++
-			d.order["c:"+rec.Chn.Chain] = d.orderSeq
-		}
 	}
 	// Unknown record types are ignored: an older binary opening a newer
-	// store must degrade to a colder cache, not a failed build.
+	// store must degrade to a colder cache, not a failed build, and a
+	// record type this binary no longer writes drops at the next
+	// compaction.
 }
 
 // dropDanglingRecordsLocked removes records whose blobs did not survive
 // validation: a step whose layer is gone cannot replay, a tag whose layer
-// is gone cannot load, a chain whose snapshot is gone cannot rehydrate.
-// When anything is dropped, Open compacts the journal immediately, so the
-// damage is reported once, not at every subsequent open. It returns how
-// many records it dropped.
+// is gone cannot load. When anything is dropped, Open compacts the
+// journal immediately, so the damage is reported once, not at every
+// subsequent open. It returns how many records it dropped.
 func (d *Dir) dropDanglingRecordsLocked(present func(digest string) bool) int {
 	dropped := 0
 	for key, st := range d.steps {
@@ -708,16 +688,6 @@ func (d *Dir) dropDanglingRecordsLocked(present func(digest string) bool) int {
 				dropped++
 				break
 			}
-		}
-	}
-	for key, ch := range d.chains {
-		ok := present(ch.Snap)
-		for _, l := range ch.Layers {
-			ok = ok && present(l)
-		}
-		if !ok {
-			delete(d.chains, key)
-			dropped++
 		}
 	}
 	return dropped
@@ -837,10 +807,10 @@ func (d *Dir) PutBlob(ctx context.Context, data []byte) (string, error) {
 	return d.putBlobLocked(data)
 }
 
-// putBlobLocked is PutBlob with d.mu held — the form PutStep and PutChain
-// use so their blob write and journal append are one critical section: a
-// GC running between the two would otherwise sweep the not-yet-referenced
-// blob and leave the record dangling.
+// putBlobLocked is PutBlob with d.mu held — the form PutStep uses so its
+// blob write and journal append are one critical section: a GC running
+// between the two would otherwise sweep the not-yet-referenced blob and
+// leave the record dangling.
 func (d *Dir) putBlobLocked(data []byte) (string, error) {
 	digest := Sum(data)
 	p, err := d.blobPath(digest)
@@ -1051,43 +1021,6 @@ func (d *Dir) TagNames() []string {
 	return out
 }
 
-// PutChain persists a flatten-chain index: the packed whole-tree snapshot
-// goes to the blob store, the chain digest and member layers to the
-// journal. A warm process unpacks the snapshot instead of re-flattening
-// the member layers one by one.
-func (d *Dir) PutChain(ctx context.Context, chain string, layers []string, snapshot []byte) error {
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	digest, err := d.putBlobLocked(snapshot)
-	if err != nil {
-		return err
-	}
-	if cur, ok := d.chains[chain]; ok && cur.Snap == digest {
-		return nil // identical re-record (see PutTag)
-	}
-	return d.appendLocked(ctx, record{T: "chain", Chn: &Chain{
-		Chain: chain, Layers: append([]string(nil), layers...), Snap: digest,
-	}})
-}
-
-// Chain looks up a persisted flatten-chain index.
-func (d *Dir) Chain(chain string) (Chain, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ch, ok := d.chains[chain]
-	return ch, ok
-}
-
-// Chains reports how many flatten-chain indexes are persisted.
-func (d *Dir) Chains() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.chains)
-}
-
 // BlobStats walks the blob directory and reports file count and total
 // bytes — `cache ls` bookkeeping, not a hot path.
 func (d *Dir) BlobStats() (count int, bytes int64) {
@@ -1142,9 +1075,9 @@ func (d *Dir) Reset(ctx context.Context) error {
 
 // writeCompactJournalLocked atomically replaces the journal with exactly the
 // surviving records (GC's compaction step). Tags come first (the pins),
-// then steps and chains in their recorded order — so replaying the
-// compacted journal reconstructs the same recency ranking the budgeted
-// GC evicts by. Callers hold d.mu and, when other handles may exist, the
+// then steps in their recorded order — so replaying the compacted
+// journal reconstructs the same recency ranking the budgeted GC evicts
+// by. Callers hold d.mu and, when other handles may exist, the
 // exclusive store lock.
 //
 //chlint:allow failpointcover -- compaction runs under the exclusive store lock with builds locked out; crash safety comes from the atomic rename
@@ -1170,22 +1103,11 @@ func (d *Dir) writeCompactJournalLocked() error {
 		tg := d.tags[name]
 		werr = firstErr(werr, writeRec(record{T: "tag", Tag: &tg}))
 	}
-	type orderedRec struct {
-		seq uint64
-		rec record
-	}
-	ordered := make([]orderedRec, 0, len(d.steps)+len(d.chains))
-	for _, key := range sortedKeys(d.steps) {
+	keys := sortedKeys(d.steps)
+	sort.Slice(keys, func(i, j int) bool { return d.order[keys[i]] < d.order[keys[j]] })
+	for _, key := range keys {
 		st := d.steps[key]
-		ordered = append(ordered, orderedRec{d.order["s:"+key], record{T: "step", Stp: &st}})
-	}
-	for _, key := range sortedKeys(d.chains) {
-		ch := d.chains[key]
-		ordered = append(ordered, orderedRec{d.order["c:"+key], record{T: "chain", Chn: &ch}})
-	}
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
-	for _, o := range ordered {
-		werr = firstErr(werr, writeRec(o.rec))
+		werr = firstErr(werr, writeRec(record{T: "step", Stp: &st}))
 	}
 	werr = firstErr(werr, w.Flush(), f.Close())
 	if werr != nil {

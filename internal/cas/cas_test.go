@@ -67,9 +67,6 @@ func TestJournalStateSurvivesReopen(t *testing.T) {
 	if err := d.PutTag(ctx, "app:1", []string{ld}, []byte(`{"user":"u"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutChain(ctx, "sha256:chain", []string{ld}, []byte("snapshot")); err != nil {
-		t.Fatal(err)
-	}
 	if err := d.PutTag(ctx, "gone:1", []string{ld}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +98,6 @@ func TestJournalStateSurvivesReopen(t *testing.T) {
 	}
 	if names := d2.TagNames(); len(names) != 1 || names[0] != "app:1" {
 		t.Fatalf("TagNames: %v", names)
-	}
-	ch, ok := d2.Chain("sha256:chain")
-	if !ok || ch.Snap != Sum([]byte("snapshot")) {
-		t.Fatalf("chain: %+v ok=%v", ch, ok)
 	}
 }
 
@@ -250,9 +243,6 @@ func TestCorruptBlobQuarantinedAtOpen(t *testing.T) {
 	if err := d.PutTag(ctx, "app:1", []string{digest}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutChain(ctx, "sha256:c1", []string{Sum(layer)}, []byte("snap")); err != nil {
-		t.Fatal(err)
-	}
 	d.Close()
 
 	p, err := (&Dir{root: root}).blobPath(Sum(layer))
@@ -267,15 +257,12 @@ func TestCorruptBlobQuarantinedAtOpen(t *testing.T) {
 	if rep.BlobsQuarantined != 1 {
 		t.Fatalf("blobs quarantined %d, want 1 (%+v)", rep.BlobsQuarantined, rep)
 	}
-	// The step whose layer died and the chain built on that layer drop.
-	if rep.RecordsDropped != 2 {
-		t.Fatalf("records dropped %d, want 2 (%+v)", rep.RecordsDropped, rep)
+	// The step whose layer died drops.
+	if rep.RecordsDropped != 1 {
+		t.Fatalf("records dropped %d, want 1 (%+v)", rep.RecordsDropped, rep)
 	}
 	if _, ok := d2.Step("victim"); ok {
 		t.Fatal("step with corrupt layer survived")
-	}
-	if _, ok := d2.Chain("sha256:c1"); ok {
-		t.Fatal("chain with corrupt member survived")
 	}
 	if _, ok := d2.Step("bystander"); !ok {
 		t.Fatal("unrelated step lost")

@@ -9,13 +9,12 @@ import (
 
 // GCStats reports what a garbage collection swept, evicted and kept.
 type GCStats struct {
-	TagsKept      int   // roots the mark phase started from
-	BlobsKept     int   // blob files still present after the collection
-	BlobsSwept    int   // blob files deleted
-	BytesSwept    int64 // bytes freed by deleted blobs
-	BytesKept     int64 // bytes still on disk after the collection
-	StepsDropped  int   // instruction-cache entries removed
-	ChainsDropped int   // flatten-chain indexes removed
+	TagsKept     int   // roots the mark phase started from
+	BlobsKept    int   // blob files still present after the collection
+	BlobsSwept   int   // blob files deleted
+	BytesSwept   int64 // bytes freed by deleted blobs
+	BytesKept    int64 // bytes still on disk after the collection
+	StepsDropped int   // instruction-cache entries removed
 }
 
 // Budget parameterises GC. The zero value selects the full reachability
@@ -24,8 +23,8 @@ type Budget struct {
 	// MaxBytes, when > 0, bounds the blob store: instead of dropping
 	// everything no tag reaches, GC keeps every record (warm cache
 	// entries for untagged intermediates included) and evicts the
-	// least-recently-recorded unpinned steps and chains — journal order,
-	// oldest first — until the blob bytes fit the budget. Tag records
+	// least-recently-recorded unpinned steps — journal order, oldest
+	// first — until the blob bytes fit the budget. Tag records
 	// and the layers they reference are pins: they are never evicted,
 	// so a budget smaller than the pinned bytes is reported via
 	// GCStats.BytesKept rather than enforced.
@@ -37,12 +36,10 @@ type Budget struct {
 // then compacts the journal to exactly the surviving records.
 //
 // With a zero Budget this is mark-and-sweep from the tagged roots. A
-// blob survives iff some remaining tag's layer chain references it; a
-// flatten-chain index survives iff it has members and every one
-// survives (its snapshot blob is then kept too); an instruction-cache
-// entry with a layer survives iff that layer blob survives. Everything
-// else — untagged intermediate-stage layers, entries for steps no
-// tagged image retains — is deleted. On an empty store GC is a no-op.
+// blob survives iff some remaining tag's layer chain references it; an
+// instruction-cache entry with a layer survives iff that layer blob
+// survives. Everything else — untagged intermediate-stage layers, entries
+// for steps no tagged image retains — is deleted. On an empty store GC is a no-op.
 //
 // With Budget.MaxBytes > 0 the policy flips from reachability to
 // recency: see Budget.
@@ -105,23 +102,10 @@ func (d *Dir) gcFullLocked() (GCStats, error) {
 	var stats GCStats
 	stats.TagsKept = len(d.tags)
 
-	for key, ch := range d.chains {
-		keep := len(ch.Layers) > 0 // a memberless chain is unreachable by construction
-		for _, l := range ch.Layers {
-			keep = keep && marked[l]
-		}
-		if keep {
-			marked[ch.Snap] = true
-		} else {
-			delete(d.chains, key)
-			delete(d.order, "c:"+key)
-			stats.ChainsDropped++
-		}
-	}
 	for key, st := range d.steps {
 		if st.Layer != "" && !marked[st.Layer] {
 			delete(d.steps, key)
-			delete(d.order, "s:"+key)
+			delete(d.order, key)
 			stats.StepsDropped++
 		}
 	}
@@ -156,17 +140,16 @@ func (d *Dir) gcFullLocked() (GCStats, error) {
 
 // gcBudgetLocked is the size-budgeted policy: keep the cache as warm as the
 // budget allows. Blobs referenced by no record at all are garbage in any
-// policy and go first; then the least-recently-recorded steps and chains
-// are evicted — with the blobs only they referenced — until the store
+// policy and go first; then the least-recently-recorded steps are
+// evicted — with the blobs only they referenced — until the store
 // fits. Callers hold d.mu and the exclusive store lock.
 func (d *Dir) gcBudgetLocked(b Budget) (GCStats, error) {
 	var stats GCStats
 	stats.TagsKept = len(d.tags)
 
-	// Pins and reference counts. A chain holds references on its member
-	// layers as well as its snapshot: evicting a step must not delete a
-	// blob a surviving chain still lists, or the chain record would
-	// dangle and read as damage at the next open.
+	// Pins and reference counts: steps may share a layer, and evicting
+	// one must not delete a blob a surviving step still lists, or that
+	// record would dangle and read as damage at the next open.
 	pinned := map[string]bool{}
 	for _, tg := range d.tags {
 		for _, l := range tg.Layers {
@@ -177,12 +160,6 @@ func (d *Dir) gcBudgetLocked(b Budget) (GCStats, error) {
 	for _, st := range d.steps {
 		if st.Layer != "" {
 			ref[st.Layer]++
-		}
-	}
-	for _, ch := range d.chains {
-		ref[ch.Snap]++
-		for _, l := range ch.Layers {
-			ref[l]++
 		}
 	}
 
@@ -215,78 +192,43 @@ func (d *Dir) gcBudgetLocked(b Budget) (GCStats, error) {
 	}
 	blobsKept := len(sizes)
 
-	// release drops one reference; the blob file goes once nothing holds
-	// it and no tag pins it.
-	release := func(digest string) error {
-		if digest == "" {
-			return nil
-		}
-		ref[digest]--
-		if ref[digest] > 0 || pinned[digest] {
-			return nil
-		}
-		p, err := d.blobPath(digest)
-		if err != nil {
-			return nil // malformed digest in an old record: nothing on disk
-		}
-		if err := os.Remove(p); err != nil {
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return fmt.Errorf("cas: gc: %w", err)
-		}
-		total -= sizes[digest]
-		blobsKept--
-		stats.BlobsSwept++
-		stats.BytesSwept += sizes[digest]
-		return nil
-	}
-
 	// Evict in journal order, oldest record first. Steps whose layer a
 	// tag pins are skipped: evicting them frees no bytes and only makes
 	// the cache colder, and steps with no layer likewise cost nothing.
-	type victim struct {
-		seq     uint64
-		isChain bool
-		key     string
-	}
-	var victims []victim
+	var victims []string
 	for key, st := range d.steps {
-		if st.Layer == "" || pinned[st.Layer] {
-			continue
+		if st.Layer != "" && !pinned[st.Layer] {
+			victims = append(victims, key)
 		}
-		victims = append(victims, victim{d.order["s:"+key], false, key})
 	}
-	for key := range d.chains {
-		victims = append(victims, victim{d.order["c:"+key], true, key})
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	for _, v := range victims {
+	sort.Slice(victims, func(i, j int) bool { return d.order[victims[i]] < d.order[victims[j]] })
+	for _, key := range victims {
 		if total <= b.MaxBytes {
 			break
 		}
-		if v.isChain {
-			ch := d.chains[v.key]
-			delete(d.chains, v.key)
-			delete(d.order, "c:"+v.key)
-			stats.ChainsDropped++
-			if err := release(ch.Snap); err != nil {
-				return stats, err
-			}
-			for _, l := range ch.Layers {
-				if err := release(l); err != nil {
-					return stats, err
-				}
-			}
-		} else {
-			st := d.steps[v.key]
-			delete(d.steps, v.key)
-			delete(d.order, "s:"+v.key)
-			stats.StepsDropped++
-			if err := release(st.Layer); err != nil {
-				return stats, err
-			}
+		st := d.steps[key]
+		delete(d.steps, key)
+		delete(d.order, key)
+		stats.StepsDropped++
+		// The layer blob goes once no surviving step holds it.
+		ref[st.Layer]--
+		if ref[st.Layer] > 0 {
+			continue
 		}
+		p, err := d.blobPath(st.Layer)
+		if err != nil {
+			continue // malformed digest in an old record: nothing on disk
+		}
+		if err := os.Remove(p); err != nil {
+			if os.IsNotExist(err) {
+				continue
+			}
+			return stats, fmt.Errorf("cas: gc: %w", err)
+		}
+		total -= sizes[st.Layer]
+		blobsKept--
+		stats.BlobsSwept++
+		stats.BytesSwept += sizes[st.Layer]
 	}
 	stats.BlobsKept = blobsKept
 	stats.BytesKept = total

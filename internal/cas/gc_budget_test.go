@@ -129,47 +129,6 @@ func TestGCBudgetSharedBlobRefcounted(t *testing.T) {
 	}
 }
 
-// Evicting a step must not delete a layer blob a surviving chain lists as
-// a member — the chain would dangle and read as damage at the next open.
-// The invariant under test: after any budgeted GC, a reopen reports a
-// healthy store.
-func TestGCBudgetChainMembersHoldReferences(t *testing.T) {
-	root := t.TempDir()
-	d, _ := openT(t, root)
-	layer := bytes.Repeat([]byte{'l'}, 1024)
-	if err := d.PutStep(ctx, "old-step", layer, 0); err != nil {
-		t.Fatal(err)
-	}
-	putSizedStep(t, d, "filler", 1024)
-	// Recorded last, so both steps are older victims; the chain lists the
-	// first step's layer as a member.
-	if err := d.PutChain(ctx, "sha256:chain", []string{Sum(layer)}, bytes.Repeat([]byte{'n'}, 512)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Budget 1536: evicting old-step frees nothing (the chain holds its
-	// layer), evicting filler frees 1024 → total 1536 = layer + snap.
-	if _, err := d.GC(ctx, Budget{MaxBytes: 1536}); err != nil {
-		t.Fatal(err)
-	}
-	if !d.HasBlob(Sum(layer)) {
-		t.Fatal("chain member layer deleted while the chain survives")
-	}
-	if _, ok := d.Chain("sha256:chain"); !ok {
-		t.Fatal("in-budget chain evicted")
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2, rep := openT(t, root)
-	if rep.Quarantined() {
-		t.Fatalf("reopen after budgeted GC reports damage: %+v", rep)
-	}
-	if _, ok := d2.Chain("sha256:chain"); !ok {
-		t.Fatal("chain lost on reopen")
-	}
-}
-
 // Recency order survives the journal compaction a GC performs and a full
 // reopen: an under-budget GC (which rewrites the journal) must not reset
 // the eviction order a later over-budget GC uses.

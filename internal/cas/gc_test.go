@@ -36,8 +36,8 @@ func TestGCBlobSharedByTwoTagsSurvives(t *testing.T) {
 	}
 }
 
-// Untagged intermediate-stage blobs — step layers and flatten chains no
-// tagged image retains — are collected; everything a tag reaches stays.
+// Untagged intermediate-stage blobs — step layers no tagged image
+// retains — are collected; everything a tag reaches stays.
 func TestGCCollectsUntaggedIntermediates(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
@@ -57,19 +57,12 @@ func TestGCCollectsUntaggedIntermediates(t *testing.T) {
 	if err := d.PutStep(ctx, "no-layer-step", nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Chains for the tagged image and for the intermediate stage.
-	if err := d.PutChain(ctx, "sha256:tagged", []string{fd}, []byte("tagged snap")); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.PutChain(ctx, "sha256:inter", []string{Sum(inter)}, []byte("inter snap")); err != nil {
-		t.Fatal(err)
-	}
 
 	stats, err := d.GC(ctx, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.StepsDropped != 1 || stats.ChainsDropped != 1 {
+	if stats.StepsDropped != 1 {
 		t.Fatalf("stats: %+v", stats)
 	}
 	if _, ok := d.Step("final-step"); !ok {
@@ -81,16 +74,10 @@ func TestGCCollectsUntaggedIntermediates(t *testing.T) {
 	if _, ok := d.Step("inter-step"); ok {
 		t.Fatal("intermediate step survived")
 	}
-	if _, ok := d.Chain("sha256:tagged"); !ok {
-		t.Fatal("tagged chain dropped")
-	}
-	if _, ok := d.Chain("sha256:inter"); ok {
-		t.Fatal("intermediate chain survived")
-	}
-	if d.HasBlob(Sum(inter)) || d.HasBlob(Sum([]byte("inter snap"))) {
+	if d.HasBlob(Sum(inter)) {
 		t.Fatal("intermediate blobs survived")
 	}
-	if !d.HasBlob(fd) || !d.HasBlob(Sum([]byte("tagged snap"))) {
+	if !d.HasBlob(fd) {
 		t.Fatal("tagged blobs swept")
 	}
 	d.Close()
@@ -135,7 +122,7 @@ func TestGCEmptyStoreNoOp(t *testing.T) {
 func TestGCNoRootsSweepsAll(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
 	d.PutStep(ctx, "s", []byte("layer"), 0)
-	d.PutChain(ctx, "sha256:c", []string{Sum([]byte("layer"))}, []byte("snap"))
+	d.PutBlob(ctx, []byte("unreferenced"))
 	stats, err := d.GC(ctx, Budget{})
 	if err != nil {
 		t.Fatal(err)

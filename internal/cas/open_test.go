@@ -2,6 +2,8 @@ package cas
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,10 +15,9 @@ import (
 
 // parityStore is a store of 200+ blobs with every record kind, written
 // so that the records each blob backs are known: steps (some sharing a
-// layer), multi-layer tags, and chains with their own snapshot blobs.
+// layer) and multi-layer tags.
 type parityStore struct {
 	layers []string // layer digest i backs step-i (and dup-i for i < 10)
-	snaps  []string // snapshot digest k backs chain-k
 	files  int      // blob files on disk
 }
 
@@ -45,11 +46,6 @@ func buildParityStore(t *testing.T, root string) parityStore {
 		if err := d.PutTag(ctx, fmt.Sprintf("app:%d", k), ps.layers[k*20:k*20+4], nil); err != nil {
 			t.Fatal(err)
 		}
-		snap := []byte(fmt.Sprintf("snapshot-%d", k))
-		if err := d.PutChain(ctx, fmt.Sprintf("sha256:chain-%d", k), ps.layers[k*20+1:k*20+3], snap); err != nil {
-			t.Fatal(err)
-		}
-		ps.snaps = append(ps.snaps, Sum(snap))
 	}
 	ps.files, _ = d.BlobStats()
 	if err := d.Close(); err != nil {
@@ -64,7 +60,7 @@ func buildParityStore(t *testing.T, root string) parityStore {
 //
 //   - layer 20 truncated;
 //   - layer 41 with one bit flipped;
-//   - chain 3's snapshot renamed under a digest it does not hash to;
+//   - layer 62 renamed under a digest it does not hash to;
 //   - a directory in place of layer 5's file: unreadable but present,
 //     so it is left alone and its records survive.
 func damageParityStore(t *testing.T, root string, ps parityStore) (lost map[string]bool, quarantined []string) {
@@ -77,7 +73,7 @@ func damageParityStore(t *testing.T, root string, ps parityStore) (lost map[stri
 		}
 		return p
 	}
-	truncated, flipped, renamed, dir := ps.layers[20], ps.layers[41], ps.snaps[3], ps.layers[5]
+	truncated, flipped, renamed, dir := ps.layers[20], ps.layers[41], ps.layers[62], ps.layers[5]
 
 	data, err := os.ReadFile(path(truncated))
 	if err != nil {
@@ -121,18 +117,12 @@ func damageParityStore(t *testing.T, root string, ps parityStore) (lost map[stri
 
 // survivors is what a store's handle still serves, rendered for
 // comparison.
-func survivors(d *Dir) (steps, tags, chains []string) {
+func survivors(d *Dir) (steps, tags []string) {
 	for _, st := range d.Steps() {
 		steps = append(steps, st.Key)
 	}
 	sort.Strings(steps)
-	tags = d.TagNames()
-	for k := 0; k < 10; k++ {
-		if _, ok := d.Chain(fmt.Sprintf("sha256:chain-%d", k)); ok {
-			chains = append(chains, fmt.Sprintf("sha256:chain-%d", k))
-		}
-	}
-	return steps, tags, chains
+	return steps, d.TagNames()
 }
 
 // The concurrent open must reach exactly the outcome the serial fsck
@@ -149,7 +139,7 @@ func TestParallelFsckMatchesSerialSemantics(t *testing.T) {
 			lost, wantQuarantine := damageParityStore(t, root, ps)
 
 			// The oracle: which records a serial pass keeps.
-			var wantSteps, wantTags, wantChains []string
+			var wantSteps, wantTags []string
 			for i, l := range ps.layers {
 				if !lost[l] {
 					wantSteps = append(wantSteps, fmt.Sprintf("step-%03d", i))
@@ -161,22 +151,16 @@ func TestParallelFsckMatchesSerialSemantics(t *testing.T) {
 			wantSteps = append(wantSteps, "no-layer")
 			sort.Strings(wantSteps)
 			for k := 0; k < 10; k++ {
-				tagOK, chainOK := true, !lost[ps.snaps[k]]
+				tagOK := true
 				for _, l := range ps.layers[k*20 : k*20+4] {
 					tagOK = tagOK && !lost[l]
-				}
-				for _, l := range ps.layers[k*20+1 : k*20+3] {
-					chainOK = chainOK && !lost[l]
 				}
 				if tagOK {
 					wantTags = append(wantTags, fmt.Sprintf("app:%d", k))
 				}
-				if chainOK {
-					wantChains = append(wantChains, fmt.Sprintf("sha256:chain-%d", k))
-				}
 			}
-			records := 200 + 10 + 1 + 10 + 10
-			wantDropped := records - len(wantSteps) - len(wantTags) - len(wantChains)
+			records := 200 + 10 + 1 + 10
+			wantDropped := records - len(wantSteps) - len(wantTags)
 
 			d, rep := openT(t, root)
 			want := Report{
@@ -202,15 +186,12 @@ func TestParallelFsckMatchesSerialSemantics(t *testing.T) {
 			if fmt.Sprint(gotQuarantine) != fmt.Sprint(wantQuarantine) {
 				t.Fatalf("quarantine/ holds %v, want %v", gotQuarantine, wantQuarantine)
 			}
-			steps, tags, chains := survivors(d)
+			steps, tags := survivors(d)
 			if fmt.Sprint(steps) != fmt.Sprint(wantSteps) {
 				t.Fatalf("surviving steps %v, want %v", steps, wantSteps)
 			}
 			if fmt.Sprint(tags) != fmt.Sprint(wantTags) {
 				t.Fatalf("surviving tags %v, want %v", tags, wantTags)
-			}
-			if fmt.Sprint(chains) != fmt.Sprint(wantChains) {
-				t.Fatalf("surviving chains %v, want %v", chains, wantChains)
 			}
 			// The directory at layer 5's path was unreadable, not corrupt:
 			// left in place, and its records kept.
@@ -277,5 +258,63 @@ func TestOpenRegularFileNotADirectory(t *testing.T) {
 	}
 	if _, _, err := Open(file); err == nil || !strings.Contains(err.Error(), "not a directory") {
 		t.Fatalf("Open on a regular file: err=%v, want not a directory", err)
+	}
+}
+
+// A store written by a build that still persisted flatten chains opens
+// clean: the legacy "chain" journal line passes its checksum, is ignored
+// as an unknown record type, and drops at the next compaction, while the
+// snapshot blob it named is unreferenced and goes at the next GC.
+func TestOpenIgnoresLegacyChainRecord(t *testing.T) {
+	root := t.TempDir()
+	d, _ := openT(t, root)
+	layer, err := d.PutBlob(ctx, []byte("tag layer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutTag(ctx, "app:1", []string{layer}, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := d.PutBlob(ctx, []byte("whole-tree snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload := fmt.Sprintf(`{"t":"chain","chain_idx":{"chain":%q,"layers":[%q],"snap":%q}}`,
+		Sum([]byte("chain")), layer, snap)
+	sum := sha256.Sum256([]byte(payload))
+	j, err := os.OpenFile(filepath.Join(root, "journal"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Fprintf(j, "%s %s\n", hex.EncodeToString(sum[:]), payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, rep := openT(t, root)
+	if rep.Quarantined() {
+		t.Fatalf("legacy chain record read as damage: %+v", rep)
+	}
+	if tg, ok := d2.Tag("app:1"); !ok || len(tg.Layers) != 1 || tg.Layers[0] != layer {
+		t.Fatalf("tag: %+v ok=%v", tg, ok)
+	}
+	stats, err := d2.GC(ctx, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BlobsSwept != 1 || d2.HasBlob(snap) || !d2.HasBlob(layer) {
+		t.Fatalf("GC: %+v, snapshot kept=%v, layer kept=%v", stats, d2.HasBlob(snap), d2.HasBlob(layer))
+	}
+	data, err := os.ReadFile(filepath.Join(root, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"chain"`)) {
+		t.Fatalf("compacted journal still holds a chain record:\n%s", data)
 	}
 }

@@ -140,17 +140,15 @@ type Store struct {
 
 	// chains memoises flattened layer chains by chain digest. Fills are
 	// single-flight: concurrent misses on one chain unpack+snapshot once.
-	chains     map[string]flatChain
-	flights    flight.Group[flatChain]
-	fills      int // completed fills (unpack+snapshot paid), for tests and stats
-	rehydrates int // chains loaded from the backing store instead of filled
+	chains  map[string]flatChain
+	flights flight.Group[flatChain]
+	fills   int // completed fills (unpack+snapshot paid), for tests and stats
 
 	// backing, when set, is the persistent content-addressed store the
-	// in-memory maps are a cache over: Put writes through (blobs, tag
-	// records, flatten-chain snapshots), GetContext and flattened fall
-	// back to it on miss and rehydrate lazily. A backing failure never
-	// fails the store — persistence degrades and the errors aggregate in
-	// backingErrs.
+	// in-memory maps are a cache over: Put writes through (blobs and tag
+	// records), GetContext falls back to it on miss and rehydrates the
+	// tag's layers lazily. A backing failure never fails the store —
+	// persistence degrades and the errors aggregate in backingErrs.
 	backing     *cas.Dir
 	backingErrs cas.Failures
 }
@@ -176,11 +174,10 @@ func NewStore() *Store {
 // built once and cached; callers receive an independent deep clone they
 // may mutate freely. The cached tree is snapshotted once at fill time,
 // which both serves FlattenedEntries and warms the per-file content
-// digests every clone inherits. Cancelling ctx aborts a backing-store
-// rehydration (the fill itself is in-memory work that runs to
-// completion).
+// digests every clone inherits. The fill is in-memory work that runs to
+// completion whatever ctx says.
 func (s *Store) Flatten(ctx context.Context, img *Image) (*vfs.FS, error) {
-	c, err := s.flattened(ctx, img)
+	c, err := s.flattened(img)
 	if err != nil {
 		return nil, err
 	}
@@ -193,12 +190,10 @@ func (s *Store) Flatten(ctx context.Context, img *Image) (*vfs.FS, error) {
 // it publishes and then share the result, or its error. A failed fill is
 // not cached — the next caller retries.
 //
-// With a backing store attached, a miss first tries the persisted
-// flatten-chain index: the whole-tree snapshot recorded by an earlier
-// invocation unpacks in one pass (counted in Rehydrates, not
-// FlattenFills), and a genuine fill persists its snapshot for the next
-// invocation.
-func (s *Store) flattened(ctx context.Context, img *Image) (flatChain, error) {
+// Nothing about a chain is persisted: in a fresh process, a FROM of a tag
+// an earlier invocation built fills from the layers GetContext has
+// already loaded into the store's blobs.
+func (s *Store) flattened(img *Image) (flatChain, error) {
 	key := ChainDigest(img.Layers)
 	s.mu.Lock()
 	if c, ok := s.chains[key]; ok {
@@ -211,98 +206,22 @@ func (s *Store) flattened(ctx context.Context, img *Image) (flatChain, error) {
 		return f.Wait()
 	}
 
-	c, rehydrated := s.rehydrateChain(ctx, key)
-	var err error
-	if !rehydrated {
-		c.fs, err = s.flattenPristine(img)
-		if err == nil {
-			c.lower, err = tarutil.Snapshot(c.fs)
-		}
+	fs, err := s.flattenPristine(img)
+	var lower []tarutil.Entry
+	if err == nil {
+		lower, err = tarutil.Snapshot(fs)
 	}
+	var c flatChain
 	s.mu.Lock()
 	if err == nil {
+		c = flatChain{fs, lower}
 		s.chains[key] = c
-		if rehydrated {
-			s.rehydrates++
-			mFlattenRehydrates.Inc()
-		} else {
-			s.fills++
-			mFlattenFills.Inc()
-		}
-	} else {
-		c = flatChain{}
+		s.fills++
+		mFlattenFills.Inc()
 	}
 	s.flights.Finish(key, c, err)
 	s.mu.Unlock()
-	if err == nil && !rehydrated {
-		s.persistChain(ctx, key, img, c.lower)
-	}
 	return c, err
-}
-
-// rehydrateChain tries to satisfy a flatten-cache miss from the backing
-// store's persisted chain snapshot. Any failure (no backing, no record,
-// corrupt snapshot) reports false and the caller pays the ordinary fill.
-func (s *Store) rehydrateChain(ctx context.Context, key string) (flatChain, bool) {
-	backing := s.Backing()
-	if backing == nil {
-		return flatChain{}, false
-	}
-	ch, ok := backing.Chain(key)
-	if !ok {
-		return flatChain{}, false
-	}
-	var snap []byte
-	err := cas.DefaultRetry.Do(ctx, func() error {
-		var rerr error
-		snap, rerr = backing.Blob(ctx, ch.Snap)
-		return rerr
-	})
-	if err != nil {
-		return flatChain{}, false
-	}
-	fs := vfs.New()
-	if err := tarutil.Unpack(fs, snap); err != nil {
-		return flatChain{}, false
-	}
-	lower, err := tarutil.Snapshot(fs)
-	if err != nil {
-		return flatChain{}, false
-	}
-	return flatChain{fs, lower}, true
-}
-
-// persistChain writes a freshly filled flatten chain through to the
-// backing store: the member layer blobs (so fsck and GC can account for
-// them) and the packed whole-tree snapshot under the chain digest.
-func (s *Store) persistChain(ctx context.Context, key string, img *Image, lower []tarutil.Entry) {
-	backing := s.Backing()
-	if backing == nil {
-		return
-	}
-	// The whole sequence is idempotent (write-once blobs, same-record
-	// skip), so a transient mid-sequence failure retries from the top.
-	err := cas.DefaultRetry.Do(ctx, func() error {
-		digests := make([]string, len(img.Layers))
-		for i, l := range img.Layers {
-			data, ok := s.blobView(l.Digest)
-			if !ok {
-				data = l.Data
-			}
-			if _, err := backing.PutBlob(ctx, data); err != nil {
-				return err
-			}
-			digests[i] = l.Digest
-		}
-		packed, err := tarutil.Pack(lower)
-		if err != nil {
-			return err
-		}
-		return backing.PutChain(ctx, key, digests, packed)
-	})
-	s.mu.Lock()
-	s.backingErrs.Add(err)
-	s.mu.Unlock()
 }
 
 // flattenPristine is Image.Flatten reading each layer from the store's
@@ -332,7 +251,7 @@ func (s *Store) flattenPristine(img *Image) (*vfs.FS, error) {
 // across callers and must be treated as read-only; copy Entry.Data before
 // retaining or mutating it.
 func (s *Store) FlattenedEntries(ctx context.Context, img *Image) ([]tarutil.Entry, error) {
-	c, err := s.flattened(ctx, img)
+	c, err := s.flattened(img)
 	return c.lower, err
 }
 
@@ -345,19 +264,10 @@ func (s *Store) FlattenFills() int {
 	return s.fills
 }
 
-// Rehydrates reports how many flatten chains were loaded from the backing
-// store's persisted snapshots instead of being filled from layers — the
-// warm-from-disk counterpart of FlattenFills.
-func (s *Store) Rehydrates() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rehydrates
-}
-
 // SetBacking attaches a persistent content-addressed store: subsequent
-// Puts write through (layer blobs, tag records) and GetContext and flatten
-// fills fall back to it, so tags, layers and flatten chains survive the
-// process and the next invocation starts warm. Attach the backing before
+// Puts write through (layer blobs, tag records) and GetContext falls back
+// to it, so tags and their layers survive the process and the next
+// invocation starts warm. Attach the backing before
 // seeding the store — images Put earlier are not retroactively persisted.
 // Persistence errors never fail store operations; they are recorded and
 // readable via BackingErr.

@@ -2,12 +2,8 @@ package image
 
 import "repro/internal/obs"
 
-// Flatten-cache instruments on the obs default registry (see
-// docs/observability.md): a fill pays the full tree materialisation, a
-// rehydrate replays a persisted chain snapshot from cas.
-var (
-	mFlattenFills = obs.NewCounter("ch_image_flatten_fills_total",
-		"Flatten-cache misses materialised from scratch.")
-	mFlattenRehydrates = obs.NewCounter("ch_image_flatten_rehydrates_total",
-		"Flatten-cache misses served by rehydrating a persisted chain snapshot.")
-)
+// mFlattenFills is the flatten-cache instrument on the obs default
+// registry (see docs/observability.md): each fill pays the full tree
+// materialisation of one layer chain.
+var mFlattenFills = obs.NewCounter("ch_image_flatten_fills_total",
+	"Flatten-cache misses materialised from scratch.")
