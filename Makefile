@@ -16,13 +16,14 @@ test:
 # The concurrency gate: the pool, the shared caches and the registry must
 # be race-clean with the detector on. The second line repeats the
 # single-flight tests (flight.Group and its users: the instruction cache's
-# fills and lazy loads, the store's flatten fills) so each run samples many
-# interleavings, not one. The third repeats the daemon tests where an
-# operation's wait for a build slot races its cancel or the drain.
+# fills and lazy loads, the store's flatten fills) and the package repo's
+# encode-on-first-fetch so each run samples many interleavings, not one.
+# The third repeats the daemon tests where an operation's wait for a
+# build slot races its cancel or the drain.
 race:
 	go test -race ./...
-	go test -race -count=20 -run 'SingleFlight|ConcurrentAccounting|ReleasesWaiters|Hammer|LazyFlight' \
-		./internal/build ./internal/image ./internal/flight
+	go test -race -count=20 -run 'SingleFlight|ConcurrentAccounting|ReleasesWaiters|Hammer|LazyFlight|RepoFetchConcurrent' \
+		./internal/build ./internal/image ./internal/flight ./internal/pkgmgr
 	go test -race -count=20 -run 'CancelQueued|CancelRunning|Saturation|Drain' ./internal/daemon
 
 # One pass over every benchmark, including the E8/E15 build matrix. The
@@ -47,12 +48,16 @@ race:
 #     on the warm build path, instrumented vs obs.SetDisabled — the <3%
 #     acceptance ceiling in docs/observability.md is checked against it;
 #   - tar: BenchmarkLayerCodec, the tar codec on base layers, apk payloads
-#     and commit-sized diffs.
+#     and commit-sized diffs;
+#   - invocation: BenchmarkInvocation, one whole cold or warm ch-image
+#     invocation (world, store, seeded bases, build), the fixed set-up
+#     the emulated RUN work sits in.
 # Each record is name:pattern:benchtime. (No pipe into tee: that would
 # mask go test's exit status.)
 BENCH_RECORDS = parallel:BenchmarkBuildParallel:5x multistage:BenchmarkBuildMultiStage:5x \
 	persistent:BenchmarkBuildPersistent:5x cas:BenchmarkCacheOpen:5x \
-	obs:BenchmarkObsOverhead:5x tar:BenchmarkLayerCodec:1000x
+	obs:BenchmarkObsOverhead:5x tar:BenchmarkLayerCodec:1000x \
+	invocation:BenchmarkInvocation:200x
 empty :=
 space := $(empty) $(empty)
 BENCH_SKIP = $(subst $(space),|,$(foreach r,$(BENCH_RECORDS),$(word 2,$(subst :, ,$(r)))))

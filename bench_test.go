@@ -22,11 +22,15 @@
 //
 //   - BenchmarkLayerCodec: the tar encoder and decoder on base layers,
 //     package payloads and commit-sized diffs.
+//
+//   - BenchmarkInvocation: one whole cold or warm ch-image invocation,
+//     set-up (world, store, seeded bases) included.
 package repro
 
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -769,6 +773,60 @@ func BenchmarkBuildPersistent(b *testing.B) {
 			if err != nil || res.Executed != 0 {
 				b.Fatalf("executed=%d err=%v", res.Executed, err)
 			}
+		}
+	})
+}
+
+// BenchmarkInvocation is one whole ch-image invocation as the repository
+// benchmark's cold and warm workloads run it: a fresh package world and
+// image store, the stock bases seeded, one seccomp build of a
+// package-install Dockerfile. Everything but the build itself is fixed
+// set-up, so this is where base seeding, the first FROM, package encoding
+// and filter generation show against the emulated RUN work.
+//
+//   - cold: no cache directory, so every instruction executes;
+//   - warm: each iteration opens a cas directory populated before the
+//     timer starts, replays every instruction from it, and closes it.
+func BenchmarkInvocation(b *testing.B) {
+	const text = "FROM alpine:3.19\nRUN apk add sl\nCOPY app.txt /srv/app.txt\n" +
+		"RUN mkdir -p /bench && echo 5eed > /bench/marker\nENV BENCH_TOKEN=5eed\nWORKDIR /srv\n"
+	bctx := map[string][]byte{"app.txt": []byte(strings.Repeat("invocation context\n", 54))}
+	invoke := func(b *testing.B, root string, wantExecuted int) {
+		b.Helper()
+		world := pkgmgr.NewWorld()
+		store := image.NewStore()
+		opt := build.Options{Tag: "bench", Force: build.ForceSeccomp, Store: store, World: world,
+			Context: bctx, StageJobs: 1}
+		if root != "" {
+			d, _, err := cas.Open(root)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			store.SetBacking(d)
+			opt.Cache = build.NewPersistentCache(d)
+		}
+		if err := world.SeedBases(store); err != nil {
+			b.Fatal(err)
+		}
+		res, err := build.BuildContext(context.Background(), text, opt)
+		if err != nil || res.Executed != wantExecuted {
+			b.Fatalf("executed=%d err=%v, want executed=%d", res.Executed, err, wantExecuted)
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			invoke(b, "", 3)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		root := b.TempDir() + "/cas"
+		invoke(b, root, 3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			invoke(b, root, 0)
 		}
 	})
 }

@@ -107,7 +107,16 @@ func TestPoolSameDockerfileFullyCachedRuns(t *testing.T) {
 func TestPoolConcurrentAccountingInvariants(t *testing.T) {
 	const n = 8
 	jobs, cache := sameJobs(t, n)
-	store := jobs[0].Options.Store
+	// Re-Put the bases as Clones, which carry no FromFS tree, into a fresh
+	// store: the shared base chain must really fill, once, under the race.
+	store := image.NewStore()
+	for _, tag := range jobs[0].Options.Store.Tags() {
+		img, _ := jobs[0].Options.Store.GetContext(context.Background(), tag)
+		store.Put(img.Clone(tag))
+	}
+	for i := range jobs {
+		jobs[i].Options.Store = store
+	}
 	results, err := (&Pool{Workers: 4}).RunContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -483,7 +483,8 @@ func TestBuildArgOnlyDockerfile(t *testing.T) {
 
 // A warm COPY --from replay must not flatten (and memoise) the source
 // stage's tree: on a fresh store with a warm shared cache, every step
-// replays and the only flatten fills are the two FROM bases.
+// replays and nothing fills — the two FROM bases arrive unpacked from
+// SeedBases.
 func TestMultiStageWarmReplaySkipsSourceFlatten(t *testing.T) {
 	w, s1 := fixtures(t)
 	cache := NewCache()
@@ -497,10 +498,11 @@ func TestMultiStageWarmReplaySkipsSourceFlatten(t *testing.T) {
 	if res.CacheHits != 4 {
 		t.Fatalf("warm hits = %d, want 4", res.CacheHits)
 	}
-	// centos:7 and alpine:3.19 chains only; the build stage's chain was
-	// never flattened because its COPY --from replayed.
-	if fills := s2.FlattenFills(); fills != 2 {
-		t.Fatalf("flatten fills on warm store = %d, want 2", fills)
+	// The seeded centos:7 and alpine:3.19 chains need no fill, and the
+	// build stage's chain was never flattened because its COPY --from
+	// replayed.
+	if fills := s2.FlattenFills(); fills != 0 {
+		t.Fatalf("flatten fills on warm store = %d, want 0", fills)
 	}
 }
 

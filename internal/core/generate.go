@@ -122,8 +122,9 @@ func Generate(cfg Config) (bpf.Program, error) {
 		a.Ja("sec_" + arch.Name)
 	}
 
+	inv := Inventory(cfg.Variant)
 	for _, arch := range arches {
-		if err := emitArchSection(a, arch, cfg, fake); err != nil {
+		if err := emitArchSection(a, arch, inv, cfg, fake); err != nil {
 			return nil, err
 		}
 	}
@@ -143,11 +144,13 @@ type dispatchEntry struct {
 	target string
 }
 
-func emitArchSection(a *bpf.Assembler, arch *sysarch.Arch, cfg Config, fake uint32) error {
+// emitArchSection emits one architecture's dispatch over inv, the
+// variant's inventory, which Generate builds once for every section.
+func emitArchSection(a *bpf.Assembler, arch *sysarch.Arch, inv []FilteredSyscall, cfg Config, fake uint32) error {
 	suffix := "_" + arch.Name
 	entries := make([]dispatchEntry, 0, 32)
 	sawMknod := map[string]bool{}
-	for _, fs := range Inventory(cfg.Variant) {
+	for _, fs := range inv {
 		nr, ok := arch.Number(fs.Name)
 		if !ok {
 			continue // e.g. chown on arm64 (§5 fn. 7)

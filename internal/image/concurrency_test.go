@@ -13,13 +13,21 @@ import (
 // single-flight fill, the store under parallel mixed use, and the
 // registry under concurrent push/pull of overlapping blob sets.
 
-// TestStoreFlattenSingleFlight: N goroutines miss on the same chain at
-// once; exactly one unpack+snapshot runs and everyone shares its result.
-func TestStoreFlattenSingleFlight(t *testing.T) {
-	img, err := FromFS("base:1", baseFS(t), Config{})
+// unseeded returns an image over baseFS that carries no FromFS tree, so
+// the first Flatten of its chain in a store really fills.
+func unseeded(t *testing.T, name string) *Image {
+	t.Helper()
+	img, err := FromFS(name, baseFS(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return img.Clone(name)
+}
+
+// TestStoreFlattenSingleFlight: N goroutines miss on the same chain at
+// once; exactly one unpack+snapshot runs and everyone shares its result.
+func TestStoreFlattenSingleFlight(t *testing.T) {
+	img := unseeded(t, "base:1")
 	s := NewStore()
 	s.Put(img)
 
@@ -81,10 +89,7 @@ func TestStoreFlattenSingleFlight(t *testing.T) {
 // test that proves the locking holds together.
 func TestStoreConcurrentHammer(t *testing.T) {
 	s := NewStore()
-	base, err := FromFS("base:0", baseFS(t), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := unseeded(t, "base:0")
 	s.Put(base)
 
 	const workers = 8

@@ -57,9 +57,16 @@ type Image struct {
 	Name   string // "alpine:3.19"
 	Layers []Layer
 	Config Config
+
+	// seed is the tree FromFS packed into Layers and its snapshot, valid
+	// only while ChainDigest(Layers) still equals seedKey. PutContext
+	// hands it to the store's chain cache; see FromFS.
+	seed    flatChain
+	seedKey string
 }
 
 // Clone returns a deep-enough copy for derivation (layers are immutable).
+// The copy carries no FromFS tree: a store fills its chain from the layers.
 func (img *Image) Clone(name string) *Image {
 	out := &Image{Name: name, Config: img.Config}
 	out.Layers = append([]Layer{}, img.Layers...)
@@ -140,6 +147,7 @@ type Store struct {
 
 	// chains memoises flattened layer chains by chain digest. Fills are
 	// single-flight: concurrent misses on one chain unpack+snapshot once.
+	// A chain PutContext took from FromFS is cached without a fill.
 	chains  map[string]flatChain
 	flights flight.Group[flatChain]
 	fills   int // completed fills (unpack+snapshot paid), for tests and stats
@@ -330,9 +338,18 @@ func (s *Store) Put(img *Image) {
 
 // PutContext is Put under a context: cancellation aborts the
 // write-through (recorded as a persistence failure), never the in-memory
-// tag, which is already visible when the disk write starts.
+// tag, which is already visible when the disk write starts. An image
+// FromFS made, with its Layers as FromFS left them, also hands over its
+// tree: the chain is cached without an unpack and is not counted as a
+// fill.
 func (s *Store) PutContext(ctx context.Context, img *Image) {
+	seeded := img.seedKey != "" && ChainDigest(img.Layers) == img.seedKey
 	s.mu.Lock()
+	if seeded {
+		if _, ok := s.chains[img.seedKey]; !ok {
+			s.chains[img.seedKey] = img.seed
+		}
+	}
 	pristine := make([][]byte, len(img.Layers))
 	digests := make([]string, len(img.Layers))
 	for i, l := range img.Layers {
@@ -503,16 +520,29 @@ func (s *Store) Tags() []string {
 	return out
 }
 
-// FromFS builds a single-layer image from a filesystem.
+// FromFS builds a single-layer image from a filesystem. The image keeps
+// fs and the snapshot it packed, and the first store it is Put into takes
+// them as the layer's flattened chain, so the first FROM of it clones a
+// tree instead of unpacking one. The store takes ownership of fs: the
+// caller must not mutate it after the call. The handed-over tree differs
+// from an unpacked one only in mtimes (Unpack sets none from headers),
+// which layer diffs and COPY --from ignore.
 func FromFS(name string, fs *vfs.FS, cfg Config) (*Image, error) {
-	data, err := tarutil.PackFS(fs)
+	lower, err := tarutil.Snapshot(fs)
 	if err != nil {
 		return nil, err
 	}
+	data, err := tarutil.Pack(lower)
+	if err != nil {
+		return nil, err
+	}
+	layers := []Layer{{Digest: Digest(data), Data: data}}
 	return &Image{
-		Name:   name,
-		Layers: []Layer{{Digest: Digest(data), Data: data}},
-		Config: cfg,
+		Name:    name,
+		Layers:  layers,
+		Config:  cfg,
+		seed:    flatChain{fs, lower},
+		seedKey: ChainDigest(layers),
 	}, nil
 }
 

@@ -95,7 +95,9 @@ func registerShellAndCoreutils(reg *simos.BinaryRegistry, static bool) {
 // BaseImage builds the single-layer base image for a distro. The image
 // filesystem is stamped with a fixed clock, not wall time: layer bytes —
 // and therefore digests, the keys of the persistent build cache — must be
-// identical across processes, or every invocation would start cold.
+// identical across processes, or every invocation would start cold. The
+// filesystem goes to image.FromFS and no reference stays here, so the
+// store that takes the image owns its tree.
 func (w *World) BaseImage(distro, name string) (*image.Image, error) {
 	fs := vfs.New()
 	epoch := time.Date(2024, 5, 9, 0, 0, 0, 0, time.UTC) // the simulated kernel's base time

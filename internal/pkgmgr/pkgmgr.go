@@ -25,6 +25,7 @@ package pkgmgr
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/errno"
 	"repro/internal/simos"
@@ -66,13 +67,15 @@ type Package struct {
 }
 
 // Repo is a package repository: metadata plus fetchable blobs in one of
-// the three formats.
+// the three formats. Blobs are encoded on first Fetch and cached; a Repo
+// is safe for concurrent Fetch, Meta, Names and Resolve calls.
 type Repo struct {
 	URL    string // displayed in fetch lines
 	Format string // "apk", "rpm", "deb"
 
+	mu    sync.Mutex
 	metas map[string]*Package
-	blobs map[string][]byte
+	blobs map[string][]byte // encoded on first Fetch
 }
 
 // NewRepo creates an empty repository.
@@ -80,25 +83,30 @@ func NewRepo(url, format string) *Repo {
 	return &Repo{URL: url, Format: format, metas: map[string]*Package{}, blobs: map[string][]byte{}}
 }
 
-// Add encodes and publishes a package.
-func (r *Repo) Add(p *Package) error {
-	var blob []byte
-	var err error
-	switch r.Format {
+// encoder returns the package encoder for a repo format.
+func encoder(format string) (func(*Package) ([]byte, error), bool) {
+	switch format {
 	case "apk":
-		blob, err = BuildAPK(p)
+		return BuildAPK, true
 	case "rpm":
-		blob, err = BuildRPM(p)
+		return BuildRPM, true
 	case "deb":
-		blob, err = BuildDEB(p)
-	default:
+		return BuildDEB, true
+	}
+	return nil, false
+}
+
+// Add publishes a package, replacing any of the same name. The blob is
+// encoded on its first Fetch, not here; an unknown repo format is still
+// rejected at once.
+func (r *Repo) Add(p *Package) error {
+	if _, ok := encoder(r.Format); !ok {
 		return fmt.Errorf("pkgmgr: unknown repo format %q", r.Format)
 	}
-	if err != nil {
-		return err
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.metas[p.Name] = p
-	r.blobs[p.Name] = blob
+	delete(r.blobs, p.Name)
 	return nil
 }
 
@@ -111,18 +119,39 @@ func (r *Repo) MustAdd(p *Package) {
 
 // Meta returns package metadata.
 func (r *Repo) Meta(name string) (*Package, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	p, ok := r.metas[name]
 	return p, ok
 }
 
-// Fetch returns the encoded package blob.
+// Fetch returns the encoded package blob, encoding it on the first call
+// for a name and serving the cached bytes after. It reports false for an
+// unknown package or one whose encoder fails. Callers must not modify
+// the returned slice: every Fetch of a name shares it.
 func (r *Repo) Fetch(name string) ([]byte, bool) {
-	b, ok := r.blobs[name]
-	return b, ok
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if b, ok := r.blobs[name]; ok {
+		return b, true
+	}
+	p, ok := r.metas[name]
+	if !ok {
+		return nil, false
+	}
+	encode, _ := encoder(r.Format)
+	b, err := encode(p)
+	if err != nil {
+		return nil, false
+	}
+	r.blobs[name] = b
+	return b, true
 }
 
 // Names lists available packages, sorted.
 func (r *Repo) Names() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]string, 0, len(r.metas))
 	for n := range r.metas {
 		out = append(out, n)
@@ -146,7 +175,7 @@ func (r *Repo) Resolve(requested []string, installed map[string]bool) ([]*Packag
 				return fmt.Errorf("pkgmgr: dependency cycle through %s", name)
 			}
 		}
-		p, ok := r.metas[name]
+		p, ok := r.Meta(name)
 		if !ok {
 			return fmt.Errorf("pkgmgr: package %s not found", name)
 		}

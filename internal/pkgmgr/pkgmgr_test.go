@@ -1,15 +1,19 @@
 package pkgmgr
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/cas"
 	"repro/internal/container"
 	"repro/internal/errno"
 	"repro/internal/image"
 	"repro/internal/simos"
+	"repro/internal/tarutil"
 	"repro/internal/vfs"
 )
 
@@ -375,5 +379,164 @@ func TestSeedBases(t *testing.T) {
 		if got, exp := image.ChainDigest(img.Layers), image.ChainDigest(ref.Layers); got != exp {
 			t.Errorf("%s: chain %s, want %s", want[i], got, exp)
 		}
+	}
+}
+
+// Concurrent first Fetches of one package encode it once and serve the
+// same bytes; a later Add of that name drops the cached blob, so Fetch
+// serves the new package, not the old encoding.
+func TestRepoFetchConcurrent(t *testing.T) {
+	w := NewWorld()
+	const n = 8
+	var wg sync.WaitGroup
+	blobs := make([][]byte, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			blobs[i], _ = w.Alpine.Fetch("sl")
+		}(i)
+	}
+	wg.Wait()
+	meta, _ := w.Alpine.Meta("sl")
+	want, err := BuildAPK(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range blobs {
+		if !bytes.Equal(b, want) {
+			t.Fatalf("goroutine %d fetched %d bytes, not the package's encoding", i, len(b))
+		}
+	}
+
+	next := &Package{Name: "sl", Version: "5.03-r0", Size: 30,
+		Files: []FileSpec{{Path: "/usr/bin/sl", Type: vfs.TypeRegular, Mode: 0o755, Data: []byte("ELF sl 5.03")}}}
+	w.Alpine.MustAdd(next)
+	got, ok := w.Alpine.Fetch("sl")
+	wantNext, err := BuildAPK(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok || !bytes.Equal(got, wantNext) {
+		t.Fatalf("Fetch after Add: ok=%v, served the cached blob: %v", ok, bytes.Equal(got, want))
+	}
+}
+
+// SeedBases hands each base's FromFS tree to the store: the chain serves
+// without a fill, and its entries equal a fresh unpack of the layer (type,
+// mode, owner, xattrs, target, data; layer diffs ignore mtime). Only the
+// image FromFS returned, with its layers untouched, carries a tree.
+func TestSeededBaseTreeMatchesUnpack(t *testing.T) {
+	ctx := context.Background()
+	root := t.TempDir()
+	d, _, err := cas.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	w := NewWorld()
+	s := image.NewStore()
+	s.SetBacking(d)
+	if err := w.SeedBases(s); err != nil {
+		t.Fatal(err)
+	}
+	same := func(name string, a, b []tarutil.Entry) {
+		t.Helper()
+		if len(a) != len(b) || len(tarutil.Diff(a, b)) != 0 || len(tarutil.Diff(b, a)) != 0 {
+			t.Errorf("%s: %d entries differ from %d unpacked", name, len(a), len(b))
+		}
+	}
+	for _, name := range []string{"alpine:3.19", "centos:7", "debian:12"} {
+		img, ok := s.GetContext(ctx, name)
+		if !ok || len(img.Layers) != 1 {
+			t.Fatalf("%s: not seeded as one layer", name)
+		}
+		entries, err := s.FlattenedEntries(ctx, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unpacked := vfs.New()
+		if err := tarutil.Unpack(unpacked, img.Layers[0].Data); err != nil {
+			t.Fatal(err)
+		}
+		want, err := tarutil.Snapshot(unpacked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(name, entries, want)
+		fs, err := s.Flatten(ctx, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := tarutil.Snapshot(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(name+" tree", tree, want)
+		if packed, err := tarutil.Pack(entries); err != nil || !bytes.Equal(packed, img.Layers[0].Data) {
+			t.Errorf("%s: packed entries differ from the layer bytes (err=%v)", name, err)
+		}
+	}
+	if fills := s.FlattenFills(); fills != 0 {
+		t.Fatalf("seeded bases filled %d chains, want 0", fills)
+	}
+
+	// Each image below carries no usable tree, so its chain fills exactly
+	// once however often it is flattened.
+	replaced, err := w.BaseImage(DistroAlpine, "replaced:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	debian, _ := s.GetContext(ctx, "debian:12")
+	replaced.Layers = debian.Layers
+	clone, err := w.BaseImage(DistroCentOS7, "clone:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := image.NewStore()
+	loaded.SetBacking(d)
+	for _, c := range []struct {
+		name  string
+		store *image.Store
+		img   func() *image.Image
+	}{
+		{"layers replaced after FromFS", image.NewStore(), func() *image.Image { return replaced }},
+		{"Clone", image.NewStore(), func() *image.Image { return clone.Clone("clone:1") }},
+		{"GetContext-loaded tag", loaded, func() *image.Image {
+			img, ok := loaded.GetContext(ctx, "alpine:3.19")
+			if !ok {
+				t.Fatal("seeded tag not persisted")
+			}
+			return img
+		}},
+	} {
+		img := c.img()
+		c.store.Put(img)
+		for i := 0; i < 2; i++ {
+			if _, err := c.store.Flatten(ctx, img); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		if fills := c.store.FlattenFills(); fills != 1 {
+			t.Errorf("%s: fills = %d, want 1", c.name, fills)
+		}
+	}
+	// Nor is replaced's tree seeded under the alpine chain it was packed
+	// into: flattening that chain in the same store fills as well.
+	st := image.NewStore()
+	st.Put(replaced)
+	fs, err := st.Flatten(ctx, replaced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fs.Exists(vfs.RootContext(), "/etc/debian_version") {
+		t.Error("an image with replaced layers flattened to its FromFS tree")
+	}
+	alpine, _ := s.GetContext(ctx, "alpine:3.19")
+	if _, err := st.Flatten(ctx, alpine.Clone("alpine:3.19")); err != nil {
+		t.Fatal(err)
+	}
+	if fills := st.FlattenFills(); fills != 2 {
+		t.Errorf("replaced layers: fills = %d, want 2 (no hand-off at all)", fills)
 	}
 }
