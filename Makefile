@@ -40,10 +40,9 @@ race:
 #   - persistent: BenchmarkBuildPersistent, the persistent-cache claim (a
 #     warm-from-disk invocation with completely fresh in-memory state
 #     lands far under a cold one, approaching the in-memory warm rebuild);
-#   - cas: BenchmarkCacheOpen, the --cache-verify claim (a lazy open of a
-#     large store skips the O(store bytes) fsck and lands about 6.7× under
-#     the full-verify open on 2 CPUs; the full pass is spread across CPUs,
-#     so the gap narrows with more);
+#   - cas: BenchmarkCacheOpen, a large store's open (O(journal lines), no
+#     blob read) beside `cache fsck`'s open plus Dir.Fsck (O(store bytes),
+#     every blob read back and re-hashed across CPUs);
 #   - obs: BenchmarkObsOverhead, the observability instrumentation's cost
 #     on the warm build path, instrumented vs obs.SetDisabled — the <3%
 #     acceptance ceiling in docs/observability.md is checked against it;
@@ -114,9 +113,10 @@ bench-smoke:
 
 # The cross-invocation acceptance check: ch-image builds in SEPARATE
 # processes against one --cache-dir; after the first, each must execute
-# nothing, under both --cache-verify modes. CACHE_SMOKE_DIR is overridable so CI can persist the cas
-# fixture between jobs and runs (exercising warm-from-disk open-time
-# validation on every CI run).
+# nothing, and `cache fsck` must find every blob intact. CACHE_SMOKE_DIR
+# is overridable so CI can persist the cas fixture between jobs and runs
+# (so the warm-from-disk open and a full fsck of a store written by an
+# earlier run happen on every CI run).
 CACHE_SMOKE_DIR ?= .cache-smoke
 cache-smoke:
 	@mkdir -p $(CACHE_SMOKE_DIR)/ctx
@@ -126,11 +126,11 @@ cache-smoke:
 	@grep -q '^instructions executed: 0 ' $(CACHE_SMOKE_DIR)/second.out || \
 		{ echo "cache-smoke FAILED: second process executed instructions:"; cat $(CACHE_SMOKE_DIR)/second.out; exit 1; }
 	@echo "cache-smoke OK: second process ran fully warm from $(CACHE_SMOKE_DIR)/cas"
-	@# The same warm replay with blob checks deferred to first read.
-	go run ./cmd/ch-image build -t smoke:1 --cache-dir $(CACHE_SMOKE_DIR)/cas --cache-verify lazy $(CACHE_SMOKE_DIR)/ctx > $(CACHE_SMOKE_DIR)/lazy.out
-	@grep -q '^instructions executed: 0 ' $(CACHE_SMOKE_DIR)/lazy.out || \
-		{ echo "cache-smoke FAILED: lazy-verify process executed instructions:"; cat $(CACHE_SMOKE_DIR)/lazy.out; exit 1; }
-	@echo "cache-smoke OK: lazy-verify process ran fully warm from $(CACHE_SMOKE_DIR)/cas"
+	@# Full verification: every blob read back and digest-checked; any
+	@# damage found (and quarantined) is exit 1.
+	go run ./cmd/ch-image cache --cache-dir $(CACHE_SMOKE_DIR)/cas fsck > $(CACHE_SMOKE_DIR)/fsck.out || \
+		{ echo "cache-smoke FAILED: cache fsck found damage:"; cat $(CACHE_SMOKE_DIR)/fsck.out; exit 1; }
+	@echo "cache-smoke OK: cache fsck found $(CACHE_SMOKE_DIR)/cas intact"
 	@# Cross-process flock: a build and a budgeted gc race on ONE
 	@# --cache-dir. The gc's exclusive lock conversion blocks behind the
 	@# build's shared hold (up to --lock-wait) instead of rewriting the

@@ -890,12 +890,12 @@ func BenchmarkRegistryPushPull(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheOpen (the --cache-verify claim): opening a large store
-// with the default full-verify fsck is O(store bytes) — every blob read
-// back and re-hashed, across CPUs — while a lazy open is O(journal
-// lines). Over a synthetic 256-blob × 64 KiB store the lazy open lands
-// about 6.7× under the full one on 2 CPUs; BENCH_cas.{txt,json} record
-// the gap run over run.
+// BenchmarkCacheOpen (the cost an open no longer pays): opening a large
+// store is O(journal lines) — every line checksummed, every referenced
+// blob stat-checked, no blob read — while `cache fsck` (an open then
+// Dir.Fsck) is O(store bytes): every blob read back and re-hashed,
+// across CPUs. The store is a synthetic 256-blob × 64 KiB one;
+// BENCH_cas.{txt,json} record both sub-benchmarks run over run.
 // Each open also touches one step so the benchmark can't pass with a
 // handle that skipped loading the journal.
 func BenchmarkCacheOpen(b *testing.B) {
@@ -919,14 +919,19 @@ func BenchmarkCacheOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	open := func(b *testing.B, mode cas.VerifyMode, wantChecked int) {
+	open := func(b *testing.B, fsck bool, wantChecked int) {
 		b.Helper()
-		d, _, err := cas.Open(root, cas.WithVerify(mode))
+		d, rep, err := cas.Open(root)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got := d.Report().BlobsChecked; got != wantChecked {
-			b.Fatalf("BlobsChecked=%d, want %d", got, wantChecked)
+		if fsck {
+			if rep, err = d.Fsck(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if rep.BlobsChecked != wantChecked {
+			b.Fatalf("BlobsChecked=%d, want %d", rep.BlobsChecked, wantChecked)
 		}
 		if _, ok := d.Step("step-0"); !ok {
 			b.Fatal("journal not loaded")
@@ -935,16 +940,16 @@ func BenchmarkCacheOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("full-verify", func(b *testing.B) {
+	b.Run("open", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			open(b, cas.VerifyFull, blobCount)
+			open(b, false, 0)
 		}
 	})
-	b.Run("lazy", func(b *testing.B) {
+	b.Run("fsck", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			open(b, cas.VerifyLazy, 0)
+			open(b, true, blobCount)
 		}
 	})
 }

@@ -80,13 +80,13 @@ func main() {
 const exitInterrupted = 130
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ch-image build -t TAG[,TAG...] [-f DOCKERFILE] [--force=MODE] [--jobs N] [--target STAGE] [--cache-dir DIR] [--cache-verify=full|lazy] [--cache-max-bytes N] CONTEXT")
-	fmt.Fprintln(os.Stderr, "       ch-image cache --cache-dir DIR [--cache-verify=full|lazy] [--lock-wait DUR] ls|gc [--max-bytes N] [TAG...]|reset")
+	fmt.Fprintln(os.Stderr, "usage: ch-image build -t TAG[,TAG...] [-f DOCKERFILE] [--force=MODE] [--jobs N] [--target STAGE] [--cache-dir DIR] [--cache-max-bytes N] CONTEXT")
+	fmt.Fprintln(os.Stderr, "       ch-image cache --cache-dir DIR [--lock-wait DUR] ls|gc [--max-bytes N] [TAG...]|fsck|reset")
 	fmt.Fprintln(os.Stderr, "       ch-image list")
 }
 
-// openCacheDir opens the persistent store, reporting fsck findings the
-// way fsck(8) would: loudly, but without failing the run.
+// openCacheDir opens the persistent store, reporting what the open found
+// the way fsck(8) would: loudly, but without failing the run.
 func openCacheDir(dir string, opts ...cas.Option) (*cas.Dir, error) {
 	d, rep, err := cas.Open(dir, opts...)
 	if err != nil {
@@ -125,7 +125,6 @@ func cmdBuild(ctx context.Context, args []string) int {
 	jobs := fs.Int("jobs", 1, "concurrent builders for a multi-tag build and concurrent stages for a multi-stage build")
 	target := fs.String("target", "", "stop the build at this stage (name or index) and tag it")
 	cacheDir := fs.String("cache-dir", "", "persistent build-cache directory; warm rebuilds survive across invocations")
-	cacheVerify := fs.String("cache-verify", "full", "cache-dir open validation: full (read every blob) or lazy (verify on first read)")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "after the build, evict least-recently-recorded cache entries until the cache-dir blob store fits this many bytes (0 = unbounded)")
 	timeout := fs.Duration("timeout", 0, "whole-build deadline; an overrunning build fails at its next instruction boundary (0 = none)")
 	instrTimeout := fs.Duration("instr-timeout", 0, "per-instruction deadline (0 = none)")
@@ -167,6 +166,10 @@ func cmdBuild(ctx context.Context, args []string) int {
 		fmt.Fprintf(os.Stderr, "ch-image: --force: %v\n", err)
 		return 2
 	}
+	if *cacheMaxBytes < 0 {
+		fmt.Fprintf(os.Stderr, "ch-image: --cache-max-bytes %d: must not be negative\n", *cacheMaxBytes)
+		return 2
+	}
 
 	// Load the build context (regular files only, one level of depth is
 	// plenty for the examples).
@@ -182,15 +185,10 @@ func cmdBuild(ctx context.Context, args []string) int {
 		}
 	}
 
-	verify, err := cas.ParseVerify(*cacheVerify)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ch-image: --cache-verify: %v\n", err)
-		return 2
-	}
 	var dir *cas.Dir
 	if *cacheDir != "" {
 		var err error
-		if dir, err = openCacheDir(*cacheDir, cas.WithVerify(verify)); err != nil {
+		if dir, err = openCacheDir(*cacheDir); err != nil {
 			fmt.Fprintf(os.Stderr, "ch-image: %v\n", err)
 			return 2
 		}
@@ -425,6 +423,8 @@ func cmdBuildPool(ctx context.Context, text string, tags []string, jobs int, opt
 //	                           budget, everything no remaining tag reaches;
 //	                           with --max-bytes, the least-recently-recorded
 //	                           entries until the blob store fits N bytes
+//	fsck                       read back and digest-verify every blob,
+//	                           quarantining damage; exit 1 if any was found
 //	reset                      wipe the directory back to empty
 //
 // Flags may appear before or after the subcommand, so
@@ -435,7 +435,6 @@ func cmdBuildPool(ctx context.Context, text string, tags []string, jobs int, opt
 func cmdCache(ctx context.Context, args []string) int {
 	fs := flag.NewFlagSet("cache", flag.ContinueOnError)
 	cacheDir := fs.String("cache-dir", "", "persistent build-cache directory (required)")
-	cacheVerify := fs.String("cache-verify", "full", "open validation: full (read every blob) or lazy (verify on first read)")
 	maxBytes := fs.Int64("max-bytes", 0, "gc: evict least-recently-recorded entries until the blob store fits this many bytes (0 = full reachability sweep)")
 	lockWait := fs.Duration("lock-wait", cas.DefaultLockWait, "how long gc/reset wait for a store another process holds open")
 	// Interleaved parse: flag.Parse stops at the first positional, so
@@ -456,15 +455,14 @@ func cmdCache(ctx context.Context, args []string) int {
 		return 2
 	}
 	if len(pos) < 1 {
-		fmt.Fprintln(os.Stderr, "ch-image: cache: subcommand required: ls, gc or reset")
+		fmt.Fprintln(os.Stderr, "ch-image: cache: subcommand required: ls, gc, fsck or reset")
 		return 2
 	}
-	verify, err := cas.ParseVerify(*cacheVerify)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ch-image: cache: --cache-verify: %v\n", err)
+	if *maxBytes < 0 {
+		fmt.Fprintf(os.Stderr, "ch-image: cache: --max-bytes %d: must not be negative\n", *maxBytes)
 		return 2
 	}
-	d, err := openCacheDir(*cacheDir, cas.WithVerify(verify), cas.WithLockWait(*lockWait))
+	d, err := openCacheDir(*cacheDir, cas.WithLockWait(*lockWait))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ch-image: %v\n", err)
 		return 2
@@ -507,6 +505,18 @@ func cmdCache(ctx context.Context, args []string) int {
 			stats.TagsKept, stats.BlobsKept, stats.BytesKept, stats.BlobsSwept, stats.BytesSwept,
 			stats.StepsDropped)
 		return 0
+	case "fsck":
+		rep, err := d.Fsck(ctx)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ch-image: cache fsck: %v\n", err)
+			return 1
+		}
+		fmt.Printf("fsck: checked %d blob(s) and %d journal line(s)\n", rep.BlobsChecked, rep.JournalLines)
+		if rep.Quarantined() {
+			fmt.Printf("fsck: %s\n", rep)
+			return 1
+		}
+		return 0
 	case "reset":
 		if err := d.Reset(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "ch-image: cache reset: %v\n", err)
@@ -515,7 +525,7 @@ func cmdCache(ctx context.Context, args []string) int {
 		fmt.Printf("reset: %s is empty\n", *cacheDir)
 		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "ch-image: cache: unknown subcommand %q (want ls, gc or reset)\n", sub)
+		fmt.Fprintf(os.Stderr, "ch-image: cache: unknown subcommand %q (want ls, gc, fsck or reset)\n", sub)
 		return 2
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cas"
 )
 
 // CLI-level smoke tests: the three figures through cmdBuild with real
@@ -145,25 +147,24 @@ func TestCLICacheDirOnFileRejected(t *testing.T) {
 }
 
 // cmdBuild invocations with completely fresh state against one
-// --cache-dir: the CLI-level warm path. A second run executes nothing,
-// under the default full-verify open and under --cache-verify lazy.
+// --cache-dir: the CLI-level warm path. Every run after the first
+// executes nothing.
 func TestCLIPersistentCacheWarmSecondRun(t *testing.T) {
 	ctx := writeContext(t, "FROM alpine:3.19\nRUN apk add sl\n", nil)
 	cache := filepath.Join(t.TempDir(), "cas")
 	if code := cmdBuild(context.Background(), []string{"-t", "w:1", "--cache-dir", cache, ctx}); code != 0 {
 		t.Fatalf("cold: exit %d", code)
 	}
-	for _, verify := range [][]string{nil, {"--cache-verify", "lazy"}} {
-		args := append([]string{"-t", "w:1", "--cache-dir", cache}, verify...)
+	for run := 2; run <= 3; run++ {
 		var code int
 		out := capture(t, &os.Stdout, func() {
-			code = cmdBuild(context.Background(), append(args, ctx))
+			code = cmdBuild(context.Background(), []string{"-t", "w:1", "--cache-dir", cache, ctx})
 		})
 		if code != 0 {
-			t.Fatalf("warm %v: exit %d", verify, code)
+			t.Fatalf("warm run %d: exit %d", run, code)
 		}
 		if !strings.Contains(out, "\ninstructions executed: 0 ") {
-			t.Fatalf("warm %v executed instructions:\n%s", verify, out)
+			t.Fatalf("warm run %d executed instructions:\n%s", run, out)
 		}
 	}
 }
@@ -266,29 +267,80 @@ func TestCLICacheGCUnknownTagIsAtomic(t *testing.T) {
 	}
 }
 
-// The build-side knobs: --cache-verify=lazy opens without the fsck pass,
-// --cache-max-bytes runs a budgeted gc after the build. Both exercised
-// end to end; bad values are exit 2.
-func TestCLIBuildCacheVerifyAndBudget(t *testing.T) {
+// The build-side budget: --cache-max-bytes runs a budgeted gc after the
+// build, end to end. A negative budget, on build or on cache gc, is
+// exit 2: it would otherwise fall through to the full reachability
+// sweep and drop every untagged warm entry.
+func TestCLIBuildCacheBudget(t *testing.T) {
 	ctx := writeContext(t, "FROM alpine:3.19\nRUN apk add sl\n", nil)
 	cache := filepath.Join(t.TempDir(), "cas")
 	if code := cmdBuild(context.Background(), []string{"-t", "v:1", "--cache-dir", cache, ctx}); code != 0 {
 		t.Fatalf("cold build: exit %d", code)
 	}
 	if code := cmdBuild(context.Background(), []string{"-t", "v:1", "--cache-dir", cache,
-		"--cache-verify", "lazy", "--cache-max-bytes", "1", ctx}); code != 0 {
-		t.Fatalf("lazy+budget build: exit %d", code)
+		"--cache-max-bytes", "1", ctx}); code != 0 {
+		t.Fatalf("budget build: exit %d", code)
 	}
-	if code := cmdBuild(context.Background(), []string{"-t", "v:1", "--cache-dir", cache, "--cache-verify", "paranoid", ctx}); code != 2 {
-		t.Fatalf("bad --cache-verify: exit %d, want 2", code)
+	if code := cmdBuild(context.Background(), []string{"-t", "v:1", "--cache-dir", cache, "--cache-max-bytes", "-5", ctx}); code != 2 {
+		t.Fatalf("negative --cache-max-bytes: exit %d, want 2", code)
 	}
-	if code := cmdCache(context.Background(), []string{"--cache-dir", cache, "--cache-verify", "paranoid", "ls"}); code != 2 {
-		t.Fatalf("cache with bad --cache-verify: exit %d, want 2", code)
+	if code := cmdCache(context.Background(), []string{"--cache-dir", cache, "gc", "--max-bytes", "-5"}); code != 2 {
+		t.Fatalf("cache gc with negative --max-bytes: exit %d, want 2", code)
 	}
 	// The budgeted gc must not have evicted what the tag pins: the next
 	// warm build still succeeds.
 	if code := cmdBuild(context.Background(), []string{"-t", "v:1", "--cache-dir", cache, ctx}); code != 0 {
 		t.Fatalf("post-budget build: exit %d", code)
+	}
+}
+
+// `cache fsck` reads back every blob: exit 0 on a healthy store; after a
+// blob is corrupted, exit 1 with the Report printed, and the store it
+// repaired passes the next fsck.
+func TestCLICacheFsck(t *testing.T) {
+	ctx := writeContext(t, "FROM alpine:3.19\nRUN apk add sl\n", nil)
+	cache := filepath.Join(t.TempDir(), "cas")
+	if code := cmdBuild(context.Background(), []string{"-t", "f:1", "--cache-dir", cache, ctx}); code != 0 {
+		t.Fatalf("build: exit %d", code)
+	}
+	fsck := func() (int, string) {
+		var code int
+		out := capture(t, &os.Stdout, func() {
+			code = cmdCache(context.Background(), []string{"--cache-dir", cache, "fsck"})
+		})
+		return code, out
+	}
+	if code, out := fsck(); code != 0 || !strings.Contains(out, "fsck: checked ") {
+		t.Fatalf("healthy store: exit %d, output:\n%s", code, out)
+	}
+
+	d, err := openCacheDir(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var layer string
+	for _, st := range d.Steps() {
+		if st.Layer != "" {
+			layer = st.Layer
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if layer == "" {
+		t.Fatal("build recorded no step layer")
+	}
+	hexpart := strings.TrimPrefix(layer, "sha256:")
+	if err := os.WriteFile(filepath.Join(cache, "blobs", "sha256", hexpart[:2], hexpart[2:]), []byte("rotten"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The step and the f:1 tag that holds its layer both drop.
+	want := cas.Report{BlobsQuarantined: 1, RecordsDropped: 2}.String()
+	if code, out := fsck(); code != 1 || !strings.Contains(out, "fsck: "+want) {
+		t.Fatalf("corrupt store: exit %d, want 1 and %q; output:\n%s", code, want, out)
+	}
+	if code, out := fsck(); code != 0 {
+		t.Fatalf("repaired store: exit %d, output:\n%s", code, out)
 	}
 }
 

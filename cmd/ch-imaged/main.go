@@ -43,7 +43,6 @@ func serve(ctx context.Context, args []string) int {
 	queue := fs.Int("queue", 0, "admitted builds allowed to wait beyond --jobs running ones before 429 (0 = 2*jobs)")
 	force := fs.String("force", "seccomp", "default root emulation: none, seccomp, fakeroot, proot")
 	cacheDir := fs.String("cache-dir", "", "persistent build-cache directory shared by every build; the daemon holds its flock for its lifetime")
-	cacheVerify := fs.String("cache-verify", "full", "cache-dir open validation: full or lazy")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight builds before cancelling them")
 	transcriptTail := fs.Int("transcript-tail", 4096, "transcript bytes an operation rendering carries")
 	maxOperations := fs.Int("max-operations", 512, "settled operations retained for polling; the oldest-settled are evicted past this (404 thereafter)")
@@ -61,18 +60,12 @@ func serve(ctx context.Context, args []string) int {
 		fmt.Fprintf(os.Stderr, "ch-imaged: --force: %v\n", err)
 		return 2
 	}
-	verify, err := cas.ParseVerify(*cacheVerify)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ch-imaged: --cache-verify: %v\n", err)
-		return 2
-	}
 
 	cfg := daemon.Config{
 		Jobs:           *jobs,
 		Queue:          *queue,
 		Force:          mode,
 		CacheDir:       *cacheDir,
-		CacheVerify:    verify,
 		TranscriptTail: *transcriptTail,
 		MaxOperations:  *maxOperations,
 	}

@@ -108,7 +108,6 @@ func TestServeFlagErrors(t *testing.T) {
 		{"--bogus"},
 		{"--jobs", "0"},
 		{"--force", "magic"},
-		{"--cache-verify", "sometimes"},
 	}
 	for _, args := range cases {
 		if code := serve(context.Background(), args); code != 2 {

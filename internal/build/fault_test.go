@@ -98,7 +98,7 @@ func TestFaultSoak(t *testing.T) {
 
 	succeeded, degraded, failed := 0, 0, 0
 	for i := 0; i < builds; i++ {
-		d, rep, err := cas.Open(root, cas.WithVerify(cas.VerifyLazy))
+		d, rep, err := cas.Open(root)
 		if err != nil {
 			soakViolation(t, logPath, "build %d: store failed to reopen: %v", i, err)
 			return
@@ -132,11 +132,11 @@ func TestFaultSoak(t *testing.T) {
 			succeeded++
 		}
 
-		// Reopen with full verification and no injector: the store must
-		// report zero damage no matter what the faults did.
+		// Reopen and fsck with no injector: the store must report zero
+		// damage no matter what the faults did.
 		d.SetFailpoints(nil)
 		d.Close()
-		d2, rep2, err := cas.Open(root, cas.WithVerify(cas.VerifyFull))
+		d2, rep2, err := openFsck(root)
 		if err != nil {
 			soakViolation(t, logPath, "build %d: post-build reopen failed: %v", i, err)
 			return
@@ -148,7 +148,7 @@ func TestFaultSoak(t *testing.T) {
 	}
 
 	// A final fault-free build against the surviving store must succeed.
-	d, rep, err := cas.Open(root, cas.WithVerify(cas.VerifyFull))
+	d, rep, err := openFsck(root)
 	if err != nil || rep.Quarantined() {
 		soakViolation(t, logPath, "final reopen: err=%v rep=%+v", err, rep)
 		return
@@ -201,10 +201,11 @@ func TestENOSPCWriteThroughDegradesBuild(t *testing.T) {
 
 	d.SetFailpoints(nil)
 	d.Close()
-	_, rep, err := cas.Open(root)
+	d2, rep, err := openFsck(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d2.Close()
 	if rep.Quarantined() {
 		t.Fatalf("ENOSPC faults damaged the store: %+v", rep)
 	}
@@ -294,10 +295,10 @@ func TestQuarantinedBlobMidReplayHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Warm build under lazy verification: the corrupt blob surfaces on
-	// first read, is quarantined, and the instruction re-executes — one
-	// Executed, not a failed build.
-	d2, _, err := cas.Open(root, cas.WithVerify(cas.VerifyLazy))
+	// Warm build: the open reads no blob, so the corrupt blob surfaces
+	// on first read, is quarantined, and the instruction re-executes —
+	// one Executed, not a failed build.
+	d2, _, err := cas.Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,9 +316,9 @@ func TestQuarantinedBlobMidReplayHeals(t *testing.T) {
 	}
 	d2.Close()
 
-	// Healed: a full-verification reopen finds no damage and a second
-	// warm build replays everything.
-	d3, rep, err := cas.Open(root, cas.WithVerify(cas.VerifyFull))
+	// Healed: a reopen and fsck find no damage and a second warm build
+	// replays everything.
+	d3, rep, err := openFsck(root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package build
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,11 +17,10 @@ import (
 // persistFixtures simulates one process's view of a shared --cache-dir:
 // a fresh world, a fresh store backed by the cas directory (attached
 // before seeding, so base-image blobs persist), and a fresh persistent
-// instruction cache rehydrated from the directory's journal. opts are
-// passed to cas.Open.
-func persistFixtures(t *testing.T, root string, opts ...cas.Option) (*pkgmgr.World, *image.Store, *Cache, *cas.Dir) {
+// instruction cache rehydrated from the directory's journal.
+func persistFixtures(t *testing.T, root string) (*pkgmgr.World, *image.Store, *Cache, *cas.Dir) {
 	t.Helper()
-	d, _, err := cas.Open(root, opts...)
+	d, _, err := cas.Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,64 +153,168 @@ COPY --from=build /opt/solver /app/solver
 	}
 }
 
-// The corruption acceptance criterion: a blob truncated between
-// invocations is quarantined at open, and the next build succeeds by
-// re-executing only the steps that lost their layers.
+// The corruption acceptance criterion. A blob truncated between
+// invocations costs at most the steps that read it, and the warm build in
+// fresh process state still produces the golden chain digest, whichever
+// blob was hit:
+//
+//   - step-layer: a layer the warm build replays. The read quarantines it
+//     and its step re-executes, which re-puts the layer.
+//   - base-layer: a stock base's layer. SeedBases re-puts it every
+//     invocation, but PutBlob stat-hits the damaged file, and FROM takes
+//     the seeded tree without reading it: the build runs fully warm, Fsck
+//     quarantines the blob, and the next invocation's re-put heals it.
+//   - unread-blob: a layer only another Dockerfile's step holds. Nothing
+//     reads it; Fsck quarantines it and drops that step and its tag.
+//
+// Open reads no blob, so none of the three is found at open. After each,
+// an invocation's Fsck finds no damage.
 func TestCorruptBlobReExecutesOnlyAffectedSteps(t *testing.T) {
-	root := t.TempDir()
-	const text = "FROM centos:7\nRUN yum install -y openssh\nRUN mkdir -p /opt && echo art > /opt/bin\n"
-	w1, s1, c1, d1 := persistFixtures(t, root)
-	if _, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s1, World: w1, Cache: c1}); err != nil {
-		t.Fatal(err)
+	var shape string
+	for _, sh := range goldenShapes {
+		if sh.name == "centos" {
+			shape = sh.text
+		}
 	}
+	const other = "FROM alpine:3.19\nRUN echo unread > /unread\n"
+	opts := func(w *pkgmgr.World, s *image.Store, c *Cache, tag string) Options {
+		return Options{
+			Tag: tag, Force: ForceSeccomp, Store: s, World: w, Cache: c, StageJobs: 1,
+			Context: map[string][]byte{"app.txt": []byte(strings.Repeat("golden app.txt context file\n", 36))},
+		}
+	}
+	// stepLayer finds the step layer whose bytes contain marker.
+	stepLayer := func(t *testing.T, d *cas.Dir, marker string) string {
+		t.Helper()
+		for _, st := range d.Steps() {
+			if st.Layer == "" {
+				continue
+			}
+			data, err := d.Blob(context.Background(), st.Layer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(string(data), marker) {
+				return st.Layer
+			}
+		}
+		t.Fatalf("no step layer holds %q", marker)
+		return ""
+	}
+	for _, tc := range []struct {
+		name   string
+		victim func(t *testing.T, d *cas.Dir) string
+		// What the warm build executes and reads back as corrupt, and
+		// what the next Fsck quarantines and drops.
+		executed, readQuarantined, fsckQuarantined, fsckDropped int
+	}{
+		{
+			name:     "step-layer",
+			victim:   func(t *testing.T, d *cas.Dir) string { return stepLayer(t, d, "bench/marker") },
+			executed: 1, readQuarantined: 1,
+		},
+		{
+			name: "base-layer",
+			victim: func(t *testing.T, d *cas.Dir) string {
+				tg, ok := d.Tag("centos:7")
+				if !ok {
+					t.Fatal("centos:7 not persisted")
+				}
+				return tg.Layers[0]
+			},
+			// The centos:7 tag and app:1, whose chain starts with it.
+			fsckQuarantined: 1, fsckDropped: 2,
+		},
+		{
+			name:   "unread-blob",
+			victim: func(t *testing.T, d *cas.Dir) string { return stepLayer(t, d, "unread") },
+			// The other Dockerfile's step and its tag.
+			fsckQuarantined: 1, fsckDropped: 2,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			w1, s1, c1, d1 := persistFixtures(t, root)
+			res1, err := BuildContext(context.Background(), shape, opts(w1, s1, c1, "app:1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := BuildContext(context.Background(), other, opts(w1, s1, c1, "other:1")); err != nil {
+				t.Fatal(err)
+			}
+			p := blobFile(root, tc.victim(t, d1))
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d1.Close()
 
-	// Truncate the layer blob of the second RUN (the echo step), located
-	// through the journal: it is the step layer containing "/opt/bin".
-	var victim string
-	for _, st := range d1.Steps() {
-		if st.Layer == "" {
-			continue
-		}
-		data, err := d1.Blob(context.Background(), st.Layer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(string(data), "opt/bin") {
-			victim = st.Layer
-		}
-	}
-	if victim == "" {
-		t.Fatal("echo step's layer not found in journal")
-	}
-	p := blobFile(root, victim)
-	data, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+			w2, s2, c2, d2 := persistFixtures(t, root)
+			if rep := d2.Report(); rep.Quarantined() {
+				t.Fatalf("open found damage without reading a blob: %+v", rep)
+			}
+			res2, err := BuildContext(context.Background(), shape, opts(w2, s2, c2, "app:1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := image.ChainDigest(res2.Image.Layers); got != goldenChains["centos-seccomp"] {
+				t.Fatalf("warm chain digest %s, golden %s", got, goldenChains["centos-seccomp"])
+			}
+			if res2.Executed != tc.executed || res2.CacheHits != res1.Executed-tc.executed {
+				t.Fatalf("warm: executed=%d hits=%d, want %d re-executed and the other %d warm",
+					res2.Executed, res2.CacheHits, tc.executed, res1.Executed-tc.executed)
+			}
+			if got := d2.Report().BlobsQuarantined; got != tc.readQuarantined {
+				t.Fatalf("quarantined at read: %d, want %d", got, tc.readQuarantined)
+			}
+			d2.Close()
 
-	w2, s2, c2, d2 := persistFixtures(t, root)
-	if rep := d2.Report(); rep.BlobsQuarantined != 1 {
-		t.Fatalf("corruption not quarantined at open: %+v", rep)
+			d3, rep, err := openFsck(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.BlobsQuarantined != tc.fsckQuarantined || rep.RecordsDropped != tc.fsckDropped {
+				t.Fatalf("fsck after the warm build: %+v, want %d quarantined and %d dropped",
+					rep, tc.fsckQuarantined, tc.fsckDropped)
+			}
+			d3.Close()
+
+			// The store healed: the next invocation (its seeding re-puts
+			// a quarantined base blob) runs fully warm, and its Fsck
+			// finds nothing.
+			w4, s4, c4, d4 := persistFixtures(t, root)
+			res4, err := BuildContext(context.Background(), shape, opts(w4, s4, c4, "app:1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := image.ChainDigest(res4.Image.Layers); got != goldenChains["centos-seccomp"] {
+				t.Fatalf("healed chain digest %s, golden %s", got, goldenChains["centos-seccomp"])
+			}
+			if res4.Executed != 0 || res4.CacheHits != res1.Executed {
+				t.Fatalf("healed store: executed=%d hits=%d", res4.Executed, res4.CacheHits)
+			}
+			if rep, err := d4.Fsck(context.Background()); err != nil || rep.Quarantined() {
+				t.Fatalf("fsck of the healed store: %+v, %v", rep, err)
+			}
+		})
 	}
-	res, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s2, World: w2, Cache: c2})
+}
+
+// openFsck opens the store at root and fscks it: the full check a reopen
+// after damage or injected faults is held to.
+func openFsck(root string) (*cas.Dir, cas.Report, error) {
+	d, _, err := cas.Open(root)
 	if err != nil {
-		t.Fatal(err)
+		return nil, cas.Report{}, err
 	}
-	if res.CacheHits != 1 || res.Executed != 1 {
-		t.Fatalf("hits=%d executed=%d, want 1 warm + 1 re-executed", res.CacheHits, res.Executed)
-	}
-	// The store healed: a third process runs fully warm again.
-	w3, s3, c3, _ := persistFixtures(t, root)
-	res3, err := BuildContext(context.Background(), text, Options{Tag: "app:1", Force: ForceSeccomp, Store: s3, World: w3, Cache: c3})
+	rep, err := d.Fsck(context.Background())
 	if err != nil {
-		t.Fatal(err)
+		return nil, rep, errors.Join(err, d.Close())
 	}
-	if res3.Executed != 0 || res3.CacheHits != 2 {
-		t.Fatalf("healed store: executed=%d hits=%d", res3.Executed, res3.CacheHits)
-	}
+	return d, rep, nil
 }
 
 // blobFile is the path of a blob in a cas directory.
@@ -283,16 +387,15 @@ func TestPoolWithPersistentCache(t *testing.T) {
 	}
 }
 
-// A lazy-verify open must warm exactly like the default full-verify
-// open — the mode changes when corruption is discovered, never what a
-// healthy store replays.
-func TestOptionsCacheVerifyLazyWarms(t *testing.T) {
+// Open reads no blob back, and a healthy store still warms through it:
+// blob verification happens at read, never at open.
+func TestOpenWarmsWithoutBlobPass(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "cas")
 	const text = "FROM alpine:3.19\nRUN apk add sl\n"
 	run := func() *Result {
-		w, s, c, d := persistFixtures(t, root, cas.WithVerify(cas.VerifyLazy))
+		w, s, c, d := persistFixtures(t, root)
 		if n := d.Report().BlobsChecked; n != 0 {
-			t.Fatalf("lazy open read back %d blob(s)", n)
+			t.Fatalf("open read back %d blob(s)", n)
 		}
 		res, err := BuildContext(context.Background(), text, Options{
 			Tag: "app:1", Force: ForceSeccomp, Store: s, World: w, Cache: c,

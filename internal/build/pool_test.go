@@ -251,8 +251,8 @@ func TestPoolSharedCacheFailureReleasesWaiters(t *testing.T) {
 	}
 }
 
-// A corrupt persisted step discovered under concurrency: the store opens
-// with lazy verification, so the first builder to reach the step leads
+// A corrupt persisted step discovered under concurrency: the open reads
+// no blob back, so the first builder to reach the step leads
 // its lazy load, finds the blob corrupt and fails the flight. Every
 // waiter wakes, one of them fills the step by executing it, and the rest
 // replay its result — one execution pool-wide, identical images.
@@ -297,13 +297,13 @@ func TestPoolLazyFlightFailureRefillsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, rep, err := cas.Open(root, cas.WithVerify(cas.VerifyLazy))
+	d2, rep, err := cas.Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
 	if rep.BlobsQuarantined != 0 {
-		t.Fatalf("lazy open quarantined eagerly: %+v", rep)
+		t.Fatalf("open quarantined eagerly: %+v", rep)
 	}
 	// Slow blob reads hold each lazy load open long enough for the other
 	// builders to pile up behind it as waiters.

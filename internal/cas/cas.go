@@ -8,9 +8,9 @@
 //   - an append-only journal of metadata records — instruction-cache
 //     entries and image tags — each line carrying its own checksum so a
 //     torn tail or a flipped bit is detected, not replayed;
-//   - a quarantine directory where corrupt blobs and journal lines are
-//     moved at open, so a damaged store degrades to a colder cache
-//     instead of a failed build.
+//   - a quarantine directory where corrupt journal lines are moved at
+//     open and corrupt blobs when a read or Fsck finds them, so a damaged
+//     store degrades to a colder cache instead of a failed build.
 //
 // Crash safety is by construction rather than by fsync discipline: blobs
 // are written to a private temp file and renamed into place (readers never
@@ -31,7 +31,7 @@
 //
 // The higher layers attach a Dir with image.Store.SetBacking and
 // build.NewPersistentCache; ch-image exposes it as --cache-dir and the
-// cache ls|gc|reset subcommands.
+// cache ls|gc|fsck|reset subcommands.
 package cas
 
 import (
@@ -93,9 +93,11 @@ type record struct {
 	Untag string `json:"untag,omitempty"`
 }
 
-// Report summarises what open-time validation found and did.
+// Report summarises what validation found and did: Open's journal
+// replay and presence check, Fsck's blob pass, and the blobs a verified
+// read quarantined.
 type Report struct {
-	BlobsChecked       int // blob files scanned and digest-verified
+	BlobsChecked       int // blob files Fsck scanned and digest-verified
 	BlobsQuarantined   int // corrupt blob files moved to quarantine/
 	JournalLines       int // journal lines read
 	JournalQuarantined int // torn or checksum-failing lines quarantined
@@ -107,61 +109,25 @@ func (r Report) Quarantined() bool {
 	return r.BlobsQuarantined > 0 || r.JournalQuarantined > 0 || r.RecordsDropped > 0
 }
 
-// String words the damage an open found, for the one stderr line a CLI
+// String words the damage validation found, for the one line a CLI
 // prints when Quarantined.
 func (r Report) String() string {
 	return fmt.Sprintf("quarantined %d corrupt blob(s) and %d journal line(s), dropped %d record(s); affected steps will re-execute",
 		r.BlobsQuarantined, r.JournalQuarantined, r.RecordsDropped)
 }
 
-// VerifyMode selects how much validation Open performs.
-type VerifyMode int
-
-const (
-	// VerifyFull reads back and digest-verifies every blob file at open —
-	// the fsck-style pass. Corruption is discovered (and quarantined)
-	// before the first build step runs, at a cost of O(store bytes).
-	VerifyFull VerifyMode = iota
-
-	// VerifyLazy skips the per-blob read at open: blob presence is still
-	// stat-checked against the journal (dangling records drop as usual),
-	// but content verification is deferred to Blob's verify-on-read, so
-	// opening costs O(journal lines) instead of O(store bytes). A corrupt
-	// blob is discovered at first use, quarantined then, and costs one
-	// re-execution of the affected steps — the same end state as
-	// VerifyFull, discovered later.
-	VerifyLazy
-)
-
-// ParseVerify maps a --cache-verify flag value, "full" or "lazy", to its
-// mode.
-func ParseVerify(s string) (VerifyMode, error) {
-	switch s {
-	case "full":
-		return VerifyFull, nil
-	case "lazy":
-		return VerifyLazy, nil
-	}
-	return 0, fmt.Errorf("unknown verify mode %q (want full or lazy)", s)
-}
-
 // Option configures Open.
 type Option func(*openConfig)
 
 type openConfig struct {
-	verify   VerifyMode
 	lockWait time.Duration
-}
-
-// WithVerify selects the open-time validation mode (default VerifyFull).
-func WithVerify(m VerifyMode) Option {
-	return func(c *openConfig) { c.verify = m }
 }
 
 // WithLockWait bounds how long this handle's exclusive operations (GC,
 // Reset, and the compaction an append needs after an external journal
 // rewrite) wait for the store lock before failing with ErrBusy (default
-// DefaultLockWait; <= 0 tries once). The compaction at open never waits.
+// DefaultLockWait; <= 0 tries once). The journal repair at Open and Fsck
+// never waits.
 func WithLockWait(wait time.Duration) Option {
 	return func(c *openConfig) { c.lockWait = wait }
 }
@@ -179,7 +145,6 @@ type Dir struct {
 	mu       sync.Mutex
 	lock     *storeLock
 	lockWait time.Duration
-	verify   VerifyMode
 	journal  *os.File
 	steps    map[string]Step
 	tags     map[string]Tag
@@ -196,24 +161,25 @@ type Dir struct {
 	inj   Injector
 }
 
-// Open opens (creating if absent) the store at root and validates it:
-// every journal line is checksum-verified, every blob the surviving
-// records reference is presence-checked, and — under the default
-// WithVerify(VerifyFull) — every blob file is read back and
-// digest-verified against its name, spread across CPUs and overlapped
-// with the journal replay (see loadLocked). Anything corrupt is moved to
-// quarantine/ while the records referencing it are dropped. The returned
-// Report says what was found; damage is never an error — a damaged store
-// is just a colder one. Opening fails only when root exists and is not a
-// directory, the filesystem refuses the layout, or the store lock cannot
-// be established.
+// Open opens (creating if absent) the store at root and validates its
+// metadata: every journal line is checksum-verified, every blob the
+// surviving records reference is presence-checked with one stat per
+// distinct digest, and the records whose blobs are missing are dropped.
+// Blob contents are not read: Blob digest-verifies each read and
+// quarantines what fails, and Fsck verifies every blob on request, so an
+// open costs O(journal lines), not O(store bytes). Corrupt journal lines
+// are moved to quarantine/. The returned Report says what was found;
+// damage is never an error — a damaged store is just a colder one.
+// Opening fails only when root exists and is not a directory, the
+// filesystem refuses the layout, or the store lock cannot be
+// established.
 //
 // The handle holds the store lock shared until Close, so another
 // process's GC/Reset/compaction waits for this handle (or fails with
 // ErrBusy) instead of rewriting state underneath it.
 func Open(root string, opts ...Option) (*Dir, Report, error) {
 	defer mOpenSeconds.ObserveSince(time.Now())
-	cfg := openConfig{verify: VerifyFull, lockWait: DefaultLockWait}
+	cfg := openConfig{lockWait: DefaultLockWait}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -225,17 +191,16 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 			return nil, Report{}, fmt.Errorf("cas: %w", err)
 		}
 	}
-	d := &Dir{
-		root:     root,
-		lockWait: cfg.lockWait,
-		verify:   cfg.verify,
-	}
+	d := &Dir{root: root, lockWait: cfg.lockWait}
 	lk, err := openLock(d.path("lock"))
 	if err != nil {
 		return nil, Report{}, err
 	}
 	d.lock = lk
 	fail := func(err error) (*Dir, Report, error) {
+		if d.journal != nil {
+			d.journal.Close()
+		}
 		lk.close()
 		return nil, d.report, err
 	}
@@ -244,8 +209,7 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 	// Only under an uncontended exclusive lock, though: with the store
 	// open elsewhere, a temp file may be another process's in-flight blob
 	// write, and deleting it would fail that write's rename.
-	//chlint:allow ctxfirst -- open-time cleanup; Open has no caller context and the try is non-blocking
-	if d.lock.exclusive(context.Background(), 0) == nil {
+	if d.lock.tryExclusive() == nil {
 		if tmps, err := os.ReadDir(d.path("tmp")); err == nil {
 			for _, t := range tmps {
 				os.Remove(filepath.Join(d.path("tmp"), t.Name()))
@@ -255,64 +219,100 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 			return fail(err)
 		}
 	}
-	if err := d.loadLocked(d.verify == VerifyFull); err != nil {
-		return fail(err)
-	}
-	if d.report.JournalQuarantined > 0 || d.report.RecordsDropped > 0 {
-		// The journal holds damage: a torn tail fragment (which a plain
-		// O_APPEND write would merge with, corrupting the next record) or
-		// records we just dropped (which would be re-parsed, re-dropped
-		// and re-warned about at every open). Rewrite it to exactly the
-		// surviving records — atomically, like GC's compaction, under the
-		// exclusive lock so no concurrent append lands between our read
-		// of the journal and the rename that replaces it. The lock is
-		// tried once, not waited for: a peer holding the store open (a
-		// resident daemon holds it for life) would keep it busy for the
-		// whole wait, and the degraded path below is safe without it.
-		//chlint:allow ctxfirst -- open-time torn-tail repair; Open has no caller context and the try is non-blocking
-		switch err := d.lock.exclusive(context.Background(), 0); {
-		case err == nil:
-			// Appends may have landed since our read of the journal;
-			// recompute the surviving set from the current journal.
-			if err := d.loadLocked(false); err != nil {
-				return fail(err)
-			}
-			if err := d.writeCompactJournalLocked(); err != nil {
-				return fail(err)
-			}
-			if err := d.lock.shared(); err != nil {
-				d.journal.Close()
-				return fail(err)
-			}
-			return d, d.report, nil
-		case errors.Is(err, ErrBusy):
-			// Peers hold the store open; compaction must wait for a later
-			// open. Degrade: terminate any torn tail with a bare newline so
-			// O_APPEND writes cannot merge with the fragment (the fragment
-			// becomes a standalone bad line, quarantined again next open),
-			// and keep the dropped records dropped in memory.
-			if d.tornTail {
-				if err := d.terminateTornTailLocked(); err != nil {
-					return fail(err)
-				}
-			}
-		default:
-			return fail(err)
-		}
-	}
 	f, err := os.OpenFile(d.path("journal"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fail(fmt.Errorf("cas: journal: %w", err))
 	}
 	d.journal = f
+	if d.report, err = d.loadLocked(); err != nil {
+		return fail(err)
+	}
+	if d.report.JournalQuarantined > 0 || d.report.RecordsDropped > 0 {
+		if err := d.repairJournalLocked(); err != nil {
+			return fail(err)
+		}
+	}
 	return d, d.report, nil
+}
+
+// Fsck reads back every blob file and digest-verifies it against its
+// name, spread across CPUs (see fsckBlobs). Mismatches — truncated
+// writes, flipped bits, renamed files — are moved to quarantine/, the
+// records referencing them are dropped, and the journal is rewritten to
+// the survivors the way Open repairs it. An unreadable file is left in
+// place: Blob verifies it again at use. Fsck costs O(store bytes); it is
+// `ch-image cache fsck` and ch-imaged's one startup check, never part of
+// an open.
+//
+// The returned Report is the handle's: what Open found, with the blob
+// pass's counts added, so on a fresh handle it says everything Fsck and
+// Open found wrong with the store. Damage is not an error.
+func (d *Dir) Fsck(ctx context.Context) (Report, error) {
+	if err := ctxErr(ctx); err != nil {
+		return Report{}, err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return d.report, fmt.Errorf("cas: store is closed")
+	}
+	scan := d.fsckBlobs()
+	dropped := d.dropDanglingRecordsLocked(d.presenceLocked(scan.present))
+	d.report.BlobsChecked = scan.checked
+	d.report.BlobsQuarantined += scan.quarantined
+	d.report.RecordsDropped += dropped
+	if dropped > 0 {
+		if err := d.repairJournalLocked(); err != nil {
+			return d.report, err
+		}
+	}
+	return d.report, nil
+}
+
+// repairJournalLocked rewrites a journal that holds damage: a torn tail
+// fragment (which a plain O_APPEND write would merge with, corrupting
+// the next record) or records just dropped (which would be re-parsed,
+// re-dropped and re-warned about at every open). It rewrites the journal
+// to exactly the surviving records — atomically, like GC's compaction,
+// under the exclusive lock so no concurrent append lands between the
+// read of the journal and the rename that replaces it. The lock is tried
+// once, not waited for: a peer holding the store open (a resident daemon
+// holds it for life) would keep it busy for the whole wait, and the
+// degraded path is safe without it. Callers hold d.mu and the shared
+// lock, which they still hold on return.
+func (d *Dir) repairJournalLocked() error {
+	switch err := d.lock.tryExclusive(); {
+	case err == nil:
+		// Appends may have landed since the journal was read; recompute
+		// the surviving set from the current journal.
+		_, err := d.loadLocked()
+		if err == nil {
+			err = d.writeCompactJournalLocked()
+		}
+		if serr := d.lock.shared(); err == nil {
+			err = serr
+		}
+		return err
+	case errors.Is(err, ErrBusy):
+		// Peers hold the store open; compaction must wait for a later
+		// open. Degrade: terminate any torn tail with a bare newline so
+		// O_APPEND writes cannot merge with the fragment (the fragment
+		// becomes a standalone bad line, quarantined again next open),
+		// and keep the dropped records dropped in memory.
+		if d.tornTail {
+			return d.terminateTornTailLocked()
+		}
+		return nil
+	default:
+		return err
+	}
 }
 
 // terminateTornTailLocked appends a single newline to the journal so the
 // unterminated fragment at EOF becomes a standalone (checksum-failing)
-// line instead of merging with the next append. The degraded-open path:
-// used only when damage was found but the exclusive lock for a real
-// compaction is unavailable.
+// line instead of merging with the next append. The degraded repair
+// path: used only when damage was found but the exclusive lock for a
+// real compaction is unavailable.
 //
 //chlint:allow failpointcover -- open-time torn-tail repair runs before the store serves builds; the soak faults the append path instead
 func (d *Dir) terminateTornTailLocked() error {
@@ -333,41 +333,49 @@ func (d *Dir) terminateTornTailLocked() error {
 
 // loadLocked replaces the in-memory record state with a replay of the
 // journal on disk, then drops the records whose blobs are not present.
-// Open runs it first; compaction and GC run it again under the exclusive
-// store lock, because other processes may have appended or compacted
-// since.
+// Open runs it first; the journal repair and GC run it again under the
+// exclusive store lock, because other processes may have appended or
+// compacted since. Each line is "<sha256-hex-of-payload> <payload-json>";
+// lines that fail the checksum (torn tail, bit rot) are appended to
+// quarantine/journal.bad and skipped. It returns the journal counts and
+// the records it dropped.
 //
-// With fsck set (the full-verify open) it is one concurrent pass: the
-// journal is read, checksum-verified and decoded on its own goroutine
-// while fsckBlobs digest-verifies every blob file. Each side returns
-// its own counts; only this goroutine writes the Report and the maps,
-// after both have finished. Presence is then answered from the blob walk
-// rather than by a stat per reference.
-func (d *Dir) loadLocked(fsck bool) error {
-	var (
-		j     journalLoad
-		blobs blobScan
-	)
-	if fsck {
-		jc := make(chan journalLoad, 1)
-		go func() { jc <- d.readJournal() }()
-		blobs = d.fsckBlobs()
-		j = <-jc
-		d.report.BlobsChecked, d.report.BlobsQuarantined = blobs.checked, blobs.quarantined
-	} else {
-		j = d.readJournal()
-	}
-	if j.err != nil {
-		return j.err
+//chlint:allow failpointcover -- open-time journal replay; recovery behavior under partial reads is exercised by the torn-tail corpus, not failpoints
+func (d *Dir) loadLocked() (Report, error) {
+	var rep Report
+	data, err := os.ReadFile(d.path("journal"))
+	if err != nil && !os.IsNotExist(err) {
+		return rep, fmt.Errorf("cas: journal: %w", err)
 	}
 	d.clearRecordsLocked()
-	for _, rec := range j.recs {
+	// A journal not ending in '\n' has a torn final line; Split leaves the
+	// fragment (or "") as the last element, and the checksum rejects it.
+	// Remember the tear: the degraded repair path (compaction lock busy)
+	// must terminate it before any O_APPEND write can merge with it.
+	d.tornTail = len(data) > 0 && data[len(data)-1] != '\n'
+	var bad [][]byte
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		rep.JournalLines++
+		rec, ok := decodeLine(line)
+		if !ok {
+			bad = append(bad, line)
+			continue
+		}
 		d.applyLocked(rec)
 	}
-	d.tornTail = j.torn
-	d.report.JournalLines, d.report.JournalQuarantined = j.lines, j.bad
-	d.report.RecordsDropped = d.dropDanglingRecordsLocked(d.presenceLocked(blobs.present))
-	return nil
+	if rep.JournalQuarantined = len(bad); len(bad) > 0 {
+		f, err := os.OpenFile(d.path("quarantine", "journal.bad"),
+			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err == nil {
+			f.Write(append(bytes.Join(bad, []byte("\n")), '\n'))
+			f.Close()
+		}
+	}
+	rep.RecordsDropped = d.dropDanglingRecordsLocked(d.presenceLocked(nil))
+	return rep, nil
 }
 
 // clearRecordsLocked empties the in-memory record state.
@@ -382,7 +390,7 @@ func (d *Dir) clearRecordsLocked() {
 // Root returns the directory the store lives in.
 func (d *Dir) Root() string { return d.root }
 
-// Report returns what open-time validation found.
+// Report returns what validation on this handle has found so far.
 func (d *Dir) Report() Report {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -445,8 +453,8 @@ func (d *Dir) walkBlobs(visit func(digest, path string, ent os.DirEntry)) {
 	}
 }
 
-// blobScan is what the full-verify blob pass found: how many files it
-// checked and quarantined, and the digests it read back intact.
+// blobScan is what Fsck's blob pass found: how many files it checked and
+// quarantined, and the digests it read back intact.
 type blobScan struct {
 	checked, quarantined int
 	present              map[string]bool
@@ -565,63 +573,6 @@ func (d *Dir) quarantine(p, as string) {
 	}
 }
 
-// journalLoad is what reading the journal found: the valid records in
-// journal order, the line counts, and whether the file ends in a torn
-// (unterminated) line.
-type journalLoad struct {
-	recs       []record
-	lines, bad int
-	torn       bool
-	err        error
-}
-
-// readJournal reads and decodes the journal without touching the
-// in-memory state. Each line is "<sha256-hex-of-payload> <payload-json>";
-// lines that fail the checksum (torn tail, bit rot) are appended to
-// quarantine/journal.bad and skipped.
-//
-//chlint:allow failpointcover -- open-time journal replay; recovery behavior under partial reads is exercised by the torn-tail corpus, not failpoints
-func (d *Dir) readJournal() journalLoad {
-	var j journalLoad
-	data, err := os.ReadFile(d.path("journal"))
-	if os.IsNotExist(err) {
-		return j
-	}
-	if err != nil {
-		j.err = fmt.Errorf("cas: journal: %w", err)
-		return j
-	}
-	var bad [][]byte
-	lines := bytes.Split(data, []byte("\n"))
-	// A journal not ending in '\n' has a torn final line; Split leaves the
-	// fragment (or "") as the last element, and the checksum rejects it.
-	// Remember the tear: the degraded-open path (compaction lock busy)
-	// must terminate it before any O_APPEND write can merge with it.
-	j.torn = len(data) > 0 && data[len(data)-1] != '\n'
-	for _, line := range lines {
-		if len(line) == 0 {
-			continue
-		}
-		j.lines++
-		rec, ok := decodeLine(line)
-		if !ok {
-			bad = append(bad, line)
-			j.bad++
-			continue
-		}
-		j.recs = append(j.recs, rec)
-	}
-	if len(bad) > 0 {
-		f, err := os.OpenFile(d.path("quarantine", "journal.bad"),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err == nil {
-			f.Write(append(bytes.Join(bad, []byte("\n")), '\n'))
-			f.Close()
-		}
-	}
-	return j
-}
-
 // decodeLine parses and checksum-verifies one journal line.
 func decodeLine(line []byte) (record, bool) {
 	sum, payload, ok := bytes.Cut(line, []byte(" "))
@@ -670,8 +621,8 @@ func (d *Dir) applyLocked(rec record) {
 
 // dropDanglingRecordsLocked removes records whose blobs did not survive
 // validation: a step whose layer is gone cannot replay, a tag whose layer
-// is gone cannot load. When anything is dropped, Open compacts the
-// journal immediately, so the damage is reported once, not at every
+// is gone cannot load. When anything is dropped, Open and Fsck compact
+// the journal immediately, so the damage is reported once, not at every
 // subsequent open. It returns how many records it dropped.
 func (d *Dir) dropDanglingRecordsLocked(present func(digest string) bool) int {
 	dropped := 0
@@ -693,12 +644,12 @@ func (d *Dir) dropDanglingRecordsLocked(present func(digest string) bool) int {
 	return dropped
 }
 
-// presenceLocked answers "is this blob present" for one replay: from
-// walked, the digests the blob pass read back intact, and otherwise with
-// one stat per distinct digest. So under full verify a quarantined blob
-// is absent and an unreadable one present, as a stat after the pass
-// would say, and a blob another process wrote after the walk counts
-// too.
+// presenceLocked answers "is this blob present" for one pass over the
+// records: from walked, the digests Fsck's blob pass read back intact
+// (nil at open), and otherwise with one stat per distinct digest. So
+// after Fsck a quarantined blob is absent and an unreadable one present,
+// as a stat after the pass would say, and a blob another process wrote
+// after the walk counts too.
 func (d *Dir) presenceLocked(walked map[string]bool) func(digest string) bool {
 	statted := map[string]bool{}
 	return func(digest string) bool {

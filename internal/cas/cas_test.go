@@ -24,6 +24,15 @@ func openT(t *testing.T, root string) (*Dir, Report) {
 	return d, rep
 }
 
+func fsckT(t *testing.T, d *Dir) Report {
+	t.Helper()
+	rep, err := d.Fsck(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestBlobRoundTrip(t *testing.T) {
 	d, rep := openT(t, t.TempDir())
 	if rep.Quarantined() {
@@ -75,7 +84,8 @@ func TestJournalStateSurvivesReopen(t *testing.T) {
 	}
 	d.Close()
 
-	d2, rep := openT(t, root)
+	d2, _ := openT(t, root)
+	rep := fsckT(t, d2)
 	if rep.Quarantined() {
 		t.Fatalf("clean store reports damage: %+v", rep)
 	}
@@ -105,19 +115,6 @@ func TestTagRejectsMissingLayer(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
 	if err := d.PutTag(ctx, "x:1", []string{Sum([]byte("never stored"))}, nil); err == nil {
 		t.Fatal("dangling tag accepted")
-	}
-}
-
-func TestParseVerify(t *testing.T) {
-	for name, want := range map[string]VerifyMode{"full": VerifyFull, "lazy": VerifyLazy} {
-		if got, err := ParseVerify(name); err != nil || got != want {
-			t.Errorf("ParseVerify(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "paranoid", "Lazy"} {
-		if _, err := ParseVerify(bad); err == nil {
-			t.Errorf("ParseVerify(%q) accepted", bad)
-		}
 	}
 }
 
@@ -181,7 +178,8 @@ func TestTornJournalTailRecovered(t *testing.T) {
 	}
 	d2.Close()
 
-	d3, rep3 := openT(t, root)
+	d3, _ := openT(t, root)
+	rep3 := fsckT(t, d3)
 	if rep3.Quarantined() {
 		t.Fatalf("damage reported again after recovery: %+v", rep3)
 	}
@@ -226,10 +224,10 @@ func TestCorruptJournalLineQuarantined(t *testing.T) {
 	}
 }
 
-// A truncated blob is caught by open-time fsck, moved to quarantine, and
-// every record referencing it is dropped — the build re-executes those
-// steps instead of failing.
-func TestCorruptBlobQuarantinedAtOpen(t *testing.T) {
+// A truncated blob is caught by Fsck, moved to quarantine, and every
+// record referencing it is dropped — the build re-executes those steps
+// instead of failing.
+func TestCorruptBlobQuarantinedByFsck(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
 	layer := []byte("will be truncated")
@@ -253,7 +251,8 @@ func TestCorruptBlobQuarantinedAtOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, rep := openT(t, root)
+	d2, _ := openT(t, root)
+	rep := fsckT(t, d2)
 	if rep.BlobsQuarantined != 1 {
 		t.Fatalf("blobs quarantined %d, want 1 (%+v)", rep.BlobsQuarantined, rep)
 	}
@@ -368,7 +367,8 @@ func TestConcurrentWriters(t *testing.T) {
 	d.Close()
 
 	// Everything written under contention replays on a fresh open.
-	d2, rep := openT(t, root)
+	d2, _ := openT(t, root)
+	rep := fsckT(t, d2)
 	if rep.Quarantined() {
 		t.Fatalf("contended store reports damage: %+v", rep)
 	}
@@ -432,7 +432,8 @@ func TestAppendAfterExternalCompactionNotLost(t *testing.T) {
 	}
 	d1.Close()
 
-	d3, rep := openT(t, root)
+	d3, _ := openT(t, root)
+	rep := fsckT(t, d3)
 	if rep.Quarantined() {
 		t.Fatalf("damage after orphan recovery: %+v", rep)
 	}

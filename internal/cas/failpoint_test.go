@@ -33,7 +33,8 @@ func TestFailpointBlobWriteTornLeavesOnlyTmpLitter(t *testing.T) {
 	}
 	d.Close()
 	// Reopen: litter cleared, zero damage.
-	d2, rep := openT(t, root)
+	d2, _ := openT(t, root)
+	rep := fsckT(t, d2)
 	if rep.Quarantined() {
 		t.Fatalf("torn temp read as damage: %+v", rep)
 	}
@@ -73,7 +74,8 @@ func TestFailpointJournalAppendENOSPCKeepsStoreClean(t *testing.T) {
 		t.Fatalf("want ENOSPC through, got %v", err)
 	}
 	d.Close()
-	d2, rep := openT(t, root)
+	d2, _ := openT(t, root)
+	rep := fsckT(t, d2)
 	if rep.Quarantined() {
 		t.Fatalf("failed append damaged the store: %+v", rep)
 	}

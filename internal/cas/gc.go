@@ -69,7 +69,7 @@ func (d *Dir) GC(ctx context.Context, b Budget) (GCStats, error) {
 	// briefly released our shared hold): replay the journal as it stands
 	// now, or the compaction below would clobber their records.
 	var stats GCStats
-	err := d.loadLocked(false)
+	_, err := d.loadLocked()
 	if err == nil {
 		if b.MaxBytes > 0 {
 			stats, err = d.gcBudgetLocked(b)

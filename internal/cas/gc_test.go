@@ -85,7 +85,8 @@ func TestGCCollectsUntaggedIntermediates(t *testing.T) {
 	// GC compacts the journal: the reopened store holds exactly the
 	// survivors and reports no damage (dropped records are gone for good,
 	// not re-dropped every open).
-	d2, rep := openT(t, root)
+	d2, _ := openT(t, root)
+	rep := fsckT(t, d2)
 	if rep.Quarantined() {
 		t.Fatalf("post-GC store reports damage: %+v", rep)
 	}

@@ -64,26 +64,18 @@ func openLock(path string) (*storeLock, error) {
 // restores the shared lock and returns ErrBusy; on cancellation it does
 // the same and returns the context error. The caller's handle stays
 // fully usable either way.
+//
+// Between polls the handle may hold no lock (a failed conversion can
+// drop it), and that is deliberate: two handles waiting to go exclusive at
+// once would each keep the other out until both timed out if they
+// re-took the shared lock between polls. Only the last attempt, the one
+// tryExclusive makes, restores it.
 func (l *storeLock) exclusive(ctx context.Context, wait time.Duration) error {
 	start := time.Now()
-	deadline := start.Add(wait)
-	for {
-		ok, err := flockExclusiveNB(l.f)
-		if err != nil {
-			l.reshare()
-			return fmt.Errorf("cas: lock: %w", err)
-		}
-		if ok {
-			mFlockWaitSeconds.ObserveSince(start)
-			return nil
-		}
-		if !time.Now().Before(deadline) {
-			mFlockWaitSeconds.ObserveSince(start)
-			mBusy.Inc()
-			if err := l.reshare(); err != nil {
-				return err
-			}
-			return ErrBusy
+	defer mFlockWaitSeconds.ObserveSince(start)
+	for deadline := start.Add(wait); time.Now().Before(deadline); {
+		if err := l.convert(); !errors.Is(err, ErrBusy) {
+			return err
 		}
 		select {
 		case <-ctx.Done():
@@ -94,6 +86,36 @@ func (l *storeLock) exclusive(ctx context.Context, wait time.Duration) error {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
+	return l.tryExclusive()
+}
+
+// tryExclusive is the wait-0 conversion: one non-blocking attempt that,
+// on contention, restores the shared lock and returns ErrBusy.
+func (l *storeLock) tryExclusive() error {
+	if err := l.convert(); !errors.Is(err, ErrBusy) {
+		return err
+	}
+	mBusy.Inc()
+	if err := l.reshare(); err != nil {
+		return err
+	}
+	return ErrBusy
+}
+
+// convert makes one non-blocking attempt to convert the held shared lock
+// to exclusive. On contention it returns ErrBusy, and the shared lock
+// may be gone: the kernel converts by unlock-then-lock. On any other
+// failure it restores the shared lock first.
+func (l *storeLock) convert() error {
+	ok, err := flockExclusiveNB(l.f)
+	switch {
+	case err != nil:
+		l.reshare()
+		return fmt.Errorf("cas: lock: %w", err)
+	case !ok:
+		return ErrBusy
+	}
+	return nil
 }
 
 // shared converts the lock back to shared after an exclusive section.

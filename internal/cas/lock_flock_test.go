@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -156,7 +157,8 @@ func TestTwoProcessFlock(t *testing.T) {
 	}
 	// The child's full sweep dropped the untagged steps; reopening must
 	// see a healthy (colder) store, not damage.
-	d2, rep := openT(t, root)
+	d2, _ := openT(t, root)
+	rep := fsckT(t, d2)
 	if rep.Quarantined() {
 		t.Fatalf("store damaged after child GC: %+v", rep)
 	}
@@ -212,10 +214,11 @@ func TestDamagedOpenWithPeerDoesNotWait(t *testing.T) {
 	}
 }
 
-// A record whose only blob a full-verify open quarantined is dropped in
-// both verify modes. A peer keeps the journal from being compacted, so
-// the record is still on disk when the lazy open replays it; lazy's
-// presence check (one stat per distinct digest) must drop it too.
+// A record whose only blob Fsck quarantined is dropped both by that Fsck
+// and by the next plain Open. A peer keeps the journal from being
+// compacted, so the record is still on disk when the later open replays
+// it; the open's presence check (one stat per distinct digest) must drop
+// it too.
 func TestQuarantinedBlobRecordDroppedInBothModes(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
@@ -228,25 +231,77 @@ func TestQuarantinedBlobRecordDroppedInBothModes(t *testing.T) {
 	victim, _ := d.Step("victim")
 	corruptBlobOnDisk(t, d, victim.Layer)
 
-	for _, mode := range []VerifyMode{VerifyFull, VerifyLazy} {
-		d2, rep, err := Open(root, WithVerify(mode))
+	for _, fsck := range []bool{true, false} {
+		d2, rep, err := Open(root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mode == VerifyFull && rep.BlobsQuarantined != 1 {
-			t.Fatalf("full open: %+v, want the corrupt blob quarantined", rep)
+		if fsck {
+			if rep = fsckT(t, d2); rep.BlobsQuarantined != 1 {
+				t.Fatalf("fsck: %+v, want the corrupt blob quarantined", rep)
+			}
 		}
 		if rep.RecordsDropped != 1 {
-			t.Fatalf("mode %d: %+v, want the victim record dropped", mode, rep)
+			t.Fatalf("fsck=%v: %+v, want the victim record dropped", fsck, rep)
 		}
 		if _, ok := d2.Step("victim"); ok {
-			t.Fatalf("mode %d: record on a quarantined blob survived", mode)
+			t.Fatalf("fsck=%v: record on a quarantined blob survived", fsck)
 		}
 		if _, ok := d2.Step("bystander"); !ok {
-			t.Fatalf("mode %d: unrelated record lost", mode)
+			t.Fatalf("fsck=%v: unrelated record lost", fsck)
 		}
 		if err := d2.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// Two handles converting to exclusive at once: the one that polls second
+// wins, because a failed conversion can leave the first holding no lock
+// while it waits; the loser times out with ErrBusy, since the winner's
+// handle keeps its shared hold. Re-taking the shared lock between polls
+// would make each keep the other out until both timed out. The loser
+// must come back holding the store shared: once the winner closes, its
+// own GC goes through.
+func TestConcurrentExclusiveWaitersOneWins(t *testing.T) {
+	root := t.TempDir()
+	handles := make([]*Dir, 2)
+	for i := range handles {
+		d, _, err := Open(root, WithLockWait(300*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		handles[i] = d
+	}
+	errs := make([]error, len(handles))
+	var wg sync.WaitGroup
+	for i, d := range handles {
+		wg.Add(1)
+		go func(i int, d *Dir) {
+			defer wg.Done()
+			_, errs[i] = d.GC(ctx, Budget{})
+		}(i, d)
+	}
+	wg.Wait()
+	winner, loser := -1, -1
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			winner = i
+		case errors.Is(err, ErrBusy):
+			loser = i
+		default:
+			t.Fatalf("GC: %v", err)
+		}
+	}
+	if winner < 0 || loser < 0 {
+		t.Fatalf("GC results %v, want one success and one ErrBusy", errs)
+	}
+	if err := handles[winner].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := handles[loser].GC(ctx, Budget{}); err != nil {
+		t.Fatalf("GC after the winner closed: %v", err)
 	}
 }

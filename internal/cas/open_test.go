@@ -56,7 +56,7 @@ func buildParityStore(t *testing.T, root string) parityStore {
 
 // damageParityStore applies one of each kind of blob damage and returns
 // the digests whose content is lost (quarantined or moved away) and the
-// quarantine/ entries a full-verify open must produce:
+// quarantine/ entries Fsck must produce:
 //
 //   - layer 20 truncated;
 //   - layer 41 with one bit flipped;
@@ -125,7 +125,7 @@ func survivors(d *Dir) (steps, tags []string) {
 	return steps, d.TagNames()
 }
 
-// The concurrent open must reach exactly the outcome the serial fsck
+// The concurrent Fsck must reach exactly the outcome the serial fsck
 // semantics define, whatever the worker count: every file checked, each
 // damaged file quarantined once under its own name, the unreadable one
 // left alone and counted present, and precisely the records that
@@ -162,7 +162,8 @@ func TestParallelFsckMatchesSerialSemantics(t *testing.T) {
 			records := 200 + 10 + 1 + 10
 			wantDropped := records - len(wantSteps) - len(wantTags)
 
-			d, rep := openT(t, root)
+			d, _ := openT(t, root)
+			rep := fsckT(t, d)
 			want := Report{
 				BlobsChecked:     ps.files,
 				BlobsQuarantined: len(wantQuarantine),
@@ -202,8 +203,10 @@ func TestParallelFsckMatchesSerialSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The damage was compacted away: the next open is clean.
-			_, rep2 := openT(t, root)
+			// The damage was compacted away: the next open and its Fsck
+			// are clean.
+			d2, _ := openT(t, root)
+			rep2 := fsckT(t, d2)
 			if rep2.Quarantined() || rep2.BlobsChecked != ps.files-len(wantQuarantine) {
 				t.Fatalf("reopen after repair: %+v", rep2)
 			}
@@ -211,8 +214,8 @@ func TestParallelFsckMatchesSerialSemantics(t *testing.T) {
 	}
 }
 
-// Presence at open is answered from the blob walk, but a digest the walk
-// did not list is still stat-checked — a blob written after the walk by
+// Presence after Fsck is answered from the blob walk, but a digest the
+// walk did not list is still stat-checked — a blob written after the walk by
 // another handle is present, a missing one is not.
 func TestPresenceFallsBackToStat(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
@@ -296,7 +299,8 @@ func TestOpenIgnoresLegacyChainRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, rep := openT(t, root)
+	d2, _ := openT(t, root)
+	rep := fsckT(t, d2)
 	if rep.Quarantined() {
 		t.Fatalf("legacy chain record read as damage: %+v", rep)
 	}

@@ -1,6 +1,8 @@
 package cas
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,7 +48,8 @@ func TestCrashMidCompactionHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, rep := openT(t, root)
+	d2, _ := openT(t, root)
+	rep := fsckT(t, d2)
 	if rep.Quarantined() {
 		t.Fatalf("reopen after crash-mid-compaction reports damage: %+v", rep)
 	}
@@ -60,7 +63,7 @@ func TestCrashMidCompactionHeals(t *testing.T) {
 	}
 }
 
-// Lazy open must not read blob contents: a corrupt blob goes unnoticed at
+// Open must not read blob contents: a corrupt blob goes unnoticed at
 // open (no fsck pass), is caught by Blob's verify-on-read, and the next
 // open drops the now-dangling record.
 func TestLazyOpenDefersBlobVerification(t *testing.T) {
@@ -78,19 +81,19 @@ func TestLazyOpenDefersBlobVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, _, err := Open(root, WithVerify(VerifyLazy))
+	d2, _, err := Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
 	rep := d2.Report()
 	if rep.BlobsChecked != 0 || rep.BlobsQuarantined != 0 {
-		t.Fatalf("lazy open ran the fsck pass: %+v", rep)
+		t.Fatalf("open ran the fsck pass: %+v", rep)
 	}
-	// The record is still there — lazy trades early detection for a
+	// The record is still there — the open trades early detection for a
 	// cheap open; presence was stat-checked, content was not.
 	if _, ok := d2.Step("bad"); !ok {
-		t.Fatal("lazy open dropped a record whose blob file exists")
+		t.Fatal("open dropped a record whose blob file exists")
 	}
 	// Verify-on-read is the backstop: the corrupt blob reads as an error
 	// and is quarantined then.
@@ -108,9 +111,9 @@ func TestLazyOpenDefersBlobVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same end state as VerifyFull, discovered later: the next open sees
-	// the quarantined blob missing and drops the dangling record.
-	d3, _, err := Open(root, WithVerify(VerifyLazy))
+	// Same end state as Fsck, discovered later: the next open sees the
+	// quarantined blob missing and drops the dangling record.
+	d3, _, err := Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +126,8 @@ func TestLazyOpenDefersBlobVerification(t *testing.T) {
 	}
 }
 
-// Lazy open still drops records whose blob files are missing entirely —
-// the stat-based pass is kept in both modes.
+// Open still drops records whose blob files are missing entirely — the
+// stat-based presence check needs no blob read.
 func TestLazyOpenDropsDanglingRecords(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
@@ -143,15 +146,35 @@ func TestLazyOpenDropsDanglingRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, _, err := Open(root, WithVerify(VerifyLazy))
+	d2, _, err := Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
 	if _, ok := d2.Step("dangling"); ok {
-		t.Fatal("record referencing a missing blob survived lazy open")
+		t.Fatal("record referencing a missing blob survived open")
 	}
 	if d2.Report().RecordsDropped != 1 {
 		t.Fatalf("RecordsDropped = %d, want 1", d2.Report().RecordsDropped)
+	}
+}
+
+// Fsck is a context-first store operation: a done context or a closed
+// handle fails it before any blob is read.
+func TestFsckRefusesDoneContextAndClosedHandle(t *testing.T) {
+	d, _ := openT(t, t.TempDir())
+	if _, err := d.PutBlob(ctx, []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := d.Fsck(done); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fsck with a done context: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Fsck(ctx); err == nil {
+		t.Fatal("Fsck on a closed handle succeeded")
 	}
 }

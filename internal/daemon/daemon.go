@@ -54,13 +54,9 @@ type Config struct {
 	Force build.ForceMode
 
 	// CacheDir, when non-empty, backs the daemon's store and cache with
-	// a persistent cas store opened once at New and held (with its
-	// shared flock) until Shutdown.
+	// a persistent cas store opened and fscked once at New and held
+	// (with its shared flock) until Shutdown.
 	CacheDir string
-
-	// CacheVerify selects the CacheDir open validation (cas.VerifyFull
-	// or cas.VerifyLazy). Ignored when CacheDir is empty.
-	CacheVerify cas.VerifyMode
 
 	// Faults, when non-nil, is installed as the cas store's failpoint
 	// injector (the CH_IMAGE_CAS_FAULTS path). Ignored when CacheDir is
@@ -129,9 +125,17 @@ func New(cfg Config) (*Daemon, error) {
 		slots: make(chan struct{}, cfg.Jobs),
 	}
 	if cfg.CacheDir != "" {
-		dir, rep, err := cas.Open(cfg.CacheDir, cas.WithVerify(cfg.CacheVerify))
+		dir, _, err := cas.Open(cfg.CacheDir)
 		if err != nil {
 			return nil, fmt.Errorf("daemon: open cache-dir: %w", err)
+		}
+		// The daemon opens once for its lifetime, so it verifies every
+		// blob once, before seeding re-puts the bases: a damaged base
+		// blob is quarantined here and healed by the re-put.
+		//chlint:allow ctxfirst -- New has no caller context (_imagebench calls New(cfg)); the one startup fsck runs to completion
+		rep, err := dir.Fsck(context.Background())
+		if err != nil {
+			return nil, errors.Join(fmt.Errorf("daemon: fsck cache-dir: %w", err), dir.Close())
 		}
 		d.dir = dir
 		d.report = rep
@@ -198,7 +202,8 @@ func (d *Daemon) Handler() http.Handler { return d.handler }
 // Store exposes the shared image store (tests and /v1/images).
 func (d *Daemon) Store() *image.Store { return d.store }
 
-// Report returns the cas open report (zero without a CacheDir).
+// Report returns what the startup open and fsck of the cas store found
+// (zero without a CacheDir).
 func (d *Daemon) Report() cas.Report { return d.report }
 
 // Submit admits one build request: it allocates an operation, charges

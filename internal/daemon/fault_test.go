@@ -8,12 +8,14 @@ package daemon
 // end to end. `make fault-smoke` raises FAULT_SOAK_DAEMON_BUILDS.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cas"
@@ -58,10 +60,9 @@ func TestDaemonFaultSoak(t *testing.T) {
 	succeeded, degraded, failed := 0, 0, 0
 	for done := 0; done < builds; {
 		d, err := New(Config{
-			Jobs:        2,
-			CacheDir:    root,
-			CacheVerify: cas.VerifyLazy,
-			Faults:      cas.NewPlan(rng.Int63(), rates),
+			Jobs:     2,
+			CacheDir: root,
+			Faults:   cas.NewPlan(rng.Int63(), rates),
 		})
 		if err != nil {
 			t.Fatalf("build %d: daemon failed to open the store: %v", done, err)
@@ -113,13 +114,17 @@ func TestDaemonFaultSoak(t *testing.T) {
 		}
 		done += n
 
-		// Tear the daemon down (releasing the flock) and reopen with
-		// full verification: no damage, no matter what the faults did.
+		// Tear the daemon down (releasing the flock), reopen and fsck:
+		// no damage, no matter what the faults did.
 		srv.Close()
 		shutdownDaemon(t, d)
-		d2, rep, err := cas.Open(root, cas.WithVerify(cas.VerifyFull))
+		d2, _, err := cas.Open(root)
 		if err != nil {
 			t.Fatalf("post-daemon reopen failed: %v", err)
+		}
+		rep, err := d2.Fsck(context.Background())
+		if err != nil {
+			t.Fatalf("post-daemon fsck failed: %v", err)
 		}
 		if rep.Quarantined() {
 			t.Errorf("post-daemon reopen found damage: %+v", rep)
@@ -129,7 +134,7 @@ func TestDaemonFaultSoak(t *testing.T) {
 
 	// A final fault-free daemon over the surviving store: the warm path
 	// must build cleanly.
-	d, err := New(Config{Jobs: 1, CacheDir: root, CacheVerify: cas.VerifyFull})
+	d, err := New(Config{Jobs: 1, CacheDir: root})
 	if err != nil {
 		t.Fatalf("final daemon: %v", err)
 	}
@@ -153,4 +158,46 @@ func TestDaemonFaultSoak(t *testing.T) {
 	shutdownDaemon(t, d)
 	t.Logf("daemon soak: %d builds (seed %d): %d clean, %d degraded, %d failed cleanly",
 		builds, seed, succeeded, degraded, failed)
+}
+
+// New fscks the store before it seeds the bases: a damaged base blob is
+// quarantined there, and the seeding's re-put writes it back whole, so
+// the next fsck finds nothing.
+func TestNewFscksBeforeSeeding(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "cas")
+	d, err := New(Config{Jobs: 1, CacheDir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdownDaemon(t, d)
+	dir, _, err := cas.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, ok := dir.Tag("alpine:3.19")
+	if err := dir.Close(); err != nil || !ok {
+		t.Fatalf("alpine:3.19 persisted=%v, close: %v", ok, err)
+	}
+	hexpart := strings.TrimPrefix(tg.Layers[0], cas.DigestPrefix)
+	if err := os.WriteFile(filepath.Join(root, "blobs", "sha256", hexpart[:2], hexpart[2:]), []byte("rotten"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err = New(Config{Jobs: 1, CacheDir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := d.Report(); rep.BlobsQuarantined != 1 {
+		t.Fatalf("startup fsck: %+v, want the base blob quarantined", rep)
+	}
+	shutdownDaemon(t, d)
+
+	dir, _, err = cas.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	if rep, err := dir.Fsck(context.Background()); err != nil || rep.Quarantined() {
+		t.Fatalf("fsck after the re-put: %+v, %v", rep, err)
+	}
 }

@@ -326,7 +326,11 @@ func TestUnpackDoesNotAliasLayer(t *testing.T) {
 	src.MkdirAll(rc, "/etc", 0o755, 0, 0)
 	src.WriteFile(rc, "/etc/a", []byte("alpha"), 0o644, 0, 0)
 	src.WriteFile(rc, "/etc/b", bytes.Repeat([]byte("b"), 700), 0o644, 0, 0)
-	layer, err := tarutil.PackFS(src)
+	ents, err := tarutil.Snapshot(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer, err := tarutil.Pack(ents)
 	if err != nil {
 		t.Fatal(err)
 	}

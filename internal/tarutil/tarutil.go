@@ -161,17 +161,6 @@ func Pack(entries []Entry) ([]byte, error) {
 	return append(buf, zeroBlock[:]...), nil
 }
 
-// PackFS is Snapshot followed by Pack.
-//
-//chlint:keyroot
-func PackFS(fs *vfs.FS) ([]byte, error) {
-	ents, err := Snapshot(fs)
-	if err != nil {
-		return nil, err
-	}
-	return Pack(ents)
-}
-
 // Unpack applies a tar layer onto fs as the kernel (privileged): ownership,
 // modes, device nodes and xattrs land exactly as recorded, and whiteouts
 // delete. This is the image-store path — equivalent to unpacking as root.

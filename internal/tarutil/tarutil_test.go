@@ -23,7 +23,11 @@ func buildTree(t *testing.T) *vfs.FS {
 
 func TestSnapshotPackUnpackRoundTrip(t *testing.T) {
 	src := buildTree(t)
-	layer, err := PackFS(src)
+	ents, err := Snapshot(src)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	layer, err := Pack(ents)
 	if err != nil {
 		t.Fatalf("pack: %v", err)
 	}
@@ -55,12 +59,15 @@ func TestSnapshotPackUnpackRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotDeterministic(t *testing.T) {
-	a, _ := PackFS(buildTree(t))
-	b, _ := PackFS(buildTree(t))
-	// Mtimes come from independent clocks; compare only entry names via
-	// re-snapshot.
+	// Mtimes come from independent clocks, so the packed bytes differ;
+	// both trees must pack, and their entry names must match.
 	ea, _ := Snapshot(buildTree(t))
 	eb, _ := Snapshot(buildTree(t))
+	for _, ents := range [][]Entry{ea, eb} {
+		if _, err := Pack(ents); err != nil {
+			t.Fatalf("pack: %v", err)
+		}
+	}
 	if len(ea) != len(eb) {
 		t.Fatalf("entry counts differ: %d %d", len(ea), len(eb))
 	}
@@ -69,8 +76,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 			t.Fatalf("entry %d: %s vs %s", i, ea[i].Path, eb[i].Path)
 		}
 	}
-	_ = a
-	_ = b
 }
 
 func TestWhiteoutDeletes(t *testing.T) {
@@ -287,7 +292,11 @@ func TestHardLinkInLayer(t *testing.T) {
 	src.Link(rc, "/a", "/b")
 	// Snapshot sees two regular entries (tar hard-link detection is not
 	// needed for correctness; content is duplicated).
-	layer, err := PackFS(src)
+	ents, err := Snapshot(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer, err := Pack(ents)
 	if err != nil {
 		t.Fatal(err)
 	}
