@@ -151,6 +151,10 @@ type Dir struct {
 	order    map[string]uint64 // step key → journal recency
 	orderSeq uint64
 	tornTail bool // journal ends in an unterminated fragment
+	// badLines counts, by content, the checksum-failing lines the last
+	// journal read found and quarantined. They stay in the journal until
+	// a compaction, so a re-read must not quarantine them again.
+	badLines map[string]int
 	report   Report
 	seq      uint64 // temp-file uniquifier
 	closed   bool
@@ -336,8 +340,9 @@ func (d *Dir) terminateTornTailLocked() error {
 // Open runs it first; the journal repair and GC run it again under the
 // exclusive store lock, because other processes may have appended or
 // compacted since. Each line is "<sha256-hex-of-payload> <payload-json>";
-// lines that fail the checksum (torn tail, bit rot) are appended to
-// quarantine/journal.bad and skipped. It returns the journal counts and
+// lines that fail the checksum (torn tail, bit rot) are skipped, and the
+// ones an earlier read on this handle did not already quarantine are
+// appended to quarantine/journal.bad. It returns the journal counts and
 // the records it dropped.
 //
 //chlint:allow failpointcover -- open-time journal replay; recovery behavior under partial reads is exercised by the torn-tail corpus, not failpoints
@@ -353,7 +358,8 @@ func (d *Dir) loadLocked() (Report, error) {
 	// Remember the tear: the degraded repair path (compaction lock busy)
 	// must terminate it before any O_APPEND write can merge with it.
 	d.tornTail = len(data) > 0 && data[len(data)-1] != '\n'
-	var bad [][]byte
+	var fresh [][]byte
+	seen := map[string]int{}
 	for _, line := range bytes.Split(data, []byte("\n")) {
 		if len(line) == 0 {
 			continue
@@ -361,16 +367,20 @@ func (d *Dir) loadLocked() (Report, error) {
 		rep.JournalLines++
 		rec, ok := decodeLine(line)
 		if !ok {
-			bad = append(bad, line)
+			rep.JournalQuarantined++
+			if seen[string(line)]++; seen[string(line)] > d.badLines[string(line)] {
+				fresh = append(fresh, line)
+			}
 			continue
 		}
 		d.applyLocked(rec)
 	}
-	if rep.JournalQuarantined = len(bad); len(bad) > 0 {
+	d.badLines = seen
+	if len(fresh) > 0 {
 		f, err := os.OpenFile(d.path("quarantine", "journal.bad"),
 			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err == nil {
-			f.Write(append(bytes.Join(bad, []byte("\n")), '\n'))
+			f.Write(append(bytes.Join(fresh, []byte("\n")), '\n'))
 			f.Close()
 		}
 	}
@@ -1083,6 +1093,7 @@ func (d *Dir) writeCompactJournalLocked() error {
 	d.journal = nf
 	old.Close()
 	d.tornTail = false
+	d.badLines = nil // the rewrite left every bad line behind
 	return nil
 }
 

@@ -475,3 +475,57 @@ func TestUnserveableBlobHealsOnRePut(t *testing.T) {
 		t.Fatalf("after heal: %q %v", got, err)
 	}
 }
+
+// A bad journal line is quarantined once, however many times the store
+// reads the journal: an open that repairs the journal reads it twice (the
+// load, then the reload under the exclusive lock). A bad line first seen
+// at a later reload, such as a peer's torn append, still lands in
+// journal.bad.
+func TestBadJournalLineQuarantinedOnce(t *testing.T) {
+	root := t.TempDir()
+	d, _ := openT(t, root)
+	if err := d.PutStep(ctx, "good", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	j := filepath.Join(root, "journal")
+	appendJournal := func(line string) {
+		t.Helper()
+		f, err := os.OpenFile(j, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(line); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	bad := filepath.Join(root, "quarantine", "journal.bad")
+	wantBad := func(want string) {
+		t.Helper()
+		got, err := os.ReadFile(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Fatalf("journal.bad = %q, want %q", got, want)
+		}
+	}
+
+	appendJournal("0000 torn\n")
+	d2, rep := openT(t, root)
+	if rep.JournalQuarantined != 1 {
+		t.Fatalf("quarantined %d lines, want 1 (%+v)", rep.JournalQuarantined, rep)
+	}
+	wantBad("0000 torn\n")
+
+	// A peer's torn append, first seen when GC reloads the journal.
+	appendJournal("1111 peer\n")
+	if _, err := d2.GC(ctx, Budget{}); err != nil {
+		t.Fatal(err)
+	}
+	wantBad("0000 torn\n1111 peer\n")
+	if _, ok := d2.Step("good"); !ok {
+		t.Fatal("intact record lost")
+	}
+}
