@@ -912,21 +912,43 @@ func (d *Dir) Steps() []Step {
 	return out
 }
 
-// PutTag persists an image tag. The layer blobs must already be in the
-// store (image.Store.Put writes them first); a tag referencing a missing
-// blob is rejected rather than recorded dangling.
-func (d *Dir) PutTag(ctx context.Context, name string, layers []string, config []byte) error {
+// TagLayer is one layer of a tag being put: its digest and its bytes.
+// Data may be nil for a layer the caller knows the store already holds.
+type TagLayer struct {
+	Digest string
+	Data   []byte
+}
+
+// PutTag persists an image tag together with the layer blobs it names, in
+// one critical section, so a GC cannot sweep a blob between its write and
+// the record that references it. A layer already in the store costs one
+// stat and is not re-hashed; a missing one is written from its Data,
+// which must hash to its Digest. A missing layer without Data, or with
+// Data under another digest, is rejected rather than recorded dangling.
+func (d *Dir) PutTag(ctx context.Context, name string, layers []TagLayer, config []byte) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, l := range layers {
-		if !d.hasBlobLocked(l) {
-			return fmt.Errorf("cas: tag %s: layer %s not in store", name, l)
+	digests := make([]string, len(layers))
+	for i, l := range layers {
+		digests[i] = l.Digest
+		if d.hasBlobLocked(l.Digest) {
+			continue
+		}
+		if l.Data == nil {
+			return fmt.Errorf("cas: tag %s: layer %s not in store", name, l.Digest)
+		}
+		got, err := d.putBlobLocked(l.Data)
+		if err != nil {
+			return err
+		}
+		if got != l.Digest {
+			return fmt.Errorf("cas: tag %s: layer %s: bytes hash to %s", name, l.Digest, got)
 		}
 	}
-	tg := Tag{Name: name, Layers: append([]string(nil), layers...), Config: config}
+	tg := Tag{Name: name, Layers: digests, Config: config}
 	if cur, ok := d.tags[name]; ok && sameTag(cur, tg) {
 		// Re-seeding the same base images every invocation must not grow
 		// the append-only journal by one identical line per run.

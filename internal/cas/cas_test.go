@@ -24,6 +24,15 @@ func openT(t *testing.T, root string) (*Dir, Report) {
 	return d, rep
 }
 
+// stored names layers the store already holds, for PutTag.
+func stored(digests ...string) []TagLayer {
+	out := make([]TagLayer, len(digests))
+	for i, dg := range digests {
+		out[i] = TagLayer{Digest: dg}
+	}
+	return out
+}
+
 func fsckT(t *testing.T, d *Dir) Report {
 	t.Helper()
 	rep, err := d.Fsck(ctx)
@@ -73,10 +82,10 @@ func TestJournalStateSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	ld, _ := d.PutBlob(ctx, []byte("tag layer"))
-	if err := d.PutTag(ctx, "app:1", []string{ld}, []byte(`{"user":"u"}`)); err != nil {
+	if err := d.PutTag(ctx, "app:1", stored(ld), []byte(`{"user":"u"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutTag(ctx, "gone:1", []string{ld}, nil); err != nil {
+	if err := d.PutTag(ctx, "gone:1", stored(ld), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.DeleteTag(ctx, "gone:1"); err != nil {
@@ -113,7 +122,7 @@ func TestJournalStateSurvivesReopen(t *testing.T) {
 
 func TestTagRejectsMissingLayer(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
-	if err := d.PutTag(ctx, "x:1", []string{Sum([]byte("never stored"))}, nil); err == nil {
+	if err := d.PutTag(ctx, "x:1", stored(Sum([]byte("never stored"))), nil); err == nil {
 		t.Fatal("dangling tag accepted")
 	}
 }
@@ -238,7 +247,7 @@ func TestCorruptBlobQuarantinedByFsck(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest, _ := d.PutBlob(ctx, []byte("tagged bytes"))
-	if err := d.PutTag(ctx, "app:1", []string{digest}, nil); err != nil {
+	if err := d.PutTag(ctx, "app:1", stored(digest), nil); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -314,7 +323,7 @@ func TestReset(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
 	d.PutStep(ctx, "k", []byte("x"), 0)
 	digest, _ := d.PutBlob(ctx, []byte("y"))
-	d.PutTag(ctx, "t:1", []string{digest}, nil)
+	d.PutTag(ctx, "t:1", stored(digest), nil)
 	if err := d.Reset(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +406,42 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
+// PutTag writes the layers the store lacks from the bytes it is given,
+// checking them against their claimed digest, and takes a present layer
+// by its digest alone: its bytes are neither hashed nor written.
+func TestPutTagWritesOnlyMissingBlobs(t *testing.T) {
+	d, _ := openT(t, t.TempDir())
+	present, err := d.PutBlob(ctx, []byte("present"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := []byte("missing")
+	layers := []TagLayer{
+		{Digest: present, Data: []byte("not the present bytes")},
+		{Digest: Sum(missing), Data: missing},
+	}
+	if err := d.PutTag(ctx, "app:1", layers, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.Blob(ctx, Sum(missing)); err != nil || string(got) != "missing" {
+		t.Fatalf("missing layer not written: %q, %v", got, err)
+	}
+	if got, err := d.Blob(ctx, present); err != nil || string(got) != "present" {
+		t.Fatalf("present layer rewritten: %q, %v", got, err)
+	}
+	if tg, ok := d.Tag("app:1"); !ok || len(tg.Layers) != 2 || tg.Layers[1] != Sum(missing) {
+		t.Fatalf("tag = %+v, %v", tg, ok)
+	}
+
+	liar := []TagLayer{{Digest: Sum([]byte("claimed")), Data: []byte("actual")}}
+	if err := d.PutTag(ctx, "liar:1", liar, nil); err == nil {
+		t.Fatal("a layer whose bytes hash to another digest was accepted")
+	}
+	if _, ok := d.Tag("liar:1"); ok {
+		t.Fatal("rejected tag recorded")
+	}
+}
+
 // A handle whose journal was replaced underneath it must not append into
 // the unlinked inode: the next append detects the orphan and rewrites the
 // journal from its own state first. A *cooperating* handle can no longer
@@ -409,7 +454,7 @@ func TestAppendAfterExternalCompactionNotLost(t *testing.T) {
 	if err := d1.PutStep(ctx, "before", []byte("layer-b"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d1.PutTag(ctx, "root:1", []string{Sum([]byte("layer-b"))}, nil); err != nil {
+	if err := d1.PutTag(ctx, "root:1", stored(Sum([]byte("layer-b"))), nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -71,7 +71,7 @@ func TestGCBudgetKeepsUntaggedUnderBudget(t *testing.T) {
 func TestGCBudgetNeverEvictsTagPins(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
 	pinnedLayer := putSizedStep(t, d, "pinned-step", 2048)
-	if err := d.PutTag(ctx, "app:1", []string{pinnedLayer}, nil); err != nil {
+	if err := d.PutTag(ctx, "app:1", stored(pinnedLayer), nil); err != nil {
 		t.Fatal(err)
 	}
 	putSizedStep(t, d, "loose-step", 1024)

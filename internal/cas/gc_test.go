@@ -12,10 +12,10 @@ func TestGCBlobSharedByTwoTagsSurvives(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
 	shared, _ := d.PutBlob(ctx, []byte("shared layer"))
 	only, _ := d.PutBlob(ctx, []byte("private layer"))
-	if err := d.PutTag(ctx, "a:1", []string{shared}, nil); err != nil {
+	if err := d.PutTag(ctx, "a:1", stored(shared), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutTag(ctx, "b:1", []string{shared, only}, nil); err != nil {
+	if err := d.PutTag(ctx, "b:1", stored(shared, only), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.DeleteTag(ctx, "b:1"); err != nil {
@@ -44,7 +44,7 @@ func TestGCCollectsUntaggedIntermediates(t *testing.T) {
 	final := []byte("final layer")
 	inter := []byte("intermediate stage layer")
 	fd, _ := d.PutBlob(ctx, final)
-	if err := d.PutTag(ctx, "app:1", []string{fd}, nil); err != nil {
+	if err := d.PutTag(ctx, "app:1", stored(fd), nil); err != nil {
 		t.Fatal(err)
 	}
 	// A step of the tagged image and a step of a pruned intermediate.

@@ -43,7 +43,7 @@ func buildParityStore(t *testing.T, root string) parityStore {
 		t.Fatal(err)
 	}
 	for k := 0; k < 10; k++ {
-		if err := d.PutTag(ctx, fmt.Sprintf("app:%d", k), ps.layers[k*20:k*20+4], nil); err != nil {
+		if err := d.PutTag(ctx, fmt.Sprintf("app:%d", k), stored(ps.layers[k*20:k*20+4]...), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +275,7 @@ func TestOpenIgnoresLegacyChainRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutTag(ctx, "app:1", []string{layer}, nil); err != nil {
+	if err := d.PutTag(ctx, "app:1", stored(layer), nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := d.PutBlob(ctx, []byte("whole-tree snapshot"))

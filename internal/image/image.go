@@ -350,8 +350,7 @@ func (s *Store) PutContext(ctx context.Context, img *Image) {
 			s.chains[img.seedKey] = img.seed
 		}
 	}
-	pristine := make([][]byte, len(img.Layers))
-	digests := make([]string, len(img.Layers))
+	layers := make([]cas.TagLayer, len(img.Layers))
 	for i, l := range img.Layers {
 		if _, ok := s.blobs[l.Digest]; !ok {
 			s.blobs[l.Digest] = append([]byte(nil), l.Data...)
@@ -359,8 +358,7 @@ func (s *Store) PutContext(ctx context.Context, img *Image) {
 		// Persist the store's pristine copy, not the caller's mutable
 		// slice. Blobs are write-once, so reading the map entry here and
 		// using it after unlock is safe.
-		pristine[i] = s.blobs[l.Digest]
-		digests[i] = l.Digest
+		layers[i] = cas.TagLayer{Digest: l.Digest, Data: s.blobs[l.Digest]}
 	}
 	s.images[img.Name] = img
 	backing := s.backing
@@ -370,21 +368,16 @@ func (s *Store) PutContext(ctx context.Context, img *Image) {
 	}
 	// Write-through runs outside s.mu: disk writes must not stall the
 	// store's readers. (Two concurrent Puts of the same tag may journal
-	// in either order; both orders are internally consistent.) The whole
-	// sequence is idempotent — write-once blobs, same-tag skip — so
-	// transient failures retry it from the top.
-	err := cas.DefaultRetry.Do(ctx, func() error {
-		for _, data := range pristine {
-			if _, err := backing.PutBlob(ctx, data); err != nil {
-				return err
-			}
-		}
-		cfg, err := json.Marshal(img.Config)
-		if err != nil {
-			return err
-		}
-		return backing.PutTag(ctx, img.Name, digests, cfg)
-	})
+	// in either order; both orders are internally consistent.) PutTag
+	// writes only the blobs the Dir lacks, then the tag; the call is
+	// idempotent — write-once blobs, same-tag skip — so transient
+	// failures retry it whole.
+	cfg, err := json.Marshal(img.Config)
+	if err == nil {
+		err = cas.DefaultRetry.Do(ctx, func() error {
+			return backing.PutTag(ctx, img.Name, layers, cfg)
+		})
+	}
 	s.mu.Lock()
 	s.backingErrs.Add(err)
 	s.mu.Unlock()
