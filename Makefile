@@ -16,13 +16,15 @@ test:
 # The concurrency gate: the pool, the shared caches and the registry must
 # be race-clean with the detector on. The second line repeats the
 # single-flight tests (flight.Group and its users: the instruction cache's
-# fills and lazy loads, the store's flatten fills) and the package repo's
-# encode-on-first-fetch so each run samples many interleavings, not one.
+# fills and lazy loads, the store's flatten fills), the package repo's
+# encode-on-first-fetch, the determinism oracle's pooled builds and the
+# pooled builders that materialise a deferred tree at their first miss, so
+# each run samples many interleavings, not one.
 # The third repeats the daemon tests where an operation's wait for a
 # build slot races its cancel or the drain.
 race:
 	go test -race ./...
-	go test -race -count=20 -run 'SingleFlight|ConcurrentAccounting|ReleasesWaiters|Hammer|LazyFlight|RepoFetchConcurrent' \
+	go test -race -count=20 -run 'SingleFlight|ConcurrentAccounting|ReleasesWaiters|Hammer|LazyFlight|RepoFetchConcurrent|Determinism|PoolDeferred' \
 		./internal/build ./internal/image ./internal/flight ./internal/pkgmgr
 	go test -race -count=20 -run 'CancelQueued|CancelRunning|Saturation|Drain' ./internal/daemon
 

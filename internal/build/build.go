@@ -345,9 +345,16 @@ type builder struct {
 	stageIdx  int              // which of file.Stages this builder executes
 	stageImgs []*image.Image   // completed earlier stage images, nil for plain builds
 
+	// The stage's tree, nil until a step first needs it (see
+	// materialise): a stage whose steps all hit never builds one.
 	k  *simos.Kernel
 	p  *simos.Proc
 	fs *vfs.FS
+
+	base   *image.Image // the FROM base the tree materialises from
+	distro string       // base's distribution, whose toolchain the tree gets
+	cwd    string       // the working directory, as the container's process has it
+	cwdAt  int          // len(cur.Layers) when a WORKDIR without a tree set cwd
 
 	cur   *image.Image         // accumulating result image
 	snap  *tarutil.Snapshotter // rootfs state as of the last committed step
@@ -402,7 +409,7 @@ func (b *builder) run(ctx context.Context, instructions []dockerfile.Instruction
 		t0 := time.Now()
 		var err error
 		switch {
-		case b.p == nil && ins.Cmd != "FROM" && ins.Cmd != "ARG":
+		case b.cur == nil && ins.Cmd != "FROM" && ins.Cmd != "ARG":
 			err = fmt.Errorf("build: line %d: %s before FROM", ins.Line, ins.Cmd)
 		default:
 			err = b.step(ins)
@@ -445,7 +452,7 @@ func (b *builder) run(ctx context.Context, instructions []dockerfile.Instruction
 	// Out of the loop, operations run under the build context again (the
 	// last instruction's deadline no longer applies).
 	b.ctx = ctx
-	if b.p == nil {
+	if b.cur == nil {
 		return fmt.Errorf("build: no FROM instruction")
 	}
 	b.cur.Config.Env = envList(b.env)
@@ -500,10 +507,11 @@ func (b *builder) step(ins dockerfile.Instruction) error {
 }
 
 // stepFrom resolves the base image — an earlier stage's built image or a
-// store reference — boots the kernel, enters the Type III container and
-// installs the requested root emulation.
+// store reference — and starts the stage's image and key chain from it.
+// It builds no tree: that waits for the first step that needs one (see
+// materialise). An unknown distribution or force mode still fails here.
 func (b *builder) stepFrom(ins dockerfile.Instruction) error {
-	if b.p != nil {
+	if b.cur != nil {
 		// Cannot happen through Build: the parser splits on
 		// every FROM, so each stage body holds none.
 		return fmt.Errorf("build: line %d: second FROM in one stage", ins.Line)
@@ -536,44 +544,14 @@ func (b *builder) stepFrom(ins dockerfile.Instruction) error {
 		return fmt.Errorf("build: no package world configured")
 	}
 	distro := base.Config.Distro()
-	reg, err := b.opt.World.Toolchain(distro)
-	if err != nil {
+	if err := pkgmgr.CheckDistro(distro); err != nil {
 		return fmt.Errorf("build: line %d: %w", ins.Line, err)
 	}
-
-	// Unprivileged unpack: flatten the layers, then re-own everything to
-	// the invoking user — exactly what ch-image's storage directory
-	// holds, and why the container needs emulation to chown at all. The
-	// store memoises the unpacked chain; we get a private clone.
-	fs, err := b.opt.Store.Flatten(b.ctx, base)
-	if err != nil {
-		return fmt.Errorf("build: flatten %s: %w", ref, err)
-	}
-	fs.ChownAll(buildUID, buildUID)
-
-	k := simos.NewKernel()
-	k.Tracer = b.opt.Tracer
-	p := k.NewInitProc(simos.Mount{FS: vfs.New(), Owner: k.InitNS()}, buildUID, buildUID)
-	if err := container.Enter(p, container.Options{Type: container.TypeIII, RootFS: fs}); err != nil {
-		return fmt.Errorf("build: container setup: %w", err)
-	}
-	p.SetRegistry(reg)
-
-	switch b.opt.Force {
-	case ForceNone:
-	case ForceSeccomp:
-		if _, err := rootemu.Install(p, b.opt.FilterConfig); err != nil {
-			return fmt.Errorf("build: %w", err)
-		}
-	case ForceFakeroot:
-		b.fr = rootemu.AttachFakeroot(p)
-	case ForceProot:
-		b.pr = rootemu.AttachPRoot(p)
-	default:
+	if b.opt.Force < ForceNone || b.opt.Force > ForceProot {
 		return fmt.Errorf("build: unknown force mode %d", int(b.opt.Force))
 	}
 
-	b.k, b.p, b.fs = k, p, fs
+	b.base, b.distro, b.cwd = base, distro, "/"
 	name := b.opt.Tag
 	if name == "" {
 		if b.stageImgs != nil {
@@ -590,12 +568,81 @@ func (b *builder) stepFrom(ins dockerfile.Instruction) error {
 			b.env[key] = v
 		}
 	}
+	b.chainKey = chainStart(base, distro, b.opt)
+	return nil
+}
+
+// materialise builds the stage's tree, once, when a step first needs it:
+// the unprivileged unpack of the base, the kernel, the Type III container
+// and the requested root emulation, then each layer the stage has
+// replayed so far, unpacked in order — the tree a build that executed
+// every step would hold. Steps that own a cache fill call it after taking
+// the fill, so its failures abandon the fill like any other.
+func (b *builder) materialise() (err error) {
+	if b.p != nil {
+		return nil
+	}
+	_, span := obs.StartSpan(b.ctx, "materialise")
+	defer func() {
+		if err != nil {
+			span.Annotate("error", err.Error())
+		}
+		span.End()
+	}()
+	reg, err := b.opt.World.Toolchain(b.distro)
+	if err != nil {
+		return fmt.Errorf("build: %w", err)
+	}
+
+	// Unprivileged unpack: flatten the layers, then re-own everything to
+	// the invoking user — exactly what ch-image's storage directory
+	// holds, and why the container needs emulation to chown at all. The
+	// store memoises the unpacked chain; we get a private clone.
+	fs, err := b.opt.Store.Flatten(b.ctx, b.base)
+	if err != nil {
+		return fmt.Errorf("build: flatten %s: %w", b.base.Name, err)
+	}
+	fs.ChownAll(buildUID, buildUID)
+
+	k := simos.NewKernel()
+	k.Tracer = b.opt.Tracer
+	p := k.NewInitProc(simos.Mount{FS: vfs.New(), Owner: k.InitNS()}, buildUID, buildUID)
+	if err := container.Enter(p, container.Options{Type: container.TypeIII, RootFS: fs}); err != nil {
+		return fmt.Errorf("build: container setup: %w", err)
+	}
+	p.SetRegistry(reg)
+
+	switch b.opt.Force {
+	case ForceSeccomp:
+		if _, err := rootemu.Install(p, b.opt.FilterConfig); err != nil {
+			return fmt.Errorf("build: %w", err)
+		}
+	case ForceFakeroot:
+		b.fr = rootemu.AttachFakeroot(p)
+	case ForceProot:
+		b.pr = rootemu.AttachPRoot(p)
+	}
 	snap, err := tarutil.NewSnapshotter(fs)
 	if err != nil {
 		return fmt.Errorf("build: snapshot: %w", err)
 	}
-	b.snap = snap
-	b.chainKey = chainStart(base, distro, b.opt)
+	b.k, b.p, b.fs, b.snap = k, p, fs, snap
+
+	// The replayed layers, with the working directory entered where the
+	// last WORKDIR without a tree set it.
+	for i := len(b.base.Layers); i <= len(b.cur.Layers); i++ {
+		if i == b.cwdAt && b.cwd != "/" {
+			if e := p.Chdir(b.cwd); e != errno.OK {
+				return fmt.Errorf("build: WORKDIR %s: %s", b.cwd, e.Message())
+			}
+		}
+		if i == len(b.cur.Layers) {
+			break
+		}
+		if err := snap.ApplyLayer(fs, b.cur.Layers[i].Data); err != nil {
+			return fmt.Errorf("build: corrupt cache layer %s: %w", b.cur.Layers[i].Digest, err)
+		}
+	}
 	return nil
 }
 
@@ -640,6 +687,9 @@ func (b *builder) stepRun(ins dockerfile.Instruction) error {
 			b.abandon(key)
 		}
 	}()
+	if err := b.materialise(); err != nil {
+		return err
+	}
 
 	status, e := b.p.Exec(argv, b.runEnv(), nil, b.out, b.out)
 	if e != errno.OK {
@@ -695,6 +745,9 @@ func (b *builder) stepCopy(ins dockerfile.Instruction) error {
 			b.abandon(key)
 		}
 	}()
+	if err := b.materialise(); err != nil {
+		return err
+	}
 
 	dstIsDir := dst == "." || strings.HasSuffix(dst, "/") || len(srcs) > 1 || b.isDir(dst)
 	for _, s := range srcs {
@@ -788,6 +841,9 @@ func (b *builder) stepCopyFrom(ins dockerfile.Instruction) error {
 			b.abandon(key)
 		}
 	}()
+	if err := b.materialise(); err != nil {
+		return err
+	}
 
 	entries, err := b.opt.Store.FlattenedEntries(b.ctx, src)
 	if err != nil {
@@ -924,16 +980,48 @@ func (b *builder) stepArg(ins dockerfile.Instruction) error {
 	return nil
 }
 
+// stepWorkdir enters dir, creating it if missing. Without a tree, a dir
+// the base and the replayed layers already hold as a directory is
+// entered without building one: the container enters it when the tree
+// materialises. Any other dir — missing, or reached through a symlink —
+// materialises the tree here.
 func (b *builder) stepWorkdir(ins dockerfile.Instruction) error {
 	dir := b.abs(b.expand(ins.Raw))
+	if b.p == nil {
+		if b.isDirWithoutTree(dir) {
+			b.cur.Config.WorkingDir = dir
+			b.chainKey = chain(b.chainKey, "WORKDIR\x00"+dir)
+			b.cwd, b.cwdAt = dir, len(b.cur.Layers)
+			return nil
+		}
+		if err := b.materialise(); err != nil {
+			return err
+		}
+	}
 	b.mkParents(dir + "/.")
 	if e := b.p.Chdir(dir); e != errno.OK {
 		return fmt.Errorf("build: line %d: WORKDIR %s: %s", ins.Line, dir, e.Message())
 	}
+	b.cwd = dir
 	b.cur.Config.WorkingDir = dir
 	b.chainKey = chain(b.chainKey, "WORKDIR\x00"+dir)
 	_, err := b.commit() // the created directories belong to a layer
 	return err
+}
+
+// isDirWithoutTree reports whether every component of dir is a directory
+// in the base plus the layers replayed so far, read from the store's
+// flattened entries and the layers' headers; false when not sure.
+func (b *builder) isDirWithoutTree(dir string) bool {
+	entries, err := b.opt.Store.FlattenedEntries(b.ctx, b.base)
+	if err != nil {
+		return false // materialise reports the flatten failure
+	}
+	var layers [][]byte
+	for _, l := range b.cur.Layers[len(b.base.Layers):] {
+		layers = append(layers, l.Data)
+	}
+	return tarutil.IsDirAfter(entries, layers, dir)
 }
 
 func (b *builder) stepLabel(ins dockerfile.Instruction) error {
@@ -962,29 +1050,31 @@ func (b *builder) commandWords(ins dockerfile.Instruction) []string {
 // commit collects the rootfs changes since the last committed step and
 // appends any delta as a new layer. The snapshotter walks only dirty
 // subtrees (vfs generation tracking), so an instruction that touched three
-// files pays for three files, not the whole tree. It returns the packed
-// layer bytes (nil when the step changed nothing).
-func (b *builder) commit() ([]byte, error) {
+// files pays for three files, not the whole tree. It returns the layer
+// (zero when the step changed nothing).
+func (b *builder) commit() (image.Layer, error) {
 	diff, err := b.snap.Advance(b.fs)
 	if err != nil {
-		return nil, fmt.Errorf("build: snapshot: %w", err)
+		return image.Layer{}, fmt.Errorf("build: snapshot: %w", err)
 	}
 	if len(diff) == 0 {
-		return nil, nil
+		return image.Layer{}, nil
 	}
 	data, err := tarutil.Pack(diff)
 	if err != nil {
-		return nil, fmt.Errorf("build: pack layer: %w", err)
+		return image.Layer{}, fmt.Errorf("build: pack layer: %w", err)
 	}
-	b.cur.Layers = append(b.cur.Layers, image.Layer{Digest: image.Digest(data), Data: data})
-	return data, nil
+	l := image.Layer{Digest: image.Digest(data), Data: data}
+	b.cur.Layers = append(b.cur.Layers, l)
+	return l, nil
 }
 
-// replay applies a cached step if present: the stored layer is unpacked
-// onto the rootfs and appended to the image without executing anything.
-// A layer that fails to unpack is an error, not a miss — by then the
-// rootfs may hold a partial apply, and re-executing on it would bake the
-// damage into a fresh layer.
+// replay takes a cached step if present: the stored layer, checked
+// against its recorded digest, is appended to the image without executing
+// anything. With a tree, the layer is also unpacked onto it; without one
+// it waits for materialise. A layer that fails its check or its unpack is
+// an error, not a miss — by then the rootfs may hold a partial apply, and
+// re-executing on it would bake the damage into a fresh layer.
 //
 // Under a shared cache (build.Pool) a miss may find the same step already
 // executing in another builder; replay then blocks until that builder
@@ -1005,12 +1095,17 @@ func (b *builder) replay(key, cmd string) (bool, error) {
 		// escapes to the caller as Result.Image, and mutations there must
 		// not reach the shared cache entry.
 		layer := append([]byte(nil), ent.layer...)
-		// ApplyLayer unpacks and reconciles the tracked snapshot in one
-		// O(layer) pass — no full re-walk of the tree it just changed.
-		if err := b.snap.ApplyLayer(b.fs, layer); err != nil {
-			return false, fmt.Errorf("%s: corrupt cache layer: %w", cmd, err)
+		if got := image.Digest(layer); got != ent.digest {
+			return false, fmt.Errorf("%s: corrupt cache layer: bytes hash to %s, recorded %s", cmd, got, ent.digest)
 		}
-		b.cur.Layers = append(b.cur.Layers, image.Layer{Digest: image.Digest(layer), Data: layer})
+		if b.p != nil {
+			// ApplyLayer unpacks and reconciles the tracked snapshot in
+			// one O(layer) pass — no full re-walk of the tree it changed.
+			if err := b.snap.ApplyLayer(b.fs, layer); err != nil {
+				return false, fmt.Errorf("%s: corrupt cache layer: %w", cmd, err)
+			}
+		}
+		b.cur.Layers = append(b.cur.Layers, image.Layer{Digest: ent.digest, Data: layer})
 	}
 	b.res.ModifiedRuns += ent.modified
 	b.res.CacheHits++
@@ -1019,9 +1114,9 @@ func (b *builder) replay(key, cmd string) (bool, error) {
 
 // record stores a finished step in the cache, releasing any builders
 // blocked on the in-flight fill.
-func (b *builder) record(key string, layer []byte, modified int) {
+func (b *builder) record(key string, layer image.Layer, modified int) {
 	if b.opt.Cache != nil {
-		b.opt.Cache.complete(b.ctx, key, cacheEntry{layer: layer, modified: modified})
+		b.opt.Cache.complete(b.ctx, key, cacheEntry{layer: layer.Data, digest: layer.Digest, modified: modified})
 	}
 }
 
@@ -1062,11 +1157,10 @@ func (b *builder) abs(p string) string {
 	if strings.HasPrefix(p, "/") {
 		return p
 	}
-	cwd, _ := b.p.Getcwd()
-	if cwd == "/" || cwd == "" {
+	if b.cwd == "/" || b.cwd == "" {
 		return "/" + strings.TrimPrefix(p, "./")
 	}
-	return cwd + "/" + strings.TrimPrefix(p, "./")
+	return b.cwd + "/" + strings.TrimPrefix(p, "./")
 }
 
 func (b *builder) isDir(p string) bool {

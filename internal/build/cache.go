@@ -55,9 +55,11 @@ type Cache struct {
 }
 
 // cacheEntry is one completed instruction: the packed layer it produced
-// (nil if it changed nothing) and the apt-workaround rewrites it counted.
+// (nil if it changed nothing), the layer's digest, which every replay
+// checks the bytes against, and the apt-workaround rewrites it counted.
 type cacheEntry struct {
 	layer    []byte
+	digest   string
 	modified int
 }
 
@@ -108,7 +110,7 @@ func (c *Cache) PersistErrs() []error {
 // fails verification was quarantined by the Dir; the entry is dropped and
 // the step re-executes as an ordinary miss.
 func (c *Cache) loadStep(ctx context.Context, st cas.Step) (cacheEntry, error) {
-	ent := cacheEntry{modified: st.Modified}
+	ent := cacheEntry{digest: st.Layer, modified: st.Modified}
 	if st.Layer == "" {
 		return ent, nil
 	}

@@ -25,6 +25,11 @@ type oracleCase struct {
 	name  string
 	text  string
 	force ForceMode
+
+	// materialises marks a Dockerfile whose fully cached rebuild still
+	// builds a tree: a WORKDIR that creates a directory, enters one
+	// through a symlink, or fails.
+	materialises bool
 }
 
 // oracleOutcome is what a build produced, in comparable form.
@@ -72,48 +77,51 @@ func oracleCorpus() []oracleCase {
 	modes := []ForceMode{ForceSeccomp, ForceFakeroot, ForceProot}
 	for _, shape := range goldenShapes {
 		for _, m := range modes {
-			out = append(out, oracleCase{shape.name + "-" + m.String(), shape.text, m})
+			out = append(out, oracleCase{name: shape.name + "-" + m.String(), text: shape.text, force: m})
 		}
 	}
-	extra := []struct{ name, text string }{
+	extra := []struct {
+		name, text   string
+		materialises bool
+	}{
 		{"workdir-copy-created", `FROM alpine:3.19
 COPY app.txt /opt/app/app.txt
 WORKDIR /opt/app
 RUN echo here > here.txt
-`},
+`, false},
 		{"workdir-base-dir", `FROM alpine:3.19
 RUN echo a > /a
 WORKDIR /usr/bin
 RUN echo marker > marker
-`},
+`, false},
 		{"workdir-missing", `FROM alpine:3.19
 RUN echo a > /a
 WORKDIR /srv/new/deep
 RUN echo x > x.txt
-`},
+`, true},
 		{"workdir-relative", `FROM alpine:3.19
 RUN echo a > /a
 WORKDIR /usr
 WORKDIR bin
 COPY app.txt rel.txt
 RUN echo r > r.txt
-`},
+`, false},
 		{"workdir-symlink", `FROM alpine:3.19
 RUN mkdir -p /real && ln -s /real /link
 WORKDIR /link
 RUN echo via > via.txt
-`},
+`, true},
 		{"workdir-after-whiteout", `FROM alpine:3.19
 RUN echo > /w
 RUN rm /w
 WORKDIR /w
 RUN echo now-a-dir > inside
-`},
+`, true},
 		{"workdir-file", `FROM alpine:3.19
 RUN echo x > /f
 WORKDIR /f
 RUN echo never > never
-`},
+`, true},
 		{"workdir-from-stage", `FROM alpine:3.19 AS base
 WORKDIR /opt
 RUN echo base > marker
@@ -121,17 +129,17 @@ RUN echo base > marker
 FROM base
 WORKDIR sub
 RUN echo x > x.txt
-`},
+`, true},
 		{"copy-from-cached-stage", `FROM alpine:3.19 AS build
 RUN mkdir -p /out && echo built > /out/bin
 
 FROM alpine:3.19
 COPY --from=build /out/bin /app/bin
 RUN echo done > /app/done
-`},
+`, false},
 	}
 	for _, e := range extra {
-		out = append(out, oracleCase{e.name, e.text, ForceSeccomp})
+		out = append(out, oracleCase{e.name, e.text, ForceSeccomp, e.materialises})
 	}
 	return out
 }
@@ -175,6 +183,21 @@ func sameOutcome(t *testing.T, path string, got, want oracleOutcome) {
 	}
 }
 
+// checkCheckout holds a fully cached build to a checkout: no tree, so no
+// modeled time and no flatten fill.
+func checkCheckout(t *testing.T, path string, c oracleCase, res *Result, o oracleOutcome, s *image.Store, fills0 int) {
+	t.Helper()
+	if c.materialises || o.Err != "" {
+		return
+	}
+	if res.VirtualNanos != 0 {
+		t.Errorf("%s: fully cached build modeled %d ns, want 0", path, res.VirtualNanos)
+	}
+	if fills := s.FlattenFills(); fills != fills0 {
+		t.Errorf("%s: fully cached build paid %d flatten fills", path, fills-fills0)
+	}
+}
+
 // oracleVariants are the partial-hit texts of c: one more RUN at the end,
 // and the last RUN edited (when there is one).
 func oracleVariants(text string) map[string]string {
@@ -200,8 +223,10 @@ func TestDeterminismAcrossBuildPaths(t *testing.T) {
 			cache := NewCache()
 			_, first := oracleBuild(t, c, c.text, Options{Store: s, World: w, Cache: cache})
 			sameOutcome(t, "cold with cache", first, want)
-			_, warm := oracleBuild(t, c, c.text, Options{Store: s, World: w, Cache: cache})
+			fills0 := s.FlattenFills()
+			res, warm := oracleBuild(t, c, c.text, Options{Store: s, World: w, Cache: cache})
 			sameOutcome(t, "warm in memory", warm, want)
+			checkCheckout(t, "warm in memory", c, res, warm, s, fills0)
 
 			// Warm from disk: the second invocation reopens the Dir and
 			// builds with a fresh world, store and cache.
@@ -216,10 +241,14 @@ func TestDeterminismAcrossBuildPaths(t *testing.T) {
 				if err := w.SeedBases(s); err != nil {
 					t.Fatal(err)
 				}
+				fills0 := s.FlattenFills()
 				res, got := oracleBuild(t, c, c.text, Options{Store: s, World: w, Cache: NewPersistentCache(d)})
 				sameOutcome(t, path, got, want)
 				if i == 1 && got.Err == "" && res.Executed != 0 {
 					t.Errorf("warm from disk executed %d instructions", res.Executed)
+				}
+				if i == 1 {
+					checkCheckout(t, path, c, res, got, s, fills0)
 				}
 				d.Close()
 			}

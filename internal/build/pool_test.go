@@ -423,3 +423,53 @@ func TestPoolZeroJobsAndDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Deferred trees under a shared cache: a builder that replays a prefix
+// another builder is still executing carries only the prefix's layers,
+// and materialises its tree at its own first miss, entering the
+// WORKDIR it resolved without one. Every job's image equals a cold build
+// of its own Dockerfile, and every step executes once pool-wide.
+func TestPoolDeferredTreeMaterialisesOnMiss(t *testing.T) {
+	const n = 8
+	const prefix = "FROM alpine:3.19\nRUN echo a > /a\nCOPY conf.txt /etc/app/conf\nWORKDIR /etc/app\n"
+	files := map[string][]byte{"conf.txt": []byte("threads=8\n")}
+	w, s := fixtures(t)
+	cache := NewCache()
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = Job{
+			Dockerfile: prefix + fmt.Sprintf("RUN echo %d > job\n", i),
+			Options: Options{
+				Tag: fmt.Sprintf("deferred:%d", i), Force: ForceSeccomp,
+				Store: s, World: w, Cache: cache, Context: files,
+			},
+		}
+	}
+	results, err := (&Pool{Workers: 4}).RunContext(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		cw, cs := fixtures(t)
+		cold, err := BuildContext(context.Background(), jobs[i].Dockerfile, Options{
+			Tag: "cold:1", Force: ForceSeccomp, Store: cs, World: cw, Context: files,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := r.Result.Image
+		if got, want := image.ChainDigest(img.Layers), image.ChainDigest(cold.Image.Layers); got != want {
+			t.Errorf("job %d: chain %s, cold build %s", i, got, want)
+		}
+		if img.Config.WorkingDir != "/etc/app" {
+			t.Errorf("job %d: WorkingDir %q", i, img.Config.WorkingDir)
+		}
+		if data, _ := readImageFile(t, img, "/etc/app/job"); string(data) != fmt.Sprintf("%d\n", i) {
+			t.Errorf("job %d: /etc/app/job = %q", i, data)
+		}
+	}
+	hits, misses := cache.Stats()
+	if misses != 2+n || hits != 2*(n-1) {
+		t.Errorf("cache hits/misses = %d/%d, want %d/%d", hits, misses, 2*(n-1), 2+n)
+	}
+}

@@ -81,9 +81,19 @@ func (w *World) Toolchain(distro string) (*simos.BinaryRegistry, error) {
 		reg.Register("/usr/bin/dpkg", DpkgBinary(w.Debian))
 		reg.Register("/usr/lib/apt/methods/http", AptMethodBinary())
 	default:
-		return nil, fmt.Errorf("pkgmgr: unknown distro %q", distro)
+		return nil, CheckDistro(distro)
 	}
 	return reg, nil
+}
+
+// CheckDistro reports the error Toolchain gives for a distro it does not
+// know, without building a registry.
+func CheckDistro(distro string) error {
+	switch distro {
+	case DistroAlpine, DistroCentOS7, DistroDebian:
+		return nil
+	}
+	return fmt.Errorf("pkgmgr: unknown distro %q", distro)
 }
 
 func registerShellAndCoreutils(reg *simos.BinaryRegistry, static bool) {
