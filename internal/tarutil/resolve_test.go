@@ -164,6 +164,17 @@ func TestIsDirAfterUnknowns(t *testing.T) {
 		t.Error("a layer with a hard link left the answer known")
 	}
 
+	// Members reached through a symlink land in its target, which the
+	// resolver does not follow: a file or a whiteout under /link replaces
+	// or removes /real/sub.
+	viaFile, _ := Pack([]Entry{{Path: "/link/sub", Stat: vfs.Stat{Type: vfs.TypeRegular, Mode: 0o644}}})
+	viaWhiteout, _ := Pack([]Entry{whiteoutFor("/link/sub")})
+	for _, l := range [][]byte{viaFile, viaWhiteout} {
+		if IsDirAfter(base, [][]byte{l}, "/real/sub") {
+			t.Error("a member under a symlink left /real/sub a directory")
+		}
+	}
+
 	// A whiteout of a directory removes it and everything under it; a
 	// later layer that recreates the directory does not bring back its
 	// lower contents.
