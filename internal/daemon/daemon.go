@@ -98,6 +98,7 @@ type Daemon struct {
 	mu         sync.Mutex
 	started    bool
 	draining   bool
+	expired    bool // the drain's grace ran out: no queued operation starts
 	active     int
 	baseCtx    context.Context
 	idle       chan struct{}
@@ -282,6 +283,17 @@ func (d *Daemon) run(op *operation) {
 	var r build.JobResult
 	select {
 	case d.slots <- struct{}{}:
+		d.mu.Lock()
+		expired := d.expired
+		d.mu.Unlock()
+		if expired || op.ctx.Err() != nil {
+			// The slot came free as the drain cancelled everything live
+			// (or with the operation's own cancel): it never starts.
+			<-d.slots
+			op.cancel()
+			r = build.RunJob(op.ctx, job)
+			break
+		}
 		op.markRunning(time.Now())
 		r = build.RunJob(op.ctx, job)
 		<-d.slots
@@ -370,7 +382,11 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	case <-idle:
 	case <-ctx.Done():
 		// Grace expired: cancel everything live and wait for the
-		// settles — each build stops at its next instruction boundary.
+		// settles — each build stops at its next instruction boundary,
+		// and a queued one whose slot frees first still never starts.
+		d.mu.Lock()
+		d.expired = true
+		d.mu.Unlock()
 		d.reg.cancelLive()
 		<-idle
 	}
