@@ -1,6 +1,8 @@
 // Package build is the Dockerfile build executor — the ch-image analog
 // that connects every other layer of the reproduction: it parses with
-// internal/dockerfile, boots one simos.Kernel per build, enters a fully
+// internal/dockerfile, boots one simos.Kernel per stage that executes a
+// step (a stage whose steps all hit the cache only checks out their
+// layers), enters a fully
 // unprivileged Type III container (internal/container) on a rootfs
 // flattened from the image store, installs the selected root-emulation
 // mechanism (internal/rootemu: the paper's seccomp filter, or the
@@ -209,11 +211,12 @@ type Result struct {
 	// Always zero for the seccomp method (E9).
 	FakerootRecords int
 
-	// Counters snapshots the kernel's syscall accounting.
+	// Counters snapshots the kernel's syscall accounting. Zero for a
+	// fully cached build, which boots no kernel.
 	Counters simos.CounterSnapshot
 
 	// VirtualNanos is the modeled time the build charged (the E8/E15
-	// metric; see simos.CostModel).
+	// metric; see simos.CostModel). Zero for a fully cached build.
 	VirtualNanos int64
 
 	// StagesBuilt counts the stages a multi-stage build executed
