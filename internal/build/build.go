@@ -2,14 +2,13 @@
 // that connects every other layer of the reproduction: it parses with
 // internal/dockerfile, boots one simos.Kernel per stage that executes a
 // step (a stage whose steps all hit the cache only checks out their
-// layers), enters a fully
-// unprivileged Type III container (internal/container) on a rootfs
-// flattened from the image store, installs the selected root-emulation
-// mechanism (internal/rootemu: the paper's seccomp filter, or the
-// fakeroot/proot baselines), runs RUN instructions through internal/shell
-// and the distribution package managers (internal/pkgmgr), and commits
-// each instruction's filesystem delta as a content-addressed layer
-// (internal/tarutil → internal/image).
+// layers), enters a fully unprivileged Type III container
+// (internal/container) on a rootfs flattened from the image store,
+// installs the selected root-emulation mechanism (internal/rootemu: the
+// paper's seccomp filter, or the fakeroot/proot baselines), runs RUN
+// instructions through internal/shell and the distribution package
+// managers (internal/pkgmgr), and commits each instruction's filesystem
+// delta as a content-addressed layer (internal/tarutil → internal/image).
 //
 // The layering mirrors the paper's §4 architecture:
 //
@@ -354,10 +353,9 @@ type builder struct {
 	p  *simos.Proc
 	fs *vfs.FS
 
-	base   *image.Image // the FROM base the tree materialises from
-	distro string       // base's distribution, whose toolchain the tree gets
-	cwd    string       // the working directory, as the container's process has it
-	cwdAt  int          // len(cur.Layers) when a WORKDIR without a tree set cwd
+	base  *image.Image // the FROM base the tree materialises from
+	cwd   string       // the working directory, as the container's process has it
+	cwdAt int          // len(cur.Layers) when a WORKDIR without a tree set cwd
 
 	cur   *image.Image         // accumulating result image
 	snap  *tarutil.Snapshotter // rootfs state as of the last committed step
@@ -554,7 +552,7 @@ func (b *builder) stepFrom(ins dockerfile.Instruction) error {
 		return fmt.Errorf("build: unknown force mode %d", int(b.opt.Force))
 	}
 
-	b.base, b.distro, b.cwd = base, distro, "/"
+	b.base, b.cwd = base, "/"
 	name := b.opt.Tag
 	if name == "" {
 		if b.stageImgs != nil {
@@ -592,7 +590,7 @@ func (b *builder) materialise() (err error) {
 		}
 		span.End()
 	}()
-	reg, err := b.opt.World.Toolchain(b.distro)
+	reg, err := b.opt.World.Toolchain(b.base.Config.Distro())
 	if err != nil {
 		return fmt.Errorf("build: %w", err)
 	}
