@@ -1158,7 +1158,7 @@ func (b *builder) abs(p string) string {
 	if strings.HasPrefix(p, "/") {
 		return p
 	}
-	if b.cwd == "/" || b.cwd == "" {
+	if b.cwd == "/" {
 		return "/" + strings.TrimPrefix(p, "./")
 	}
 	return b.cwd + "/" + strings.TrimPrefix(p, "./")
