@@ -168,12 +168,15 @@ fault-smoke:
 	FAULT_SOAK_DAEMON_BUILDS=$(FAULT_SOAK_DAEMON_BUILDS) FAULT_SOAK_SEED=$(FAULT_SOAK_SEED) \
 		go test -run TestDaemonFaultSoak -count=1 -v ./internal/daemon
 
-# The codec fuzz smoke: FuzzRead checks that tarutil.Read decodes any
+# The decoder fuzz smoke. FuzzRead checks that tarutil.Read decodes any
 # input into exactly the members archive/tar decodes, or fails where it
-# fails. Minimization is capped so a new input found on a large seed (a
-# whole base layer) cannot use up the run.
+# fails. FuzzDecodeLine checks that the cas journal's direct line decoder
+# accepts only payloads json.Unmarshal accepts, into an equal record.
+# Minimization is capped so a new input found on a large seed (a whole
+# base layer) cannot use up the run.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/tarutil
+	go test -run '^$$' -fuzz '^FuzzDecodeLine$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/cas
 
 # The daemon subprocess smoke: a real ch-imaged on a unix socket with 2
 # build slots and room for 1 more admitted build takes 32 loadgen builds

@@ -29,6 +29,7 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -782,11 +783,17 @@ func BenchmarkBuildPersistent(b *testing.B) {
 // image store, the stock bases seeded, one seccomp build of a
 // package-install Dockerfile. Everything but the build itself is fixed
 // set-up, so this is where base seeding, the first FROM, package encoding
-// and filter generation show against the emulated RUN work.
+// and filter generation show against the emulated RUN work. Seeding a
+// base packs and hashes its entry table and builds no tree; the base's
+// tree is unpacked at the build's first cache miss.
 //
-//   - cold: no cache directory, so every instruction executes;
+//   - cold: no cache directory, so every instruction executes, and the
+//     first RUN pays for unpacking the alpine base;
 //   - warm: each iteration opens a cas directory populated before the
-//     timer starts, replays every instruction from it, and closes it.
+//     timer starts (the journal decoded, blobs stat-checked), replays
+//     every instruction from it, and closes it; no tree is built, since
+//     the WORKDIR is resolved from the base's seeded entries and the
+//     replayed layers' headers.
 func BenchmarkInvocation(b *testing.B) {
 	const text = "FROM alpine:3.19\nRUN apk add sl\nCOPY app.txt /srv/app.txt\n" +
 		"RUN mkdir -p /bench && echo 5eed > /bench/marker\nENV BENCH_TOKEN=5eed\nWORKDIR /srv\n"
@@ -891,17 +898,20 @@ func BenchmarkRegistryPushPull(b *testing.B) {
 }
 
 // BenchmarkCacheOpen (the cost an open no longer pays): opening a large
-// store is O(journal lines) — every line checksummed, every referenced
-// blob stat-checked, no blob read — while `cache fsck` (an open then
-// Dir.Fsck) is O(store bytes): every blob read back and re-hashed,
-// across CPUs. The store is a synthetic 256-blob × 64 KiB one;
-// BENCH_cas.{txt,json} record both sub-benchmarks run over run.
-// Each open also touches one step so the benchmark can't pass with a
-// handle that skipped loading the journal.
+// store is O(journal lines) — every line checksummed and decoded, every
+// referenced blob stat-checked, no blob read — while `cache fsck` (an open
+// then Dir.Fsck) is O(store bytes): every blob read back and re-hashed,
+// across CPUs. The store is a synthetic 256-blob × 64 KiB one whose
+// journal also holds 32 tag records carrying image configs, the longest
+// lines a real store's journal has; BENCH_cas.{txt,json} record both
+// sub-benchmarks run over run. Each open also touches one step and one
+// tag so the benchmark can't pass with a handle that skipped loading the
+// journal.
 func BenchmarkCacheOpen(b *testing.B) {
 	const (
 		blobCount = 256
 		blobSize  = 64 << 10
+		tagCount  = 32
 	)
 	root := b.TempDir() + "/cas"
 	d, _, err := cas.Open(root)
@@ -911,7 +921,27 @@ func BenchmarkCacheOpen(b *testing.B) {
 	for i := 0; i < blobCount; i++ {
 		layer := make([]byte, blobSize)
 		copy(layer, fmt.Sprintf("blob-%d", i))
-		if err := d.PutStep(context.Background(), fmt.Sprintf("step-%d", i), layer, 0); err != nil {
+		if err := d.PutStep(context.Background(), fmt.Sprintf("step-%d", i), cas.Layer{Digest: cas.Sum(layer), Data: layer}, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	steps := d.Steps()
+	for i := 0; i < tagCount; i++ {
+		cfg, err := json.Marshal(image.Config{
+			Env:        []string{"PATH=/usr/local/sbin:/usr/local/bin:/usr/sbin:/usr/bin:/sbin:/bin", fmt.Sprintf("BENCH_TOKEN=%d", i)},
+			Cmd:        []string{"/bin/sh"},
+			WorkingDir: "/srv",
+			Labels:     map[string]string{pkgmgr.DistroLabel: pkgmgr.DistroAlpine, "org.repro.bench": fmt.Sprint(i)},
+			Arch:       "x86_64",
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		layers := make([]cas.Layer, 4)
+		for j := range layers {
+			layers[j].Digest = steps[(4*i+j)%len(steps)].Layer
+		}
+		if err := d.PutTag(context.Background(), fmt.Sprintf("app:%d", i), layers, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -935,6 +965,9 @@ func BenchmarkCacheOpen(b *testing.B) {
 		}
 		if _, ok := d.Step("step-0"); !ok {
 			b.Fatal("journal not loaded")
+		}
+		if tg, ok := d.Tag("app:0"); !ok || len(tg.Config) == 0 {
+			b.Fatal("tags not loaded")
 		}
 		if err := d.Close(); err != nil {
 			b.Fatal(err)

@@ -88,15 +88,10 @@ func NewPersistentCache(d *cas.Dir) *Cache {
 	return c
 }
 
-// PersistErr reports the write-through failures as one joined error, nil
-// when every completed step reached the backing store. A failure leaves
-// the on-disk cache colder, never wrong.
-func (c *Cache) PersistErr() error {
-	return errors.Join(c.PersistErrs()...)
-}
-
 // PersistErrs returns every recorded write-through failure (a copy),
-// plus a trailing summary entry when failures past the cap were dropped.
+// plus a trailing summary entry when failures past the cap were dropped;
+// empty when every completed step reached the backing store. A failure
+// leaves the on-disk cache colder, never wrong.
 func (c *Cache) PersistErrs() []error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -205,7 +200,7 @@ func (c *Cache) hitLocked() {
 // it. The layer bytes are copied in: entries are shared across builds and
 // must stay immutable however callers treat the slices they recorded. A
 // persistent cache also writes the step through to its backing store; a
-// write-through failure is parked in PersistErr, never surfaced to the
+// write-through failure is parked in PersistErrs, never surfaced to the
 // build.
 func (c *Cache) complete(ctx context.Context, key string, ent cacheEntry) {
 	if ent.layer != nil {
@@ -217,7 +212,7 @@ func (c *Cache) complete(ctx context.Context, key string, ent cacheEntry) {
 	c.mu.Unlock()
 	if c.dir != nil {
 		err := cas.DefaultRetry.Do(ctx, func() error {
-			return c.dir.PutStep(ctx, key, ent.layer, ent.modified)
+			return c.dir.PutStep(ctx, key, cas.Layer{Digest: ent.digest, Data: ent.layer}, ent.modified)
 		})
 		c.mu.Lock()
 		c.persistErrs.Add(err)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/image"
 	"repro/internal/pkgmgr"
+	"repro/internal/tarutil"
 	"repro/internal/vfs"
 )
 
@@ -167,7 +168,11 @@ func TestCacheKeyIncludesBaseImageContent(t *testing.T) {
 	img, _ := w2.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
 	fs, _ := img.Flatten()
 	fs.WriteFile(vfs.RootContext(), "/etc/os-release", []byte("CentOS 7.9.2010\n"), 0o644, 0, 0)
-	changed, err := image.FromFS("centos:7", fs, img.Config)
+	entries, err := tarutil.Snapshot(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed, err := image.FromEntries("centos:7", entries, img.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func TestPersistFailuresCapped(t *testing.T) {
 		if _, hit := c.getOrBegin(ctx, key); hit {
 			t.Fatalf("%s: unexpected hit", key)
 		}
-		c.complete(ctx, key, cacheEntry{layer: []byte(key)})
+		c.complete(ctx, key, cacheEntry{layer: []byte(key), digest: image.Digest([]byte(key))})
 		data := []byte(fmt.Sprintf("layer %d", i))
 		s.Put(&image.Image{
 			Name:   fmt.Sprintf("cap:%d", i),

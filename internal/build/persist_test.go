@@ -72,10 +72,10 @@ func TestWarmAcrossProcesses(t *testing.T) {
 	if res1.Executed != 2 || res1.CacheHits != 0 {
 		t.Fatalf("cold: executed=%d hits=%d", res1.Executed, res1.CacheHits)
 	}
-	if err := c1.PersistErr(); err != nil {
+	if err := errors.Join(c1.PersistErrs()...); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.BackingErr(); err != nil {
+	if err := errors.Join(s1.BackingErrs()...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -373,7 +373,7 @@ func TestPoolWithPersistentCache(t *testing.T) {
 	if _, err := (&Pool{Workers: 4}).RunContext(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.PersistErr(); err != nil {
+	if err := errors.Join(c1.PersistErrs()...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -429,7 +429,7 @@ func TestOptionsCacheMaxBytesBudgetsAfterBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.GCBacking(ctx, cas.Budget{MaxBytes: 1})
-	if err := s.BackingErr(); err != nil {
+	if err := errors.Join(s.BackingErrs()...); err != nil {
 		t.Fatalf("budgeted GC recorded an error: %v", err)
 	}
 
@@ -445,8 +445,8 @@ func TestOptionsCacheMaxBytesBudgetsAfterBuild(t *testing.T) {
 		t.Fatal("tag evicted by budgeted GC")
 	}
 	for _, l := range tg.Layers {
-		if !d.HasBlob(l) {
-			t.Fatalf("pinned layer %s evicted", l)
+		if _, err := d.Blob(ctx, l); err != nil {
+			t.Fatalf("pinned layer %s evicted: %v", l, err)
 		}
 	}
 	// Steps may survive only when evicting them would free nothing: their

@@ -107,7 +107,7 @@ func TestPoolSameDockerfileFullyCachedRuns(t *testing.T) {
 func TestPoolConcurrentAccountingInvariants(t *testing.T) {
 	const n = 8
 	jobs, cache := sameJobs(t, n)
-	// Re-Put the bases as Clones, which carry no FromFS tree, into a fresh
+	// Re-Put the bases as Clones, which carry no seed entries, into a fresh
 	// store: the shared base chain must really fill, once, under the race.
 	store := image.NewStore()
 	for _, tag := range jobs[0].Options.Store.Tags() {

@@ -583,25 +583,6 @@ func (d *Dir) quarantine(p, as string) {
 	}
 }
 
-// decodeLine parses and checksum-verifies one journal line.
-func decodeLine(line []byte) (record, bool) {
-	sum, payload, ok := bytes.Cut(line, []byte(" "))
-	if !ok || len(sum) != 2*sha256.Size {
-		return record{}, false
-	}
-	h := sha256.Sum256(payload)
-	var want [2 * sha256.Size]byte
-	hex.Encode(want[:], h[:])
-	if !bytes.Equal(want[:], sum) {
-		return record{}, false
-	}
-	var rec record
-	if json.Unmarshal(payload, &rec) != nil {
-		return record{}, false
-	}
-	return rec, true
-}
-
 // applyLocked folds one validated record into the in-memory state. Later records
 // win, so re-recording a step or re-tagging a name behaves like a map
 // write, and "untag" deletes. Steps also record their journal position
@@ -763,23 +744,43 @@ func (d *Dir) PutBlob(ctx context.Context, data []byte) (string, error) {
 	if err := ctxErr(ctx); err != nil {
 		return "", err
 	}
+	digest := Sum(data)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.putBlobLocked(data)
+	if d.hasBlobLocked(digest) {
+		return digest, nil
+	}
+	return digest, d.writeBlobLocked(digest, data)
 }
 
-// putBlobLocked is PutBlob with d.mu held — the form PutStep uses so its
-// blob write and journal append are one critical section: a GC running
-// between the two would otherwise sweep the not-yet-referenced blob and
-// leave the record dangling.
-func (d *Dir) putBlobLocked(data []byte) (string, error) {
-	digest := Sum(data)
+// putLayerLocked makes sure the store holds the blob l names, with d.mu
+// held — the form PutStep and PutTag use so the blob write and the
+// journal append are one critical section: a GC running between the two
+// would otherwise sweep the not-yet-referenced blob and leave the record
+// dangling. A blob already present costs one stat and is not re-hashed;
+// a missing one is written from l.Data, which must hash to l.Digest. A
+// missing blob without Data, or with Data under another digest, is an
+// error.
+func (d *Dir) putLayerLocked(l Layer) error {
+	if d.hasBlobLocked(l.Digest) {
+		return nil
+	}
+	if l.Data == nil {
+		return fmt.Errorf("cas: layer %s not in store", l.Digest)
+	}
+	if got := Sum(l.Data); got != l.Digest {
+		return fmt.Errorf("cas: layer %s: bytes hash to %s", l.Digest, got)
+	}
+	return d.writeBlobLocked(l.Digest, l.Data)
+}
+
+// writeBlobLocked writes data, which hashes to digest, to a private temp
+// file and renames it into place. Callers hold d.mu and have checked the
+// blob is missing.
+func (d *Dir) writeBlobLocked(digest string, data []byte) error {
 	p, err := d.blobPath(digest)
 	if err != nil {
-		return "", err
-	}
-	if _, err := os.Stat(p); err == nil {
-		return digest, nil
+		return err
 	}
 	t0 := time.Now()
 	d.seq++
@@ -796,26 +797,26 @@ func (d *Dir) putBlobLocked(data []byte) (string, error) {
 			}
 			os.WriteFile(tmp, data[:keep], 0o644)
 		}
-		return "", fmt.Errorf("cas: blob %s: %w", digest, err)
+		return fmt.Errorf("cas: blob %s: %w", digest, err)
 	}
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", fmt.Errorf("cas: %w", err)
+		return fmt.Errorf("cas: %w", err)
 	}
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		os.Remove(tmp)
-		return "", fmt.Errorf("cas: %w", err)
+		return fmt.Errorf("cas: %w", err)
 	}
 	if err := d.failpoint(OpBlobRename); err != nil {
 		os.Remove(tmp)
-		return "", fmt.Errorf("cas: blob %s: %w", digest, err)
+		return fmt.Errorf("cas: blob %s: %w", digest, err)
 	}
 	if err := os.Rename(tmp, p); err != nil {
 		os.Remove(tmp)
-		return "", fmt.Errorf("cas: %w", err)
+		return fmt.Errorf("cas: %w", err)
 	}
 	mBlobWriteBytes.Add(uint64(len(data)))
 	mBlobWriteSeconds.ObserveSince(t0)
-	return digest, nil
+	return nil
 }
 
 // Blob reads a blob back, digest-verifying it on the way out. Content that
@@ -862,29 +863,24 @@ func (d *Dir) Blob(ctx context.Context, digest string) ([]byte, error) {
 	return data, nil
 }
 
-// HasBlob reports blob presence without reading it.
-func (d *Dir) HasBlob(digest string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.hasBlobLocked(digest)
-}
-
-// PutStep persists one instruction-cache entry: the layer bytes (nil for a
-// step that changed nothing) go to the blob store, the key and metadata to
-// the journal.
-func (d *Dir) PutStep(ctx context.Context, key string, layer []byte, modified int) error {
+// PutStep persists one instruction-cache entry: the layer (zero for a
+// step that changed nothing) goes to the blob store, the key and metadata
+// to the journal. The caller has the layer's digest already, so a layer
+// the store holds costs one stat and no hashing; a missing one is written
+// from its Data and must hash to its Digest, as in PutTag.
+func (d *Dir) PutStep(ctx context.Context, key string, layer Layer, modified int) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := Step{Key: key, Modified: modified}
-	if layer != nil {
-		digest, err := d.putBlobLocked(layer)
-		if err != nil {
+	st := Step{Key: key, Layer: layer.Digest, Modified: modified}
+	if layer.Digest != "" {
+		if err := d.putLayerLocked(layer); err != nil {
 			return err
 		}
-		st.Layer = digest
+	} else if layer.Data != nil {
+		return fmt.Errorf("cas: step %s: layer bytes without a digest", key)
 	}
 	if cur, ok := d.steps[key]; ok && cur == st {
 		return nil // identical re-record: the journal must not grow per run
@@ -912,9 +908,10 @@ func (d *Dir) Steps() []Step {
 	return out
 }
 
-// TagLayer is one layer of a tag being put: its digest and its bytes.
-// Data may be nil for a layer the caller knows the store already holds.
-type TagLayer struct {
+// Layer is one layer blob a step or tag being put names: its digest and
+// its bytes. Data may be nil for a layer the caller knows the store
+// already holds.
+type Layer struct {
 	Digest string
 	Data   []byte
 }
@@ -925,7 +922,7 @@ type TagLayer struct {
 // stat and is not re-hashed; a missing one is written from its Data,
 // which must hash to its Digest. A missing layer without Data, or with
 // Data under another digest, is rejected rather than recorded dangling.
-func (d *Dir) PutTag(ctx context.Context, name string, layers []TagLayer, config []byte) error {
+func (d *Dir) PutTag(ctx context.Context, name string, layers []Layer, config []byte) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
@@ -934,18 +931,8 @@ func (d *Dir) PutTag(ctx context.Context, name string, layers []TagLayer, config
 	digests := make([]string, len(layers))
 	for i, l := range layers {
 		digests[i] = l.Digest
-		if d.hasBlobLocked(l.Digest) {
-			continue
-		}
-		if l.Data == nil {
-			return fmt.Errorf("cas: tag %s: layer %s not in store", name, l.Digest)
-		}
-		got, err := d.putBlobLocked(l.Data)
-		if err != nil {
+		if err := d.putLayerLocked(l); err != nil {
 			return err
-		}
-		if got != l.Digest {
-			return fmt.Errorf("cas: tag %s: layer %s: bytes hash to %s", name, l.Digest, got)
 		}
 	}
 	tg := Tag{Name: name, Layers: digests, Config: config}

@@ -25,12 +25,28 @@ func openT(t *testing.T, root string) (*Dir, Report) {
 }
 
 // stored names layers the store already holds, for PutTag.
-func stored(digests ...string) []TagLayer {
-	out := make([]TagLayer, len(digests))
+func stored(digests ...string) []Layer {
+	out := make([]Layer, len(digests))
 	for i, dg := range digests {
-		out[i] = TagLayer{Digest: dg}
+		out[i] = Layer{Digest: dg}
 	}
 	return out
+}
+
+// withData is the layer data makes, digest and bytes, for PutStep; a nil
+// data makes the zero layer of a step that changed nothing.
+func withData(data []byte) Layer {
+	if data == nil {
+		return Layer{}
+	}
+	return Layer{Digest: Sum(data), Data: data}
+}
+
+// hasBlob reports blob presence without reading it.
+func hasBlob(d *Dir, digest string) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.hasBlobLocked(digest)
 }
 
 func fsckT(t *testing.T, d *Dir) Report {
@@ -63,8 +79,8 @@ func TestBlobRoundTrip(t *testing.T) {
 	if err != nil || string(got) != string(data) {
 		t.Fatalf("Blob: %q %v", got, err)
 	}
-	if !d.HasBlob(digest) || d.HasBlob(Sum([]byte("other"))) {
-		t.Fatal("HasBlob wrong")
+	if !hasBlob(d, digest) || hasBlob(d, Sum([]byte("other"))) {
+		t.Fatal("hasBlob wrong")
 	}
 	if _, err := d.Blob(ctx, "sha256:doge"); err == nil {
 		t.Fatal("malformed digest accepted")
@@ -75,10 +91,10 @@ func TestJournalStateSurvivesReopen(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
 	layer := []byte("step layer")
-	if err := d.PutStep(ctx, "key1", layer, 2); err != nil {
+	if err := d.PutStep(ctx, "key1", withData(layer), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutStep(ctx, "key2", nil, 0); err != nil {
+	if err := d.PutStep(ctx, "key2", Layer{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	ld, _ := d.PutBlob(ctx, []byte("tag layer"))
@@ -150,7 +166,7 @@ func TestOpenOnFileFails(t *testing.T) {
 func TestTornJournalTailRecovered(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
-	if err := d.PutStep(ctx, "good", []byte("bytes"), 0); err != nil {
+	if err := d.PutStep(ctx, "good", withData([]byte("bytes")), 0); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -182,7 +198,7 @@ func TestTornJournalTailRecovered(t *testing.T) {
 	// Appending after recovery keeps working — and because recovery
 	// compacted the journal (the fragment is gone from the file, not just
 	// skipped), the appended record must NOT merge with the torn tail.
-	if err := d2.PutStep(ctx, "after", nil, 0); err != nil {
+	if err := d2.PutStep(ctx, "after", Layer{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	d2.Close()
@@ -205,10 +221,10 @@ func TestTornJournalTailRecovered(t *testing.T) {
 func TestCorruptJournalLineQuarantined(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
-	if err := d.PutStep(ctx, "a", nil, 0); err != nil {
+	if err := d.PutStep(ctx, "a", Layer{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutStep(ctx, "b", nil, 0); err != nil {
+	if err := d.PutStep(ctx, "b", Layer{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -240,10 +256,10 @@ func TestCorruptBlobQuarantinedByFsck(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
 	layer := []byte("will be truncated")
-	if err := d.PutStep(ctx, "victim", layer, 0); err != nil {
+	if err := d.PutStep(ctx, "victim", withData(layer), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutStep(ctx, "bystander", []byte("fine"), 0); err != nil {
+	if err := d.PutStep(ctx, "bystander", withData([]byte("fine")), 0); err != nil {
 		t.Fatal(err)
 	}
 	digest, _ := d.PutBlob(ctx, []byte("tagged bytes"))
@@ -299,7 +315,7 @@ func TestBlobVerifiedOnRead(t *testing.T) {
 	if _, err := d.Blob(ctx, digest); err == nil {
 		t.Fatal("corrupt blob served")
 	}
-	if d.HasBlob(digest) {
+	if hasBlob(d, digest) {
 		t.Fatal("corrupt blob still present after quarantine")
 	}
 }
@@ -321,7 +337,7 @@ func TestStrandedTempFilesCleared(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
-	d.PutStep(ctx, "k", []byte("x"), 0)
+	d.PutStep(ctx, "k", withData([]byte("x")), 0)
 	digest, _ := d.PutBlob(ctx, []byte("y"))
 	d.PutTag(ctx, "t:1", stored(digest), nil)
 	if err := d.Reset(ctx); err != nil {
@@ -334,7 +350,7 @@ func TestReset(t *testing.T) {
 		t.Fatalf("%d blobs survived reset", n)
 	}
 	// The store stays usable after a reset.
-	if err := d.PutStep(ctx, "k2", []byte("z"), 0); err != nil {
+	if err := d.PutStep(ctx, "k2", withData([]byte("z")), 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -353,7 +369,7 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				layer := []byte(fmt.Sprintf("layer-%d-%d", w, i))
-				if err := d.PutStep(ctx, fmt.Sprintf("key-%d-%d", w, i), layer, 0); err != nil {
+				if err := d.PutStep(ctx, fmt.Sprintf("key-%d-%d", w, i), withData(layer), 0); err != nil {
 					errs <- err
 					return
 				}
@@ -401,7 +417,7 @@ func TestConcurrentWriters(t *testing.T) {
 func TestAppendAfterCloseFails(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
 	d.Close()
-	if err := d.PutStep(ctx, "k", nil, 0); err == nil {
+	if err := d.PutStep(ctx, "k", Layer{}, 0); err == nil {
 		t.Fatal("append after close succeeded")
 	}
 }
@@ -416,7 +432,7 @@ func TestPutTagWritesOnlyMissingBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	missing := []byte("missing")
-	layers := []TagLayer{
+	layers := []Layer{
 		{Digest: present, Data: []byte("not the present bytes")},
 		{Digest: Sum(missing), Data: missing},
 	}
@@ -433,12 +449,49 @@ func TestPutTagWritesOnlyMissingBlobs(t *testing.T) {
 		t.Fatalf("tag = %+v, %v", tg, ok)
 	}
 
-	liar := []TagLayer{{Digest: Sum([]byte("claimed")), Data: []byte("actual")}}
+	liar := []Layer{{Digest: Sum([]byte("claimed")), Data: []byte("actual")}}
 	if err := d.PutTag(ctx, "liar:1", liar, nil); err == nil {
 		t.Fatal("a layer whose bytes hash to another digest was accepted")
 	}
 	if _, ok := d.Tag("liar:1"); ok {
 		t.Fatal("rejected tag recorded")
+	}
+}
+
+// PutStep takes the layer's digest from its caller: a present blob is
+// taken by that digest alone, unhashed and unwritten, and a missing one is
+// written only when its bytes hash to the claimed digest.
+func TestPutStepChecksClaimedDigest(t *testing.T) {
+	d, _ := openT(t, t.TempDir())
+	present, err := d.PutBlob(ctx, []byte("present"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutStep(ctx, "present", Layer{Digest: present, Data: []byte("not the present bytes")}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.Blob(ctx, present); err != nil || string(got) != "present" {
+		t.Fatalf("present layer rewritten: %q, %v", got, err)
+	}
+
+	claimed, actual := Sum([]byte("claimed")), []byte("actual")
+	for _, c := range []struct {
+		name  string
+		layer Layer
+	}{
+		{"bytes under another digest", Layer{Digest: claimed, Data: actual}},
+		{"missing blob without bytes", Layer{Digest: claimed}},
+		{"bytes without a digest", Layer{Data: actual}},
+	} {
+		if err := d.PutStep(ctx, c.name, c.layer, 0); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if _, ok := d.Step(c.name); ok {
+			t.Errorf("%s: rejected step recorded", c.name)
+		}
+	}
+	if hasBlob(d, claimed) || hasBlob(d, Sum(actual)) {
+		t.Fatal("a rejected layer's bytes were written")
 	}
 }
 
@@ -451,7 +504,7 @@ func TestPutTagWritesOnlyMissingBlobs(t *testing.T) {
 func TestAppendAfterExternalCompactionNotLost(t *testing.T) {
 	root := t.TempDir()
 	d1, _ := openT(t, root)
-	if err := d1.PutStep(ctx, "before", []byte("layer-b"), 0); err != nil {
+	if err := d1.PutStep(ctx, "before", withData([]byte("layer-b")), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := d1.PutTag(ctx, "root:1", stored(Sum([]byte("layer-b"))), nil); err != nil {
@@ -472,7 +525,7 @@ func TestAppendAfterExternalCompactionNotLost(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := d1.PutStep(ctx, "after", []byte("layer-a"), 0); err != nil {
+	if err := d1.PutStep(ctx, "after", withData([]byte("layer-a")), 0); err != nil {
 		t.Fatal(err)
 	}
 	d1.Close()
@@ -529,7 +582,7 @@ func TestUnserveableBlobHealsOnRePut(t *testing.T) {
 func TestBadJournalLineQuarantinedOnce(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
-	if err := d.PutStep(ctx, "good", nil, 0); err != nil {
+	if err := d.PutStep(ctx, "good", Layer{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()

@@ -65,11 +65,11 @@ func TestFailpointBlobReadDoesNotQuarantine(t *testing.T) {
 func TestFailpointJournalAppendENOSPCKeepsStoreClean(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
-	if err := d.PutStep(ctx, "k1", []byte("l1"), 0); err != nil {
+	if err := d.PutStep(ctx, "k1", withData([]byte("l1")), 0); err != nil {
 		t.Fatal(err)
 	}
 	d.SetFailpoints(FailOps(fmt.Errorf("injected: %w", syscall.ENOSPC), OpJournalAppend))
-	err := d.PutStep(ctx, "k2", []byte("l2"), 0)
+	err := d.PutStep(ctx, "k2", withData([]byte("l2")), 0)
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("want ENOSPC through, got %v", err)
 	}
@@ -218,7 +218,7 @@ func TestContextCancelledStoreOps(t *testing.T) {
 	if _, err := d.Blob(cctx, Sum([]byte("x"))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Blob: %v", err)
 	}
-	if err := d.PutStep(cctx, "k", nil, 0); !errors.Is(err, context.Canceled) {
+	if err := d.PutStep(cctx, "k", Layer{}, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PutStep: %v", err)
 	}
 	if _, err := d.GC(cctx, Budget{}); !errors.Is(err, context.Canceled) {

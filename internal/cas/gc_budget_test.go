@@ -14,7 +14,7 @@ func putSizedStep(t *testing.T, d *Dir, key string, size int) string {
 	if len(layer) != size {
 		t.Fatalf("layer for %q is %d bytes, want %d", key, len(layer), size)
 	}
-	if err := d.PutStep(ctx, key, layer, 0); err != nil {
+	if err := d.PutStep(ctx, key, withData(layer), 0); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := d.Step(key)
@@ -80,7 +80,7 @@ func TestGCBudgetNeverEvictsTagPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.HasBlob(pinnedLayer) {
+	if !hasBlob(d, pinnedLayer) {
 		t.Fatal("tag-pinned blob evicted")
 	}
 	if _, ok := d.Step("pinned-step"); !ok {
@@ -99,10 +99,10 @@ func TestGCBudgetNeverEvictsTagPins(t *testing.T) {
 func TestGCBudgetSharedBlobRefcounted(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
 	shared := bytes.Repeat([]byte{'s'}, 1024)
-	if err := d.PutStep(ctx, "first", shared, 0); err != nil {
+	if err := d.PutStep(ctx, "first", withData(shared), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutStep(ctx, "second", shared, 0); err != nil {
+	if err := d.PutStep(ctx, "second", withData(shared), 0); err != nil {
 		t.Fatal(err)
 	}
 	putSizedStep(t, d, "third", 1024)
@@ -113,7 +113,7 @@ func TestGCBudgetSharedBlobRefcounted(t *testing.T) {
 	if _, err := d.GC(ctx, Budget{MaxBytes: 2048}); err != nil {
 		t.Fatal(err)
 	}
-	if !d.HasBlob(digest) {
+	if !hasBlob(d, digest) {
 		t.Fatal("shared blob deleted while a surviving step references it")
 	}
 	if _, ok := d.Step("second"); !ok {
@@ -124,7 +124,7 @@ func TestGCBudgetSharedBlobRefcounted(t *testing.T) {
 	if _, err := d.GC(ctx, Budget{MaxBytes: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if d.HasBlob(digest) {
+	if hasBlob(d, digest) {
 		t.Fatal("shared blob survived eviction of all referencing steps")
 	}
 }

@@ -25,10 +25,10 @@ func TestGCBlobSharedByTwoTagsSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.HasBlob(shared) {
+	if !hasBlob(d, shared) {
 		t.Fatal("blob still referenced by a:1 was swept")
 	}
-	if d.HasBlob(only) {
+	if hasBlob(d, only) {
 		t.Fatal("blob referenced only by the deleted tag survived")
 	}
 	if stats.BlobsSwept != 1 || stats.BlobsKept != 1 || stats.TagsKept != 1 {
@@ -48,13 +48,13 @@ func TestGCCollectsUntaggedIntermediates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A step of the tagged image and a step of a pruned intermediate.
-	if err := d.PutStep(ctx, "final-step", final, 0); err != nil {
+	if err := d.PutStep(ctx, "final-step", withData(final), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutStep(ctx, "inter-step", inter, 0); err != nil {
+	if err := d.PutStep(ctx, "inter-step", withData(inter), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutStep(ctx, "no-layer-step", nil, 1); err != nil {
+	if err := d.PutStep(ctx, "no-layer-step", Layer{}, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,10 +74,10 @@ func TestGCCollectsUntaggedIntermediates(t *testing.T) {
 	if _, ok := d.Step("inter-step"); ok {
 		t.Fatal("intermediate step survived")
 	}
-	if d.HasBlob(Sum(inter)) {
+	if hasBlob(d, Sum(inter)) {
 		t.Fatal("intermediate blobs survived")
 	}
-	if !d.HasBlob(fd) {
+	if !hasBlob(d, fd) {
 		t.Fatal("tagged blobs swept")
 	}
 	d.Close()
@@ -122,7 +122,7 @@ func TestGCEmptyStoreNoOp(t *testing.T) {
 // empty rather than leaking unreachable blobs forever.
 func TestGCNoRootsSweepsAll(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
-	d.PutStep(ctx, "s", []byte("layer"), 0)
+	d.PutStep(ctx, "s", withData([]byte("layer")), 0)
 	d.PutBlob(ctx, []byte("unreferenced"))
 	stats, err := d.GC(ctx, Budget{})
 	if err != nil {

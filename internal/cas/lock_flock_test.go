@@ -18,7 +18,7 @@ import (
 func TestGCBusyWhileSecondHandleOpen(t *testing.T) {
 	root := t.TempDir()
 	d1, _ := openT(t, root)
-	if err := d1.PutStep(ctx, "warm", []byte("layer"), 0); err != nil {
+	if err := d1.PutStep(ctx, "warm", withData([]byte("layer")), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -37,7 +37,7 @@ func TestGCBusyWhileSecondHandleOpen(t *testing.T) {
 
 	// A failed maintenance attempt must leave the handle fully usable:
 	// the exclusive conversion re-acquired its shared hold.
-	if err := d2.PutStep(ctx, "after-busy", []byte("more"), 0); err != nil {
+	if err := d2.PutStep(ctx, "after-busy", withData([]byte("more")), 0); err != nil {
 		t.Fatalf("append after ErrBusy: %v", err)
 	}
 
@@ -58,7 +58,7 @@ func TestGCBusyWhileSecondHandleOpen(t *testing.T) {
 func TestGCWaitsForPeerClose(t *testing.T) {
 	root := t.TempDir()
 	d1, _ := openT(t, root)
-	if err := d1.PutStep(ctx, "warm", []byte("layer"), 0); err != nil {
+	if err := d1.PutStep(ctx, "warm", withData([]byte("layer")), 0); err != nil {
 		t.Fatal(err)
 	}
 	d2, _, err := Open(root, WithLockWait(10*time.Second))
@@ -122,7 +122,7 @@ func TestFlockGCHelper(t *testing.T) {
 func TestTwoProcessFlock(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
-	if err := d.PutStep(ctx, "warm", []byte("layer"), 0); err != nil {
+	if err := d.PutStep(ctx, "warm", withData([]byte("layer")), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +146,7 @@ func TestTwoProcessFlock(t *testing.T) {
 		t.Fatalf("child GC with store held: exit %d, want 3 (ErrBusy)", code)
 	}
 	// The busy child must not have corrupted anything for us.
-	if err := d.PutStep(ctx, "after-child", []byte("more"), 0); err != nil {
+	if err := d.PutStep(ctx, "after-child", withData([]byte("more")), 0); err != nil {
 		t.Fatalf("append after child ErrBusy: %v", err)
 	}
 	if err := d.Close(); err != nil {
@@ -174,7 +174,7 @@ func TestTwoProcessFlock(t *testing.T) {
 func TestDamagedOpenWithPeerDoesNotWait(t *testing.T) {
 	root := t.TempDir()
 	peer, _ := openT(t, root)
-	if err := peer.PutStep(ctx, "good", []byte("layer"), 0); err != nil {
+	if err := peer.PutStep(ctx, "good", withData([]byte("layer")), 0); err != nil {
 		t.Fatal(err)
 	}
 	j, err := os.OpenFile(filepath.Join(root, "journal"), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -197,7 +197,7 @@ func TestDamagedOpenWithPeerDoesNotWait(t *testing.T) {
 	if rep.JournalQuarantined != 1 {
 		t.Fatalf("report %+v, want the torn line quarantined", rep)
 	}
-	if err := d.PutStep(ctx, "after", nil, 0); err != nil {
+	if err := d.PutStep(ctx, "after", Layer{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -222,10 +222,10 @@ func TestDamagedOpenWithPeerDoesNotWait(t *testing.T) {
 func TestQuarantinedBlobRecordDroppedInBothModes(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
-	if err := d.PutStep(ctx, "victim", []byte("victim layer"), 0); err != nil {
+	if err := d.PutStep(ctx, "victim", withData([]byte("victim layer")), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutStep(ctx, "bystander", []byte("bystander layer"), 0); err != nil {
+	if err := d.PutStep(ctx, "bystander", withData([]byte("bystander layer")), 0); err != nil {
 		t.Fatal(err)
 	}
 	victim, _ := d.Step("victim")

@@ -29,17 +29,17 @@ func buildParityStore(t *testing.T, root string) parityStore {
 		// Sizes vary from a few bytes to tens of KiB, so the workers'
 		// reads do not all finish in lockstep.
 		layer := bytes.Repeat([]byte(fmt.Sprintf("layer-%03d;", i)), 1+(i*37)%3000)
-		if err := d.PutStep(ctx, fmt.Sprintf("step-%03d", i), layer, 0); err != nil {
+		if err := d.PutStep(ctx, fmt.Sprintf("step-%03d", i), withData(layer), 0); err != nil {
 			t.Fatal(err)
 		}
 		ps.layers = append(ps.layers, Sum(layer))
 		if i < 10 {
-			if err := d.PutStep(ctx, fmt.Sprintf("dup-%03d", i), layer, 1); err != nil {
+			if err := d.PutStep(ctx, fmt.Sprintf("dup-%03d", i), withData(layer), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := d.PutStep(ctx, "no-layer", nil, 0); err != nil {
+	if err := d.PutStep(ctx, "no-layer", Layer{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 10; k++ {
@@ -311,8 +311,8 @@ func TestOpenIgnoresLegacyChainRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.BlobsSwept != 1 || d2.HasBlob(snap) || !d2.HasBlob(layer) {
-		t.Fatalf("GC: %+v, snapshot kept=%v, layer kept=%v", stats, d2.HasBlob(snap), d2.HasBlob(layer))
+	if stats.BlobsSwept != 1 || hasBlob(d2, snap) || !hasBlob(d2, layer) {
+		t.Fatalf("GC: %+v, snapshot kept=%v, layer kept=%v", stats, hasBlob(d2, snap), hasBlob(d2, layer))
 	}
 	data, err := os.ReadFile(filepath.Join(root, "journal"))
 	if err != nil {

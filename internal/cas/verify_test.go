@@ -27,10 +27,10 @@ func corruptBlobOnDisk(t *testing.T, d *Dir, digest string) {
 func TestCrashMidCompactionHeals(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
-	if err := d.PutStep(ctx, "k1", []byte("layer-1"), 0); err != nil {
+	if err := d.PutStep(ctx, "k1", withData([]byte("layer-1")), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutStep(ctx, "k2", []byte("layer-2"), 0); err != nil {
+	if err := d.PutStep(ctx, "k2", withData([]byte("layer-2")), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -69,10 +69,10 @@ func TestCrashMidCompactionHeals(t *testing.T) {
 func TestLazyOpenDefersBlobVerification(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
-	if err := d.PutStep(ctx, "good", []byte("good layer"), 0); err != nil {
+	if err := d.PutStep(ctx, "good", withData([]byte("good layer")), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutStep(ctx, "bad", []byte("bad layer"), 0); err != nil {
+	if err := d.PutStep(ctx, "bad", withData([]byte("bad layer")), 0); err != nil {
 		t.Fatal(err)
 	}
 	badStep, _ := d.Step("bad")
@@ -131,7 +131,7 @@ func TestLazyOpenDefersBlobVerification(t *testing.T) {
 func TestLazyOpenDropsDanglingRecords(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
-	if err := d.PutStep(ctx, "dangling", []byte("gone layer"), 0); err != nil {
+	if err := d.PutStep(ctx, "dangling", withData([]byte("gone layer")), 0); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := d.Step("dangling")

@@ -391,17 +391,11 @@ func (f *File) StageIndex(ref string) (int, bool) {
 	return 0, false
 }
 
-// Reachable reports, per stage, whether the final stage transitively
-// depends on it (the final stage itself included). Builders skip
-// unreachable stages entirely — they are parsed and validated but never
-// executed.
-func (f *File) Reachable() []bool {
-	return f.ReachableFrom(len(f.Stages) - 1)
-}
-
 // ReachableFrom reports, per stage, whether stage root transitively
-// depends on it (root itself included) — the reachability a --target
-// build prunes against. An out-of-range root marks nothing reachable.
+// depends on it (root itself included) — the reachability a build prunes
+// against, root being the final stage or the --target one. Builders skip
+// unreachable stages entirely: they are parsed and validated but never
+// executed. An out-of-range root marks nothing reachable.
 func (f *File) ReachableFrom(root int) []bool {
 	seen := make([]bool, len(f.Stages))
 	var visit func(int)

@@ -192,7 +192,7 @@ func TestFromTokenInShellTextIgnored(t *testing.T) {
 
 func TestReachablePrunesUnreferencedStages(t *testing.T) {
 	f := parse(t, builderPattern)
-	reach := f.Reachable()
+	reach := f.ReachableFrom(len(f.Stages) - 1)
 	want := []bool{true, false, true} // "debug" is never referenced
 	for i := range want {
 		if reach[i] != want[i] {
@@ -204,7 +204,7 @@ func TestReachablePrunesUnreferencedStages(t *testing.T) {
 func TestReachableChain(t *testing.T) {
 	// A FROM chain: final → mid → base, all reachable.
 	f := parse(t, "FROM a AS base\nFROM base AS mid\nRUN true\nFROM mid\nRUN true\n")
-	for i, ok := range f.Reachable() {
+	for i, ok := range f.ReachableFrom(len(f.Stages) - 1) {
 		if !ok {
 			t.Fatalf("stage %d unreachable", i)
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/tarutil"
 	"repro/internal/vfs"
 )
 
@@ -13,11 +14,11 @@ import (
 // single-flight fill, the store under parallel mixed use, and the
 // registry under concurrent push/pull of overlapping blob sets.
 
-// unseeded returns an image over baseFS that carries no FromFS tree, so
+// unseeded returns an image over baseFS that carries no seed entries, so
 // the first Flatten of its chain in a store really fills.
 func unseeded(t *testing.T, name string) *Image {
 	t.Helper()
-	img, err := FromFS(name, baseFS(t), Config{})
+	img, err := fromFS(name, baseFS(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +81,62 @@ func TestStoreFlattenSingleFlight(t *testing.T) {
 	}
 	if fills := s.FlattenFills(); fills != 1 {
 		t.Errorf("later hit refilled: fills = %d", fills)
+	}
+}
+
+// TestSeededTreeSingleFlight: a chain seeded from FromEntries answers
+// FlattenedEntries from its entries without a tree; N goroutines then
+// Flatten it at once, and exactly one unpack builds the tree, which is
+// not a fill. The tree holds what the entries say.
+func TestSeededTreeSingleFlight(t *testing.T) {
+	img, err := fromFS("seeded:1", baseFS(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore()
+	s.Put(img)
+	entries, err := s.FlattenedEntries(context.Background(), img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.TreeBuilds(); n != 0 {
+		t.Fatalf("FlattenedEntries built %d trees, want 0", n)
+	}
+
+	const n = 16
+	var (
+		wg    sync.WaitGroup
+		gate  = make(chan struct{})
+		trees [n]*vfs.FS
+		errs  [n]error
+	)
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			<-gate
+			trees[i], errs[i] = s.Flatten(context.Background(), img)
+		}(i)
+	}
+	close(gate)
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+	}
+	if builds, fills := s.TreeBuilds(), s.FlattenFills(); builds != 1 || fills != 0 {
+		t.Fatalf("tree builds = %d, fills = %d; want 1 and 0", builds, fills)
+	}
+	tree, err := tarutil.Snapshot(trees[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tree) != len(entries) || len(tarutil.Diff(entries, tree)) != 0 || len(tarutil.Diff(tree, entries)) != 0 {
+		t.Fatalf("seeded tree (%d entries) differs from its %d seed entries", len(tree), len(entries))
+	}
+	if again, err := s.FlattenedEntries(context.Background(), img); err != nil || &again[0] != &entries[0] {
+		t.Fatalf("the tree build replaced the seed entries (err %v)", err)
 	}
 }
 
@@ -149,7 +206,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 // TestStorePutCopiesBlobBytes: the store's content-addressed blobs must
 // stay immutable when the caller mutates the Image it handed to Put.
 func TestStorePutCopiesBlobBytes(t *testing.T) {
-	img, err := FromFS("mut:1", baseFS(t), Config{})
+	img, err := fromFS("mut:1", baseFS(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +236,7 @@ func TestStorePutCopiesBlobBytes(t *testing.T) {
 // Image's Data slices in place after Put — fills read the store's
 // write-once blobs, not the caller-visible bytes.
 func TestStoreFlattenImmuneToScribbledImage(t *testing.T) {
-	img, err := FromFS("scribbled:1", baseFS(t), Config{})
+	img, err := fromFS("scribbled:1", baseFS(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +273,7 @@ func TestRegistryConcurrentPushPull(t *testing.T) {
 	}
 	defer reg.Close()
 
-	base, err := FromFS("app", baseFS(t), Config{})
+	base, err := fromFS("app", baseFS(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -58,15 +57,16 @@ type Image struct {
 	Layers []Layer
 	Config Config
 
-	// seed is the tree FromFS packed into Layers and its snapshot, valid
-	// only while ChainDigest(Layers) still equals seedKey. PutContext
-	// hands it to the store's chain cache; see FromFS.
-	seed    flatChain
+	// seed is the entry list FromEntries packed into Layers, valid only
+	// while ChainDigest(Layers) still equals seedKey. PutContext hands it
+	// to the store's chain cache; see FromEntries.
+	seed    []tarutil.Entry
 	seedKey string
 }
 
 // Clone returns a deep-enough copy for derivation (layers are immutable).
-// The copy carries no FromFS tree: a store fills its chain from the layers.
+// The copy carries no FromEntries seed: a store fills its chain from the
+// layers.
 func (img *Image) Clone(name string) *Image {
 	out := &Image{Name: name, Config: img.Config}
 	out.Layers = append([]Layer{}, img.Layers...)
@@ -147,10 +147,13 @@ type Store struct {
 
 	// chains memoises flattened layer chains by chain digest. Fills are
 	// single-flight: concurrent misses on one chain unpack+snapshot once.
-	// A chain PutContext took from FromFS is cached without a fill.
+	// A chain PutContext seeded from FromEntries holds its entries alone;
+	// its first Flatten builds the tree under the same single-flight,
+	// which is not a fill.
 	chains  map[string]flatChain
 	flights flight.Group[flatChain]
 	fills   int // completed fills (unpack+snapshot paid), for tests and stats
+	trees   int // seeded chains' trees built (unpack only), for tests
 
 	// backing, when set, is the persistent content-addressed store the
 	// in-memory maps are a cache over: Put writes through (blobs and tag
@@ -162,7 +165,8 @@ type Store struct {
 }
 
 // flatChain is one memoised layer chain: the pristine flattened tree and
-// its snapshot (sorted tarutil entries, parents before children).
+// its snapshot (sorted tarutil entries, parents before children). A
+// seeded chain has no tree (fs nil) until its first Flatten.
 type flatChain struct {
 	fs    *vfs.FS
 	lower []tarutil.Entry
@@ -180,31 +184,34 @@ func NewStore() *Store {
 // Flatten returns a filesystem holding img's flattened layers, like
 // Image.Flatten, but the unpacked tree for each distinct layer chain is
 // built once and cached; callers receive an independent deep clone they
-// may mutate freely. The cached tree is snapshotted once at fill time,
-// which both serves FlattenedEntries and warms the per-file content
-// digests every clone inherits. The fill is in-memory work that runs to
-// completion whatever ctx says.
+// may mutate freely. A chain's first Flatten fills it: the layers are
+// unpacked and the tree snapshotted once, which serves FlattenedEntries.
+// A chain seeded from FromEntries already has its entries, so its first
+// Flatten only unpacks the stored layer; that is not counted as a fill.
+// Either is in-memory work that runs to completion whatever ctx says.
 func (s *Store) Flatten(ctx context.Context, img *Image) (*vfs.FS, error) {
-	c, err := s.flattened(img)
+	c, err := s.flattened(img, true)
 	if err != nil {
 		return nil, err
 	}
 	return c.fs.Clone(), nil
 }
 
-// flattened returns the cached chain for img, filling the cache on miss.
-// Fills are single-flight: of N concurrent misses on one chain, exactly
-// one goroutine pays the unpack+snapshot (O(tree)); the rest block until
-// it publishes and then share the result, or its error. A failed fill is
-// not cached — the next caller retries.
+// flattened returns the cached chain for img, filling the cache on miss;
+// with tree set it also builds a seeded chain's tree. Either is
+// single-flight: of N concurrent misses on one chain, exactly one
+// goroutine pays the unpack (and, for a fill, the snapshot); the rest
+// block until it publishes and then share the result, or its error. A
+// failed fill or tree build is not cached — the next caller retries.
 //
 // Nothing about a chain is persisted: in a fresh process, a FROM of a tag
 // an earlier invocation built fills from the layers GetContext has
 // already loaded into the store's blobs.
-func (s *Store) flattened(img *Image) (flatChain, error) {
+func (s *Store) flattened(img *Image, tree bool) (flatChain, error) {
 	key := ChainDigest(img.Layers)
 	s.mu.Lock()
-	if c, ok := s.chains[key]; ok {
+	c, seeded := s.chains[key]
+	if seeded && (c.fs != nil || !tree) {
 		s.mu.Unlock()
 		return c, nil
 	}
@@ -215,17 +222,19 @@ func (s *Store) flattened(img *Image) (flatChain, error) {
 	}
 
 	fs, err := s.flattenPristine(img)
-	var lower []tarutil.Entry
-	if err == nil {
-		lower, err = tarutil.Snapshot(fs)
+	if err == nil && !seeded {
+		c.lower, err = tarutil.Snapshot(fs)
 	}
-	var c flatChain
 	s.mu.Lock()
 	if err == nil {
-		c = flatChain{fs, lower}
+		c.fs = fs
 		s.chains[key] = c
-		s.fills++
-		mFlattenFills.Inc()
+		if seeded {
+			s.trees++
+		} else {
+			s.fills++
+			mFlattenFills.Inc()
+		}
 	}
 	s.flights.Finish(key, c, err)
 	s.mu.Unlock()
@@ -255,11 +264,13 @@ func (s *Store) flattenPristine(img *Image) (*vfs.FS, error) {
 // tarutil entries, parents before children) of img's flattened tree, from
 // the same per-chain memoisation Flatten uses — so reading a built stage's
 // tree for COPY --from costs no re-walk once any consumer has flattened
-// the chain. The returned slice and everything it references are shared
-// across callers and must be treated as read-only; copy Entry.Data before
-// retaining or mutating it.
+// the chain. A chain seeded from FromEntries answers from its entries
+// without building a tree, so a WORKDIR or COPY --from that reads a stock
+// base pays no unpack. The returned slice and everything it references
+// are shared across callers and must be treated as read-only; copy
+// Entry.Data before retaining or mutating it.
 func (s *Store) FlattenedEntries(ctx context.Context, img *Image) ([]tarutil.Entry, error) {
-	c, err := s.flattened(img)
+	c, err := s.flattened(img, false)
 	return c.lower, err
 }
 
@@ -278,7 +289,7 @@ func (s *Store) FlattenFills() int {
 // invocation starts warm. Attach the backing before
 // seeding the store — images Put earlier are not retroactively persisted.
 // Persistence errors never fail store operations; they are recorded and
-// readable via BackingErr.
+// readable via BackingErrs.
 func (s *Store) SetBacking(d *cas.Dir) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -292,16 +303,10 @@ func (s *Store) Backing() *cas.Dir {
 	return s.backing
 }
 
-// BackingErr reports the persistence failures since the backing was
-// attached as one joined error, nil when every write-through landed. A
-// failure means the on-disk cache is colder than memory, never that it
-// is wrong.
-func (s *Store) BackingErr() error {
-	return errors.Join(s.BackingErrs()...)
-}
-
-// BackingErrs returns every recorded persistence failure (a copy), plus
-// a trailing summary entry when failures past the cap were dropped.
+// BackingErrs returns every persistence failure since the backing was
+// attached (a copy), plus a trailing summary entry when failures past the
+// cap were dropped; empty when every write-through landed. A failure
+// means the on-disk cache is colder than memory, never that it is wrong.
 func (s *Store) BackingErrs() []error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -339,18 +344,18 @@ func (s *Store) Put(img *Image) {
 // PutContext is Put under a context: cancellation aborts the
 // write-through (recorded as a persistence failure), never the in-memory
 // tag, which is already visible when the disk write starts. An image
-// FromFS made, with its Layers as FromFS left them, also hands over its
-// tree: the chain is cached without an unpack and is not counted as a
-// fill.
+// FromEntries made, with its Layers as FromEntries left them, also hands
+// over its entries: the chain is cached without an unpack, is not
+// counted as a fill, and builds its tree at its first Flatten.
 func (s *Store) PutContext(ctx context.Context, img *Image) {
 	seeded := img.seedKey != "" && ChainDigest(img.Layers) == img.seedKey
 	s.mu.Lock()
 	if seeded {
 		if _, ok := s.chains[img.seedKey]; !ok {
-			s.chains[img.seedKey] = img.seed
+			s.chains[img.seedKey] = flatChain{lower: img.seed}
 		}
 	}
-	layers := make([]cas.TagLayer, len(img.Layers))
+	layers := make([]cas.Layer, len(img.Layers))
 	for i, l := range img.Layers {
 		if _, ok := s.blobs[l.Digest]; !ok {
 			s.blobs[l.Digest] = append([]byte(nil), l.Data...)
@@ -358,7 +363,7 @@ func (s *Store) PutContext(ctx context.Context, img *Image) {
 		// Persist the store's pristine copy, not the caller's mutable
 		// slice. Blobs are write-once, so reading the map entry here and
 		// using it after unlock is safe.
-		layers[i] = cas.TagLayer{Digest: l.Digest, Data: s.blobs[l.Digest]}
+		layers[i] = cas.Layer{Digest: l.Digest, Data: s.blobs[l.Digest]}
 	}
 	s.images[img.Name] = img
 	backing := s.backing
@@ -513,19 +518,16 @@ func (s *Store) Tags() []string {
 	return out
 }
 
-// FromFS builds a single-layer image from a filesystem. The image keeps
-// fs and the snapshot it packed, and the first store it is Put into takes
-// them as the layer's flattened chain, so the first FROM of it clones a
-// tree instead of unpacking one. The store takes ownership of fs: the
-// caller must not mutate it after the call. The handed-over tree differs
-// from an unpacked one only in mtimes (Unpack sets none from headers),
-// which layer diffs and COPY --from ignore.
-func FromFS(name string, fs *vfs.FS, cfg Config) (*Image, error) {
-	lower, err := tarutil.Snapshot(fs)
-	if err != nil {
-		return nil, err
-	}
-	data, err := tarutil.Pack(lower)
+// FromEntries builds a single-layer image by packing entries, which must
+// be a whole tree in canonical order (see tarutil.PathLess): every entry's
+// parent directory listed before it, no whiteouts, no sockets — the
+// entries Snapshot returns for the tree the layer unpacks to. The image
+// keeps entries as its seed, and the first store it is Put into takes
+// them as the layer's flattened chain, so FlattenedEntries needs no tree
+// and the first Flatten only unpacks the layer. The store shares entries
+// with its readers: the caller must not mutate them after the call.
+func FromEntries(name string, entries []tarutil.Entry, cfg Config) (*Image, error) {
+	data, err := tarutil.Pack(entries)
 	if err != nil {
 		return nil, err
 	}
@@ -534,7 +536,7 @@ func FromFS(name string, fs *vfs.FS, cfg Config) (*Image, error) {
 		Name:    name,
 		Layers:  layers,
 		Config:  cfg,
-		seed:    flatChain{fs, lower},
+		seed:    entries,
 		seedKey: ChainDigest(layers),
 	}, nil
 }

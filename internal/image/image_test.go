@@ -22,8 +22,18 @@ func baseFS(t *testing.T) *vfs.FS {
 	return fs
 }
 
+// fromFS is a single-layer image of a tree a test built: FromEntries over
+// the tree's snapshot.
+func fromFS(name string, fs *vfs.FS, cfg Config) (*Image, error) {
+	entries, err := tarutil.Snapshot(fs)
+	if err != nil {
+		return nil, err
+	}
+	return FromEntries(name, entries, cfg)
+}
+
 func TestFromFSAndFlatten(t *testing.T) {
-	img, err := FromFS("test:1", baseFS(t), Config{Labels: map[string]string{"org.repro.distro": "alpine"}})
+	img, err := fromFS("test:1", baseFS(t), Config{Labels: map[string]string{"org.repro.distro": "alpine"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +57,7 @@ func TestFromFSAndFlatten(t *testing.T) {
 }
 
 func TestCommitLayerAddsDiff(t *testing.T) {
-	img, _ := FromFS("test:1", baseFS(t), Config{})
+	img, _ := fromFS("test:1", baseFS(t), Config{})
 	fs, _ := img.Flatten()
 	rc := vfs.RootContext()
 	fs.WriteFile(rc, "/etc/new", []byte("new"), 0o644, 0, 0)
@@ -77,7 +87,7 @@ func TestCommitLayerAddsDiff(t *testing.T) {
 // cached tree, and every caller gets an independent copy.
 func TestStoreFlattenCache(t *testing.T) {
 	s := NewStore()
-	img, _ := FromFS("test:1", baseFS(t), Config{})
+	img, _ := fromFS("test:1", baseFS(t), Config{})
 	rc := vfs.RootContext()
 
 	a, err := s.Flatten(context.Background(), img)
@@ -112,7 +122,7 @@ func TestStoreFlattenCache(t *testing.T) {
 func TestStoreCommitLayer(t *testing.T) {
 	ctx := context.Background()
 	s := NewStore()
-	img, _ := FromFS("test:1", baseFS(t), Config{})
+	img, _ := fromFS("test:1", baseFS(t), Config{})
 	rc := vfs.RootContext()
 
 	fs, err := s.Flatten(ctx, img)
@@ -169,7 +179,7 @@ func checkLower(t *testing.T, s *Store, img *Image) {
 }
 
 func TestChainDigestDistinguishesChains(t *testing.T) {
-	img, _ := FromFS("test:1", baseFS(t), Config{})
+	img, _ := fromFS("test:1", baseFS(t), Config{})
 	fs, _ := img.Flatten()
 	vfsRC := vfs.RootContext()
 	fs.WriteFile(vfsRC, "/etc/new", []byte("x"), 0o644, 0, 0)
@@ -186,7 +196,7 @@ func TestChainDigestDistinguishesChains(t *testing.T) {
 }
 
 func TestLayerDeletionPropagates(t *testing.T) {
-	img, _ := FromFS("test:1", baseFS(t), Config{})
+	img, _ := fromFS("test:1", baseFS(t), Config{})
 	fs, _ := img.Flatten()
 	rc := vfs.RootContext()
 	fs.Unlink(rc, "/etc/os-release")
@@ -202,9 +212,9 @@ func TestLayerDeletionPropagates(t *testing.T) {
 
 func TestStoreTagsAndBlobs(t *testing.T) {
 	s := NewStore()
-	img, _ := FromFS("a:1", baseFS(t), Config{})
+	img, _ := fromFS("a:1", baseFS(t), Config{})
 	s.Put(img)
-	img2, _ := FromFS("b:2", baseFS(t), Config{})
+	img2, _ := fromFS("b:2", baseFS(t), Config{})
 	s.Put(img2)
 	tags := s.Tags()
 	if len(tags) != 2 || tags[0] != "a:1" || tags[1] != "b:2" {
@@ -225,7 +235,7 @@ func TestStoreTagsAndBlobs(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
-	img, _ := FromFS("orig:1", baseFS(t), Config{
+	img, _ := fromFS("orig:1", baseFS(t), Config{
 		Env:    []string{"PATH=/bin"},
 		Labels: map[string]string{"k": "v"},
 	})
@@ -256,7 +266,7 @@ func TestSplitRef(t *testing.T) {
 
 func TestRegistryPullRoundTrip(t *testing.T) {
 	s := NewStore()
-	img, _ := FromFS("alpine:3.19", baseFS(t), Config{
+	img, _ := fromFS("alpine:3.19", baseFS(t), Config{
 		Env:    []string{"PATH=/bin"},
 		Labels: map[string]string{"org.repro.distro": "alpine"},
 	})
@@ -310,7 +320,7 @@ func TestPushPullRoundTrip(t *testing.T) {
 	// Push a derived image to a fresh registry and pull it back — the
 	// ch-image push path.
 	src := NewStore()
-	img, _ := FromFS("myapp:1.0", baseFS(t), Config{
+	img, _ := fromFS("myapp:1.0", baseFS(t), Config{
 		Labels: map[string]string{"org.repro.distro": "alpine"},
 	})
 	fs, _ := img.Flatten()

@@ -2,6 +2,7 @@ package image
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/cas"
@@ -25,7 +26,7 @@ func testImage(t *testing.T, name string) *Image {
 	rc := vfs.RootContext()
 	fs.MkdirAll(rc, "/etc", 0o755, 0, 0)
 	fs.WriteFile(rc, "/etc/banner", []byte("persisted"), 0o644, 0, 0)
-	img, err := FromFS(name, fs, Config{
+	img, err := fromFS(name, fs, Config{
 		Env:    []string{"A=1"},
 		Labels: map[string]string{"org.repro.distro": "alpine"},
 	})
@@ -44,7 +45,7 @@ func TestStoreTagSurvivesProcess(t *testing.T) {
 	s1 := NewStore()
 	s1.SetBacking(openDir(t, root))
 	s1.Put(img)
-	if err := s1.BackingErr(); err != nil {
+	if err := errors.Join(s1.BackingErrs()...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,7 +79,7 @@ func TestStoreTagSurvivesProcess(t *testing.T) {
 	}
 }
 
-// A chain the first process took from FromFS without a fill fills once
+// A chain the first process took from FromEntries without a fill fills once
 // in the next process, from the layers GetContext loaded off disk:
 // identical tree and lower snapshot.
 func TestFlattenAcrossProcesses(t *testing.T) {
@@ -95,7 +96,7 @@ func TestFlattenAcrossProcesses(t *testing.T) {
 	if s1.FlattenFills() != 0 {
 		t.Fatalf("process 1: fills=%d, want 0 (tree handed over by FromFS)", s1.FlattenFills())
 	}
-	if err := s1.BackingErr(); err != nil {
+	if err := errors.Join(s1.BackingErrs()...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,7 +165,7 @@ func TestDeleteWritesThroughUntag(t *testing.T) {
 	if _, ok := s.GetContext(context.Background(), "gone:1"); ok {
 		t.Fatal("deleted tag resurrected from backing in-process")
 	}
-	if err := s.BackingErr(); err != nil {
+	if err := errors.Join(s.BackingErrs()...); err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewStore()
@@ -199,7 +200,7 @@ func TestGCBackingDelegatesAndRecordsErrors(t *testing.T) {
 	if stats.BlobsSwept != 1 || stats.TagsKept != 1 {
 		t.Fatalf("stats: %+v", stats)
 	}
-	if err := s.BackingErr(); err != nil {
+	if err := errors.Join(s.BackingErrs()...); err != nil {
 		t.Fatalf("successful GC recorded an error: %v", err)
 	}
 
@@ -208,7 +209,7 @@ func TestGCBackingDelegatesAndRecordsErrors(t *testing.T) {
 	if _, err := s.GCBacking(context.Background(), cas.Budget{}); err == nil {
 		t.Fatal("GC on closed backing succeeded")
 	}
-	if err := s.BackingErr(); err == nil {
+	if err := errors.Join(s.BackingErrs()...); err == nil {
 		t.Fatal("GC failure not recorded as backing error")
 	}
 }

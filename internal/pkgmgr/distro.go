@@ -2,11 +2,13 @@ package pkgmgr
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/image"
 	"repro/internal/shell"
 	"repro/internal/simos"
+	"repro/internal/tarutil"
 	"repro/internal/vfs"
 )
 
@@ -46,19 +48,6 @@ func NewWorld() *World {
 	populateCentOS7(w.CentOS7)
 	populateDebian(w.Debian)
 	return w
-}
-
-// RepoFor returns the repository for a distro name.
-func (w *World) RepoFor(distro string) (*Repo, bool) {
-	switch distro {
-	case DistroAlpine:
-		return w.Alpine, true
-	case DistroCentOS7:
-		return w.CentOS7, true
-	case DistroDebian:
-		return w.Debian, true
-	}
-	return nil, false
 }
 
 // Toolchain builds the binary registry for a distro: the shell and
@@ -102,39 +91,52 @@ func registerShellAndCoreutils(reg *simos.BinaryRegistry, static bool) {
 	reg.Register("/bin/sh.real", shell.Binary())
 }
 
-// BaseImage builds the single-layer base image for a distro. The image
-// filesystem is stamped with a fixed clock, not wall time: layer bytes —
-// and therefore digests, the keys of the persistent build cache — must be
+// BaseImage builds the single-layer base image for a distro from a table
+// of its entries: directories, files and symlinks, all owned 0:0 and
+// stamped with one fixed mtime, not wall time — layer bytes, and
+// therefore digests, the keys of the persistent build cache, must be
 // identical across processes, or every invocation would start cold. The
-// filesystem goes to image.FromFS and no reference stays here, so the
-// store that takes the image owns its tree.
+// entries go to image.FromEntries, which packs and digests them and keeps
+// them as the image's seed; no tree is built until a build first needs
+// one (see image.Store.Flatten).
 func (w *World) BaseImage(distro, name string) (*image.Image, error) {
-	fs := vfs.New()
 	epoch := time.Date(2024, 5, 9, 0, 0, 0, 0, time.UTC) // the simulated kernel's base time
-	fs.SetClock(func() time.Time { return epoch })
-	rc := vfs.RootContext()
-	for _, d := range []string{"/bin", "/sbin", "/usr/bin", "/usr/sbin",
-		"/usr/lib", "/etc", "/var", "/tmp", "/root", "/home", "/lib"} {
-		fs.MkdirAll(rc, d, 0o755, 0, 0)
+	var ents []tarutil.Entry
+	add := func(p string, typ vfs.FileType, mode uint32, data, target string) {
+		// A file's size is its data's, a symlink's its target's.
+		ent := tarutil.Entry{Path: p, Target: target, Stat: vfs.Stat{
+			Type: typ, Mode: mode, Mtime: epoch, Size: int64(len(data) + len(target)),
+		}}
+		if typ == vfs.TypeRegular {
+			ent.Data = []byte(data)
+		}
+		ents = append(ents, ent)
 	}
-	fs.Chmod(rc, "/tmp", 0o1777, true)
+	dir := func(p string) { add(p, vfs.TypeDir, 0o755, "", "") }
+	file := func(p string, mode uint32, data string) { add(p, vfs.TypeRegular, mode, data, "") }
+	link := func(p, target string) { add(p, vfs.TypeSymlink, 0o777, "", target) }
+
+	for _, d := range []string{"/bin", "/sbin", "/usr", "/usr/bin", "/usr/sbin",
+		"/usr/lib", "/etc", "/var", "/root", "/home", "/lib"} {
+		dir(d)
+	}
+	add("/tmp", vfs.TypeDir, 0o1777, "", "")
 
 	// The multi-call coreutils binary plus applet symlinks.
-	fs.WriteFile(rc, "/bin/busybox", []byte("ELF busybox"), 0o755, 0, 0)
-	fs.WriteFile(rc, "/bin/sh.real", []byte("ELF sh"), 0o755, 0, 0)
-	fs.Symlink(rc, "sh.real", "/bin/sh", 0, 0)
+	file("/bin/busybox", 0o755, "ELF busybox")
+	file("/bin/sh.real", 0o755, "ELF sh")
+	link("/bin/sh", "sh.real")
 	for _, name := range []string{"echo", "true", "false", "cat", "id",
 		"whoami", "ls", "touch", "mkdir", "rm", "chown", "chmod", "mknod",
 		"stat", "ln", "readlink", "uname", "env", "sl", "sleep"} {
-		fs.Symlink(rc, "busybox", "/bin/"+name, 0, 0)
+		link("/bin/"+name, "busybox")
 	}
 
 	passwd := "root:x:0:0:root:/root:/bin/sh\nnobody:x:65534:65534:nobody:/:/sbin/nologin\n"
-	group := "root:x:0:\nnobody:x:65534:\n"
 	switch distro {
 	case DistroAlpine:
-		fs.WriteFile(rc, "/etc/alpine-release", []byte("3.19.1\n"), 0o644, 0, 0)
-		fs.WriteFile(rc, "/sbin/apk", []byte("ELF apk"), 0o755, 0, 0)
+		file("/etc/alpine-release", 0o644, "3.19.1\n")
+		file("/sbin/apk", 0o755, "ELF apk")
 		// The 15 packages a stock alpine:3.19 ships with, so transcript
 		// package counts line up with Figure 1a ("OK: 8 MiB in 18
 		// packages" after installing 3 more).
@@ -145,28 +147,31 @@ func (w *World) BaseImage(distro, name string) (*image.Image, error) {
 			"ssl_client", "zlib"} {
 			db += p + "\n"
 		}
-		fs.MkdirAll(rc, "/lib/apk/db", 0o755, 0, 0)
-		fs.WriteFile(rc, "/lib/apk/db/installed", []byte(db), 0o644, 0, 0)
+		dir("/lib/apk")
+		dir("/lib/apk/db")
+		file("/lib/apk/db/installed", 0o644, db)
 	case DistroCentOS7:
-		fs.WriteFile(rc, "/etc/centos-release", []byte("CentOS Linux release 7.9.2009 (Core)\n"), 0o644, 0, 0)
-		fs.WriteFile(rc, "/usr/bin/yum", []byte("ELF yum"), 0o755, 0, 0)
-		fs.Symlink(rc, "yum", "/usr/bin/dnf", 0, 0)
-		fs.WriteFile(rc, "/usr/bin/rpm", []byte("ELF rpm"), 0o755, 0, 0)
+		file("/etc/centos-release", 0o644, "CentOS Linux release 7.9.2009 (Core)\n")
+		file("/usr/bin/yum", 0o755, "ELF yum")
+		link("/usr/bin/dnf", "yum")
+		file("/usr/bin/rpm", 0o755, "ELF rpm")
 	case DistroDebian:
-		fs.WriteFile(rc, "/etc/debian_version", []byte("12.5\n"), 0o644, 0, 0)
-		fs.WriteFile(rc, "/usr/bin/apt-get", []byte("ELF apt-get"), 0o755, 0, 0)
-		fs.Symlink(rc, "apt-get", "/usr/bin/apt", 0, 0)
-		fs.WriteFile(rc, "/usr/bin/dpkg", []byte("ELF dpkg"), 0o755, 0, 0)
-		fs.MkdirAll(rc, "/usr/lib/apt/methods", 0o755, 0, 0)
-		fs.WriteFile(rc, "/usr/lib/apt/methods/http", []byte("ELF http"), 0o755, 0, 0)
+		file("/etc/debian_version", 0o644, "12.5\n")
+		file("/usr/bin/apt-get", 0o755, "ELF apt-get")
+		link("/usr/bin/apt", "apt-get")
+		file("/usr/bin/dpkg", 0o755, "ELF dpkg")
+		dir("/usr/lib/apt")
+		dir("/usr/lib/apt/methods")
+		file("/usr/lib/apt/methods/http", 0o755, "ELF http")
 		passwd += "_apt:x:100:65534::/nonexistent:/usr/sbin/nologin\n"
 	default:
 		return nil, fmt.Errorf("pkgmgr: unknown distro %q", distro)
 	}
-	fs.WriteFile(rc, "/etc/passwd", []byte(passwd), 0o644, 0, 0)
-	fs.WriteFile(rc, "/etc/group", []byte(group), 0o644, 0, 0)
+	file("/etc/passwd", 0o644, passwd)
+	file("/etc/group", 0o644, "root:x:0:\nnobody:x:65534:\n")
+	sort.Slice(ents, func(i, j int) bool { return tarutil.PathLess(ents[i].Path, ents[j].Path) })
 
-	return image.FromFS(name, fs, image.Config{
+	return image.FromEntries(name, ents, image.Config{
 		Env:    []string{"PATH=/usr/local/sbin:/usr/local/bin:/usr/sbin:/usr/bin:/sbin:/bin"},
 		Cmd:    []string{"/bin/sh"},
 		Labels: map[string]string{DistroLabel: distro},

@@ -280,14 +280,27 @@ func TestToolchainUnknownDistro(t *testing.T) {
 	}
 }
 
+// repoFor returns the repository a distro's package managers draw from.
+func repoFor(w *World, distro string) (*Repo, bool) {
+	switch distro {
+	case DistroAlpine:
+		return w.Alpine, true
+	case DistroCentOS7:
+		return w.CentOS7, true
+	case DistroDebian:
+		return w.Debian, true
+	}
+	return nil, false
+}
+
 func TestWorldRepoFor(t *testing.T) {
 	w := NewWorld()
 	for _, d := range []string{DistroAlpine, DistroCentOS7, DistroDebian} {
-		if _, ok := w.RepoFor(d); !ok {
+		if r, ok := repoFor(w, d); !ok || r == nil {
 			t.Errorf("no repo for %s", d)
 		}
 	}
-	if _, ok := w.RepoFor("gentoo"); ok {
+	if _, ok := repoFor(w, "gentoo"); ok {
 		t.Error("gentoo repo should not exist")
 	}
 }
@@ -422,10 +435,11 @@ func TestRepoFetchConcurrent(t *testing.T) {
 	}
 }
 
-// SeedBases hands each base's FromFS tree to the store: the chain serves
-// without a fill, and its entries equal a fresh unpack of the layer (type,
-// mode, owner, xattrs, target, data; layer diffs ignore mtime). Only the
-// image FromFS returned, with its layers untouched, carries a tree.
+// SeedBases hands each base's entry table to the store: the chain serves
+// without a fill, its entries equal a fresh unpack of the layer (type,
+// mode, owner, xattrs, target, data; layer diffs ignore mtime), and so
+// does the tree its first Flatten builds. Only the image FromEntries
+// returned, with its layers untouched, carries entries.
 func TestSeededBaseTreeMatchesUnpack(t *testing.T) {
 	ctx := context.Background()
 	root := t.TempDir()
@@ -500,7 +514,7 @@ func TestSeededBaseTreeMatchesUnpack(t *testing.T) {
 		store *image.Store
 		img   func() *image.Image
 	}{
-		{"layers replaced after FromFS", image.NewStore(), func() *image.Image { return replaced }},
+		{"layers replaced after FromEntries", image.NewStore(), func() *image.Image { return replaced }},
 		{"Clone", image.NewStore(), func() *image.Image { return clone.Clone("clone:1") }},
 		{"GetContext-loaded tag", loaded, func() *image.Image {
 			img, ok := loaded.GetContext(ctx, "alpine:3.19")
@@ -530,7 +544,7 @@ func TestSeededBaseTreeMatchesUnpack(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !fs.Exists(vfs.RootContext(), "/etc/debian_version") {
-		t.Error("an image with replaced layers flattened to its FromFS tree")
+		t.Error("an image with replaced layers flattened to its seeded tree")
 	}
 	alpine, _ := s.GetContext(ctx, "alpine:3.19")
 	if _, err := st.Flatten(ctx, alpine.Clone("alpine:3.19")); err != nil {

@@ -124,7 +124,7 @@ func (s *Snapshotter) Advance(fs *vfs.FS) ([]Entry, error) {
 		}
 		s.kids[d.path] = d.kids
 	}
-	sort.Slice(out, func(i, j int) bool { return pathLess(out[i].Path, out[j].Path) })
+	sort.Slice(out, func(i, j int) bool { return PathLess(out[i].Path, out[j].Path) })
 	return out, nil
 }
 

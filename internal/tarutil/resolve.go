@@ -164,7 +164,7 @@ func (t *overlay) kind(p string) kind {
 			return kindGone
 		}
 	}
-	i := sort.Search(len(t.base), func(i int) bool { return !pathLess(t.base[i].Path, p) })
+	i := sort.Search(len(t.base), func(i int) bool { return !PathLess(t.base[i].Path, p) })
 	if i == len(t.base) || t.base[i].Path != p {
 		return kindGone
 	}

@@ -64,11 +64,11 @@ func entryFromNode(n *vfs.Node, copyData bool) Entry {
 	return ent
 }
 
-// pathLess is the canonical entry order: parents before children, siblings
+// PathLess is the canonical entry order: parents before children, siblings
 // by name — the order a depth-first walk with sorted directory listings
 // produces. It differs from plain string order only for names containing
 // bytes below '/'.
-func pathLess(a, b string) bool {
+func PathLess(a, b string) bool {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		ca, cb := a[i], b[i]
 		if ca == cb {
@@ -86,7 +86,7 @@ func pathLess(a, b string) bool {
 }
 
 // Snapshot walks the filesystem and returns all entries in canonical order
-// (see pathLess) — the full-walk reference serialisation used for layer
+// (see PathLess) — the full-walk reference serialisation used for layer
 // digests and as the oracle the incremental Snapshotter is tested against.
 // The walk emits entries already ordered, so no sort pass is needed.
 //
@@ -165,9 +165,25 @@ func Pack(entries []Entry) ([]byte, error) {
 // modes, device nodes and xattrs land exactly as recorded, and whiteouts
 // delete. This is the image-store path — equivalent to unpacking as root.
 // File contents are copied into fs, never shared with layer.
+//
+// A member that does not exist yet is created with its recorded owner and
+// mode in one call when its parent is known to be a directory that is not
+// setgid. The parent's state is remembered from one member to the next,
+// so a run of siblings pays for it once. Chown and Chmod run only where
+// the create cannot land the recorded values: on a directory that already
+// existed, and under a setgid parent, whose group and setgid bit a new
+// child inherits. MkdirAll runs only for a parent that is missing.
 func Unpack(fs *vfs.FS, layer []byte) error {
 	rc := vfs.RootContext()
 	r := reader{b: layer}
+	// parent is the directory the last member was created in ("" when
+	// unknown): it resolves to an existing directory, setgid when
+	// parentSetgid. Removing anything may remove it, so every whiteout
+	// and replacement forgets it. (After a replacement the member's own
+	// parent lookup below would replace it anyway; forgetting it keeps
+	// the rule local.)
+	var parent string
+	var parentSetgid bool
 	for {
 		var hdr header
 		ok, err := r.next(&hdr)
@@ -189,20 +205,38 @@ func Unpack(fs *vfs.FS, layer []byte) error {
 					removeAll(fs, path.Join(dir, de.Name))
 				}
 			}
+			parent = ""
 			continue
 		}
 		if strings.HasPrefix(base, WhiteoutPrefix) {
 			removeAll(fs, path.Join(dir, strings.TrimPrefix(base, WhiteoutPrefix)))
+			parent = ""
 			continue
 		}
 
 		// Replace any existing non-directory entry.
+		existed := false
 		if st, e := fs.Stat(rc, name, false); e == errno.OK {
-			if !(st.Type == vfs.TypeDir && hdr.typeflag == tar.TypeDir) {
+			if st.Type == vfs.TypeDir && hdr.typeflag == tar.TypeDir {
+				existed = true
+			} else {
 				removeAll(fs, name)
+				parent = ""
 			}
 		}
-		fs.MkdirAll(rc, dir, 0o755, 0, 0)
+		if dir != parent {
+			parent = ""
+			st, e := fs.Stat(rc, dir, true)
+			if e != errno.OK {
+				fs.MkdirAll(rc, dir, 0o755, 0, 0)
+				st, e = fs.Stat(rc, dir, true)
+			}
+			if e == errno.OK && st.Type == vfs.TypeDir {
+				parent, parentSetgid = dir, st.Mode&vfs.SISGID != 0
+			}
+		}
+		// exact: the create alone lands the recorded owner and mode.
+		exact := !existed && parent != "" && !parentSetgid
 
 		mode := uint32(hdr.mode) & 0o7777
 		switch hdr.typeflag {
@@ -210,16 +244,23 @@ func Unpack(fs *vfs.FS, layer []byte) error {
 			if e := fs.Mkdir(rc, name, mode, hdr.uid, hdr.gid); e != errno.OK && e != errno.EEXIST {
 				return fmt.Errorf("tarutil: mkdir %s: %v", name, e)
 			}
-			if e := fs.Chown(rc, name, hdr.uid, hdr.gid, false); e != errno.OK {
-				return fmt.Errorf("tarutil: chown %s: %v", name, e)
+			if !exact {
+				if e := fs.Chown(rc, name, hdr.uid, hdr.gid, false); e != errno.OK {
+					return fmt.Errorf("tarutil: chown %s: %v", name, e)
+				}
+				fs.Chmod(rc, name, mode, false)
 			}
-			fs.Chmod(rc, name, mode, false)
+			// Its children come next in canonical order, and it now holds
+			// exactly mode.
+			parent, parentSetgid = name, mode&vfs.SISGID != 0
 		case tar.TypeReg:
 			if e := fs.WriteFile(rc, name, hdr.body, mode, hdr.uid, hdr.gid); e != errno.OK {
 				return fmt.Errorf("tarutil: write %s: %v", name, e)
 			}
-			fs.Chown(rc, name, hdr.uid, hdr.gid, false)
-			fs.Chmod(rc, name, mode, false)
+			if !exact {
+				fs.Chown(rc, name, hdr.uid, hdr.gid, false)
+				fs.Chmod(rc, name, mode, false)
+			}
 		case tar.TypeSymlink:
 			if e := fs.Symlink(rc, hdr.linkname, name, hdr.uid, hdr.gid); e != errno.OK {
 				return fmt.Errorf("tarutil: symlink %s: %v", name, e)
@@ -350,7 +391,7 @@ func Diff(lower, upper []Entry) []Entry {
 			out = append(out, whiteoutFor(l.Path))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return pathLess(out[i].Path, out[j].Path) })
+	sort.Slice(out, func(i, j int) bool { return PathLess(out[i].Path, out[j].Path) })
 	return out
 }
 

@@ -17,8 +17,11 @@ const maxNameLen = 255
 // matching how the walker treats it (we resolve ".." during the walk, not
 // lexically, to honour symlinked parents — see walk).
 func splitPath(path string) []string {
-	var out []string
-	for _, c := range strings.Split(path, "/") {
+	// One allocation, sized by the separators: every walk splits a path.
+	out := make([]string, 0, strings.Count(path, "/")+1)
+	for path != "" {
+		var c string
+		c, path, _ = strings.Cut(path, "/")
 		if c != "" && c != "." {
 			out = append(out, c)
 		}
