@@ -51,7 +51,7 @@ race:
 #   - tar: BenchmarkLayerCodec, the tar codec on base layers, apk payloads
 #     and commit-sized diffs;
 #   - invocation: BenchmarkInvocation, one whole cold or warm ch-image
-#     invocation (world, store, seeded bases, build), the fixed set-up
+#     invocation (world, store, the FROM's base, build), the fixed set-up
 #     the emulated RUN work sits in.
 # Each record is name:pattern:benchtime. (No pipe into tee: that would
 # mask go test's exit status.)

@@ -24,7 +24,7 @@
 //     package payloads and commit-sized diffs.
 //
 //   - BenchmarkInvocation: one whole cold or warm ch-image invocation,
-//     set-up (world, store, seeded bases) included.
+//     set-up (world, store, the FROM's base) included.
 package repro
 
 import (
@@ -181,15 +181,9 @@ func BenchmarkSyscallIntercepted(b *testing.B) {
 
 // buildOnce runs one Dockerfile build to completion, returning the modeled
 // (virtual) nanoseconds the kernel charged.
-func buildOnce(b *testing.B, distro, name, text string, mode build.ForceMode) float64 {
+func buildOnce(b *testing.B, distro, text string, mode build.ForceMode) float64 {
 	b.Helper()
-	world := pkgmgr.NewWorld()
-	store := image.NewStore()
-	img, err := world.BaseImage(distro, name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	store.Put(img)
+	world, store := pkgmgr.NewWorld(), image.NewStore()
 	wantErr := mode == build.ForceNone && distro == pkgmgr.DistroCentOS7
 	res, err := build.BuildContext(context.Background(), text, build.Options{
 		Tag: "bench", Force: mode, Store: store, World: world,
@@ -204,10 +198,10 @@ func buildOnce(b *testing.B, distro, name, text string, mode build.ForceMode) fl
 // under each emulation mode.
 func BenchmarkBuildMatrix(b *testing.B) {
 	workloads := []struct {
-		key, distro, image, text string
+		key, distro, text string
 	}{
-		{"apk-sl", pkgmgr.DistroAlpine, "alpine:3.19", "FROM alpine:3.19\nRUN apk add sl\n"},
-		{"yum-openssh", pkgmgr.DistroCentOS7, "centos:7", "FROM centos:7\nRUN yum install -y openssh\n"},
+		{"apk-sl", pkgmgr.DistroAlpine, "FROM alpine:3.19\nRUN apk add sl\n"},
+		{"yum-openssh", pkgmgr.DistroCentOS7, "FROM centos:7\nRUN yum install -y openssh\n"},
 	}
 	modes := []build.ForceMode{build.ForceNone, build.ForceSeccomp, build.ForceFakeroot, build.ForceProot}
 	for _, w := range workloads {
@@ -216,7 +210,7 @@ func BenchmarkBuildMatrix(b *testing.B) {
 				b.ReportAllocs()
 				var vns float64
 				for i := 0; i < b.N; i++ {
-					vns += buildOnce(b, w.distro, w.image, w.text, m)
+					vns += buildOnce(b, w.distro, w.text, m)
 				}
 				b.ReportMetric(vns/float64(b.N), "vns/op")
 			})
@@ -444,10 +438,7 @@ func BenchmarkStateFootprint(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var records float64
 			for i := 0; i < b.N; i++ {
-				world := pkgmgr.NewWorld()
-				store := image.NewStore()
-				img, _ := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
-				store.Put(img)
+				world, store := pkgmgr.NewWorld(), image.NewStore()
 				res, err := build.BuildContext(context.Background(), "FROM centos:7\nRUN yum install -y openssh\n",
 					build.Options{Tag: "bench", Force: mode, Store: store, World: world})
 				if err != nil {
@@ -462,13 +453,7 @@ func BenchmarkStateFootprint(b *testing.B) {
 
 // Build-cache ablation: warm-cache rebuilds skip the expensive RUNs.
 func BenchmarkBuildCached(b *testing.B) {
-	world := pkgmgr.NewWorld()
-	store := image.NewStore()
-	img, err := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
-	if err != nil {
-		b.Fatal(err)
-	}
-	store.Put(img)
+	world, store := pkgmgr.NewWorld(), image.NewStore()
 	cache := build.NewCache()
 	text := "FROM centos:7\nRUN yum install -y openssh\n"
 	opt := build.Options{Tag: "bench", Force: build.ForceSeccomp,
@@ -493,13 +478,7 @@ func BenchmarkBuildCached(b *testing.B) {
 // disabled on this path.
 func BenchmarkObsOverhead(b *testing.B) {
 	warmRebuild := func(b *testing.B) {
-		world := pkgmgr.NewWorld()
-		store := image.NewStore()
-		img, err := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
-		if err != nil {
-			b.Fatal(err)
-		}
-		store.Put(img)
+		world, store := pkgmgr.NewWorld(), image.NewStore()
 		cache := build.NewCache()
 		text := "FROM centos:7\nRUN yum install -y openssh\n"
 		opt := build.Options{Tag: "bench", Force: build.ForceSeccomp,
@@ -554,15 +533,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 		return jobs
 	}
 	freshFixtures := func(b *testing.B) (*image.Store, *pkgmgr.World) {
-		b.Helper()
-		world := pkgmgr.NewWorld()
-		store := image.NewStore()
-		img, err := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
-		if err != nil {
-			b.Fatal(err)
-		}
-		store.Put(img)
-		return store, world
+		return image.NewStore(), pkgmgr.NewWorld()
 	}
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("cold/builders=%d", n), func(b *testing.B) {
@@ -638,20 +609,7 @@ COPY --from=slow /opt/solver /app/solver
 COPY --from=late /srv/data /app/data
 `
 	freshFixtures := func(b *testing.B) (*image.Store, *pkgmgr.World) {
-		b.Helper()
-		world := pkgmgr.NewWorld()
-		store := image.NewStore()
-		for _, d := range []struct{ distro, name string }{
-			{pkgmgr.DistroCentOS7, "centos:7"},
-			{pkgmgr.DistroAlpine, "alpine:3.19"},
-		} {
-			img, err := world.BaseImage(d.distro, d.name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			store.Put(img)
-		}
-		return store, world
+		return image.NewStore(), pkgmgr.NewWorld()
 	}
 	opt := func(s *image.Store, w *pkgmgr.World, c *build.Cache, jobs int) build.Options {
 		return build.Options{
@@ -703,13 +661,13 @@ COPY --from=late /srv/data /app/data
 //   - warm-from-disk: a prewarmed cas directory, but completely fresh
 //     in-memory state every iteration (new world, store, instruction
 //     cache) — a *second process*: every instruction replays from disk,
-//     and the one base chain fills from its seeded layer.
+//     and the FROM resolves the one base as entries, with no fill.
 //   - warm-in-memory: the PR 2 path — same store and cache objects
 //     reused, the in-process upper bound.
 //
-// Each iteration spans what one ch-image invocation pays: cas open, store
-// seeding, build (warm-in-memory skips the first two — that is its
-// point). Recorded in BENCH_persistent.{txt,json} by make bench and
+// Each iteration spans what one ch-image invocation pays: cas open, then
+// the build, whose FROM puts the base (warm-in-memory skips both — that
+// is its point). Recorded in BENCH_persistent.{txt,json} by make bench and
 // uploaded from CI; the acceptance bar is warm-from-disk landing far
 // under cold-process, approaching warm-in-memory.
 func BenchmarkBuildPersistent(b *testing.B) {
@@ -721,14 +679,8 @@ func BenchmarkBuildPersistent(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer d.Close()
-		world := pkgmgr.NewWorld()
-		store := image.NewStore()
+		world, store := pkgmgr.NewWorld(), image.NewStore()
 		store.SetBacking(d)
-		img, err := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
-		if err != nil {
-			b.Fatal(err)
-		}
-		store.Put(img)
 		res, err := build.BuildContext(context.Background(), text, build.Options{
 			Tag: "bench", Force: build.ForceSeccomp,
 			Store: store, World: world, Cache: build.NewPersistentCache(d),
@@ -754,13 +706,7 @@ func BenchmarkBuildPersistent(b *testing.B) {
 		}
 	})
 	b.Run("warm-in-memory", func(b *testing.B) {
-		world := pkgmgr.NewWorld()
-		store := image.NewStore()
-		img, err := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
-		if err != nil {
-			b.Fatal(err)
-		}
-		store.Put(img)
+		world, store := pkgmgr.NewWorld(), image.NewStore()
 		cache := build.NewCache()
 		opt := build.Options{Tag: "bench", Force: build.ForceSeccomp,
 			Store: store, World: world, Cache: cache}
@@ -778,22 +724,21 @@ func BenchmarkBuildPersistent(b *testing.B) {
 	})
 }
 
-// BenchmarkInvocation is one whole ch-image invocation as the repository
-// benchmark's cold and warm workloads run it: a fresh package world and
-// image store, the stock bases seeded, one seccomp build of a
-// package-install Dockerfile. Everything but the build itself is fixed
-// set-up, so this is where base seeding, the first FROM, package encoding
-// and filter generation show against the emulated RUN work. Seeding a
-// base packs and hashes its entry table and builds no tree; the base's
-// tree is unpacked at the build's first cache miss.
+// BenchmarkInvocation is one whole ch-image invocation: a fresh package
+// world and empty image store, then one seccomp build of a
+// package-install Dockerfile. Everything but the emulated RUN work is
+// fixed set-up, so this is where the first FROM, package encoding and
+// filter generation show against it. The FROM resolves the one base it
+// names: it packs and hashes that base's entry table and builds no tree;
+// the base's tree is unpacked at the build's first cache miss.
 //
 //   - cold: no cache directory, so every instruction executes, and the
 //     first RUN pays for unpacking the alpine base;
 //   - warm: each iteration opens a cas directory populated before the
 //     timer starts (the journal decoded, blobs stat-checked), replays
 //     every instruction from it, and closes it; no tree is built, since
-//     the WORKDIR is resolved from the base's seeded entries and the
-//     replayed layers' headers.
+//     the WORKDIR is resolved from the base's entries and the replayed
+//     layers' headers.
 func BenchmarkInvocation(b *testing.B) {
 	const text = "FROM alpine:3.19\nRUN apk add sl\nCOPY app.txt /srv/app.txt\n" +
 		"RUN mkdir -p /bench && echo 5eed > /bench/marker\nENV BENCH_TOKEN=5eed\nWORKDIR /srv\n"
@@ -812,9 +757,6 @@ func BenchmarkInvocation(b *testing.B) {
 			defer d.Close()
 			store.SetBacking(d)
 			opt.Cache = build.NewPersistentCache(d)
-		}
-		if err := world.SeedBases(store); err != nil {
-			b.Fatal(err)
 		}
 		res, err := build.BuildContext(context.Background(), text, opt)
 		if err != nil || res.Executed != wantExecuted {
@@ -856,10 +798,7 @@ func BenchmarkBuildFilterVariants(b *testing.B) {
 			b.ReportAllocs()
 			var vns float64
 			for i := 0; i < b.N; i++ {
-				world := pkgmgr.NewWorld()
-				store := image.NewStore()
-				img, _ := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
-				store.Put(img)
+				world, store := pkgmgr.NewWorld(), image.NewStore()
 				res, err := build.BuildContext(context.Background(), "FROM centos:7\nRUN yum install -y openssh\n",
 					build.Options{Tag: "bench", Force: build.ForceSeccomp,
 						Store: store, World: world, FilterConfig: v.cfg})

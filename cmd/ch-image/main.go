@@ -20,8 +20,9 @@
 // bounded by --jobs), unreferenced stages are pruned, and only the final
 // stage is tagged; --target STAGE stops the build at a named stage and
 // tags that instead. See docs/dockerfile-dialect.md for the full dialect.
-// The simulated world ships base images alpine:3.19, centos:7 and
-// debian:12 with their package repositories.
+// The simulated world ships stock base images with their package
+// repositories (`ch-image list` names them); a build puts one into the
+// store the first time it names it.
 //
 // --cache-dir DIR makes the build cache persistent (internal/cas): layer
 // blobs, instruction-cache entries and tags are written through to DIR,
@@ -96,17 +97,6 @@ func openCacheDir(dir string, opts ...cas.Option) (*cas.Dir, error) {
 		fmt.Fprintf(os.Stderr, "ch-image: cache-dir %s: %s\n", dir, rep)
 	}
 	return d, nil
-}
-
-// seededStore builds the store of base images. With a cache dir the
-// backing is attached before seeding, so base blobs and tags persist and
-// later invocations can verify against them.
-func seededStore(w *pkgmgr.World, d *cas.Dir) (*image.Store, error) {
-	s := image.NewStore()
-	if d != nil {
-		s.SetBacking(d)
-	}
-	return s, w.SeedBases(s)
 }
 
 func cmdBuild(ctx context.Context, args []string) int {
@@ -205,12 +195,7 @@ func cmdBuild(ctx context.Context, args []string) int {
 			dir.SetFailpoints(inj)
 		}
 	}
-	world := pkgmgr.NewWorld()
-	store, err := seededStore(world, dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ch-image: %v\n", err)
-		return 2
-	}
+	world, store := pkgmgr.NewWorld(), image.NewStore()
 	opts := build.Options{
 		Tag: tags[0], Force: mode, Store: store, World: world,
 		Context: ctxFiles, Output: os.Stdout,
@@ -221,6 +206,7 @@ func cmdBuild(ctx context.Context, args []string) int {
 		InstrTimeout:         *instrTimeout,
 	}
 	if dir != nil {
+		store.SetBacking(dir)
 		opts.Cache = build.NewPersistentCache(dir)
 	} else if *rebuild || len(tags) > 1 {
 		opts.Cache = build.NewCache()
@@ -532,14 +518,9 @@ func cmdCache(ctx context.Context, args []string) int {
 
 func cmdList() int {
 	world := pkgmgr.NewWorld()
-	store, err := seededStore(world, nil)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ch-image: %v\n", err)
-		return 2
-	}
 	fmt.Println("base images:")
-	for _, t := range store.Tags() {
-		fmt.Println("  " + t)
+	for _, name := range pkgmgr.StockBases() {
+		fmt.Println("  " + name)
 	}
 	fmt.Println("packages:")
 	for _, d := range []struct {

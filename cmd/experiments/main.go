@@ -37,12 +37,7 @@ func check(id, claim string, ok bool, measured string) {
 }
 
 func fixtures() (*pkgmgr.World, *image.Store) {
-	w := pkgmgr.NewWorld()
-	s := image.NewStore()
-	if err := w.SeedBases(s); err != nil {
-		panic(err)
-	}
-	return w, s
+	return pkgmgr.NewWorld(), image.NewStore()
 }
 
 func runBuild(text string, opt build.Options) (*build.Result, string, error) {
@@ -312,8 +307,9 @@ func main() {
 	// E17 (parallel build farm): the whole E15 matrix submitted to one
 	// build.Pool — every job shares one store and one instruction cache —
 	// must reproduce exactly the serial pass/fail shapes, and the shared
-	// flatten cache must not fill at all: SeedBases hands each distro
-	// chain over unpacked, however many builders race on it.
+	// flatten cache must not fill at all: the first FROM of each distro
+	// resolves its base once and hands the chain over as entries, however
+	// many builders race on it.
 	{
 		w, s := fixtures()
 		cache := build.NewCache()
@@ -394,8 +390,9 @@ CMD ["/app/solver"]
 	// worlds, stores and instruction caches, sharing only an on-disk
 	// cas directory — of the E18 builder pattern. The second must run
 	// fully warm: every instruction a cache hit and nothing executed. No
-	// flatten chain is persisted, and none fills: SeedBases hands both FROM
-	// bases (centos:7 and alpine:3.19) to the store unpacked.
+	// flatten chain is persisted, and none fills: each FROM resolves its
+	// base (centos:7, alpine:3.19) from the world and hands the store its
+	// entries, not a tree to fill.
 	{
 		text := `FROM centos:7 AS build
 RUN yum install -y openssh
@@ -415,12 +412,8 @@ COPY --from=build /opt/solver /app/solver
 				return nil, nil, err
 			}
 			defer d.Close()
-			w := pkgmgr.NewWorld()
-			s := image.NewStore()
+			w, s := fixtures()
 			s.SetBacking(d)
-			if err := w.SeedBases(s); err != nil {
-				return nil, nil, err
-			}
 			res, err := build.BuildContext(context.Background(), text, build.Options{
 				Tag: "e19:1", Force: build.ForceSeccomp,
 				Store: s, World: w, Cache: build.NewPersistentCache(d),

@@ -26,12 +26,6 @@ RUN apt-get install -y curl
 func main() {
 	world := pkgmgr.NewWorld()
 	store := image.NewStore()
-	base, err := world.BaseImage(pkgmgr.DistroDebian, "debian:12")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	store.Put(base)
 
 	runs := []struct {
 		title string

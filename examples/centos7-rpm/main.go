@@ -23,15 +23,9 @@ RUN yum install -y openssh
 func main() {
 	world := pkgmgr.NewWorld()
 	store := image.NewStore()
-	base, err := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	store.Put(base)
 
 	fmt.Println("=== Figure 1b: ch-image build -t win --force=none .")
-	_, err = build.BuildContext(context.Background(), dockerfile, build.Options{
+	_, err := build.BuildContext(context.Background(), dockerfile, build.Options{
 		Tag: "win", Force: build.ForceNone, Store: store, World: world, Output: os.Stdout,
 	})
 	if err == nil {

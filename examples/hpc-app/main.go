@@ -35,11 +35,6 @@ CMD ["/opt/simapp/solver"]
 func main() {
 	world := pkgmgr.NewWorld()
 	store := image.NewStore()
-	base, err := world.BaseImage(pkgmgr.DistroCentOS7, "centos:7")
-	if err != nil {
-		fatal(err)
-	}
-	store.Put(base)
 	cache := build.NewCache()
 	buildCtx := map[string][]byte{
 		"solver.c": []byte("/* 3-D stencil solver */\nint main(void){return 0;}\n"),

@@ -22,12 +22,6 @@ RUN apk add sl
 func main() {
 	world := pkgmgr.NewWorld()
 	store := image.NewStore()
-	base, err := world.BaseImage(pkgmgr.DistroAlpine, "alpine:3.19")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	store.Put(base)
 
 	for _, mode := range []build.ForceMode{build.ForceNone, build.ForceSeccomp} {
 		fmt.Printf("=== ch-image build -t win --force=%s .\n", mode)

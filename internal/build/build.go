@@ -517,6 +517,9 @@ func (b *builder) stepFrom(ins dockerfile.Instruction) error {
 		// every FROM, so each stage body holds none.
 		return fmt.Errorf("build: line %d: second FROM in one stage", ins.Line)
 	}
+	if b.opt.World == nil {
+		return fmt.Errorf("build: no package world configured")
+	}
 	st := b.file.Stages[b.stageIdx]
 	ref := b.expand(st.Base)
 	var base *image.Image
@@ -527,22 +530,10 @@ func (b *builder) stepFrom(ins dockerfile.Instruction) error {
 				ins.Line, st.Base)
 		}
 	} else {
-		if b.opt.Store == nil {
-			return fmt.Errorf("build: no image store configured")
+		var err error
+		if base, err = b.lookup(ref, "base"); err != nil {
+			return fmt.Errorf("build: %w", err)
 		}
-		var ok bool
-		base, ok = b.opt.Store.GetContext(b.ctx, ref)
-		if !ok {
-			// Disambiguate: a cancelled context aborts the backing read,
-			// which looks like a miss from here.
-			if cerr := b.ctx.Err(); cerr != nil {
-				return fmt.Errorf("build: %w", cerr)
-			}
-			return fmt.Errorf("build: base image %q not in storage", ref)
-		}
-	}
-	if b.opt.World == nil {
-		return fmt.Errorf("build: no package world configured")
 	}
 	distro := base.Config.Distro()
 	if err := pkgmgr.CheckDistro(distro); err != nil {
@@ -789,16 +780,32 @@ func (b *builder) copySource(ins dockerfile.Instruction) (*image.Image, error) {
 		}
 		return img, nil
 	}
+	return b.lookup(b.expand(ins.From), "--from")
+}
+
+// lookup is the one image lookup of FROM and COPY --from; role names
+// the reference in its error. The store's memory answers first. A stock
+// base missing there is built from the World and put, once however many
+// builds name it together, and never read from the backing, where a tag
+// an older binary wrote may sit. Anything else falls back to the backing
+// through GetContext.
+func (b *builder) lookup(ref, role string) (*image.Image, error) {
 	if b.opt.Store == nil {
 		return nil, fmt.Errorf("no image store configured")
 	}
-	ref := b.expand(ins.From)
+	if distro, ok := pkgmgr.StockBase(ref); ok {
+		return b.opt.Store.Resolve(b.ctx, ref, func() (*image.Image, error) {
+			return b.opt.World.BaseImage(distro, ref)
+		})
+	}
 	img, ok := b.opt.Store.GetContext(b.ctx, ref)
 	if !ok {
+		// Disambiguate: a cancelled context aborts the backing read,
+		// which looks like a miss from here.
 		if cerr := b.ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
-		return nil, fmt.Errorf("--from image %q not in storage", ref)
+		return nil, fmt.Errorf("%s image %q not in storage", role, ref)
 	}
 	return img, nil
 }

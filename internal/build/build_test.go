@@ -11,16 +11,11 @@ import (
 	"repro/internal/vfs"
 )
 
-// fixtures returns a world and a store seeded with the three distro base
-// images, the builder-level analog of ch-image's storage directory.
+// fixtures returns a world and an empty store, the builder-level analog
+// of ch-image's storage directory: a build puts each stock base it names.
 func fixtures(t *testing.T) (*pkgmgr.World, *image.Store) {
 	t.Helper()
-	w := pkgmgr.NewWorld()
-	s := image.NewStore()
-	if err := w.SeedBases(s); err != nil {
-		t.Fatal(err)
-	}
-	return w, s
+	return pkgmgr.NewWorld(), image.NewStore()
 }
 
 func mustBuild(t *testing.T, text string, opt Options) (*Result, string) {
@@ -80,11 +75,17 @@ func TestBuildParseErrorSurfaces(t *testing.T) {
 	}
 }
 
+// An image name that is neither in the store nor a stock base fails FROM
+// and COPY --from with the same lookup's error.
 func TestBuildUnknownBaseImage(t *testing.T) {
 	w, s := fixtures(t)
 	_, err := BuildContext(context.Background(), "FROM nosuch:1\nRUN true\n", Options{World: w, Store: s})
-	if err == nil || !strings.Contains(err.Error(), "not in storage") {
+	if err == nil || !strings.Contains(err.Error(), `base image "nosuch:1" not in storage`) {
 		t.Fatalf("err = %v", err)
+	}
+	_, err = BuildContext(context.Background(), "FROM alpine:3.19\nCOPY --from=nosuch:1 /x /x\n", Options{World: w, Store: s})
+	if err == nil || !strings.Contains(err.Error(), `--from image "nosuch:1" not in storage`) {
+		t.Fatalf("COPY --from err = %v", err)
 	}
 }
 

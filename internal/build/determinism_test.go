@@ -144,16 +144,11 @@ RUN echo done > /app/done
 	return out
 }
 
-// oracleFresh is a fresh process's in-memory view: a world and a store
-// seeded with the bases.
+// oracleFresh is a fresh process's in-memory view: a world and an empty
+// store.
 func oracleFresh(t *testing.T) (*pkgmgr.World, *image.Store) {
 	t.Helper()
-	w := pkgmgr.NewWorld()
-	s := image.NewStore()
-	if err := w.SeedBases(s); err != nil {
-		t.Fatal(err)
-	}
-	return w, s
+	return pkgmgr.NewWorld(), image.NewStore()
 }
 
 // oracleBuild runs one build of text under c's mode.
@@ -238,9 +233,6 @@ func TestDeterminismAcrossBuildPaths(t *testing.T) {
 				}
 				w, s := pkgmgr.NewWorld(), image.NewStore()
 				s.SetBacking(d)
-				if err := w.SeedBases(s); err != nil {
-					t.Fatal(err)
-				}
 				fills0 := s.FlattenFills()
 				res, got := oracleBuild(t, c, c.text, Options{Store: s, World: w, Cache: NewPersistentCache(d)})
 				sameOutcome(t, path, got, want)

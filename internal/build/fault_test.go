@@ -106,9 +106,9 @@ func TestFaultSoak(t *testing.T) {
 		if rep.Quarantined() {
 			soakViolation(t, logPath, "build %d: store reopened with damage: %+v", i, rep)
 		}
-		// Seed before attaching the faulty backing: the soak targets the
-		// build's own persistence, and Build's failure modes should not
-		// be conflated with a half-seeded base store.
+		// The FROM's base put writes through the faulty backing too; like
+		// every write-through failure it degrades the build, never fails
+		// it.
 		_, s := fixtures(t)
 		s.SetBacking(d)
 		d.SetFailpoints(cas.NewPlan(rng.Int63(), rates))
@@ -178,7 +178,7 @@ func TestENOSPCWriteThroughDegradesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, s := fixtures(t) // seeded before the backing attaches
+	w, s := fixtures(t)
 	s.SetBacking(d)
 	d.SetFailpoints(cas.FailOps(fmt.Errorf("injected: %w", syscall.ENOSPC), cas.OpBlobWrite))
 

@@ -15,9 +15,8 @@ import (
 )
 
 // persistFixtures simulates one process's view of a shared --cache-dir:
-// a fresh world, a fresh store backed by the cas directory (attached
-// before seeding, so base-image blobs persist), and a fresh persistent
-// instruction cache rehydrated from the directory's journal.
+// a fresh world, a fresh store backed by the cas directory, and a fresh
+// persistent instruction cache rehydrated from the directory's journal.
 func persistFixtures(t *testing.T, root string) (*pkgmgr.World, *image.Store, *Cache, *cas.Dir) {
 	t.Helper()
 	d, _, err := cas.Open(root)
@@ -28,9 +27,6 @@ func persistFixtures(t *testing.T, root string) (*pkgmgr.World, *image.Store, *C
 	w := pkgmgr.NewWorld()
 	s := image.NewStore()
 	s.SetBacking(d)
-	if err := w.SeedBases(s); err != nil {
-		t.Fatal(err)
-	}
 	return w, s, NewPersistentCache(d), d
 }
 
@@ -59,7 +55,8 @@ func TestBaseImageDeterministic(t *testing.T) {
 // The acceptance path: two separate invocations (completely fresh worlds,
 // stores and caches) against one cache dir. The second runs fully warm —
 // every instruction a cache hit, nothing executed, and no flatten fill:
-// SeedBases hands the FROM base's tree to the store unpacked.
+// the FROM resolves its base from the world and hands the store its
+// entries.
 func TestWarmAcrossProcesses(t *testing.T) {
 	root := t.TempDir()
 	const text = "FROM centos:7\nRUN yum install -y openssh\nRUN mkdir -p /opt && echo art > /opt/bin\n"
@@ -160,10 +157,11 @@ COPY --from=build /opt/solver /app/solver
 //
 //   - step-layer: a layer the warm build replays. The read quarantines it
 //     and its step re-executes, which re-puts the layer.
-//   - base-layer: a stock base's layer. SeedBases re-puts it every
-//     invocation, but PutBlob stat-hits the damaged file, and FROM takes
-//     the seeded tree without reading it: the build runs fully warm, Fsck
-//     quarantines the blob, and the next invocation's re-put heals it.
+//   - base-layer: a stock base's layer. The FROM re-puts it every
+//     invocation, but the put stat-hits the damaged file, and the build
+//     takes the base's entries without reading it: the build runs fully
+//     warm, Fsck quarantines the blob, and the next invocation's re-put
+//     heals it.
 //   - unread-blob: a layer only another Dockerfile's step holds. Nothing
 //     reads it; Fsck quarantines it and drops that step and its tag.
 //
@@ -282,9 +280,9 @@ func TestCorruptBlobReExecutesOnlyAffectedSteps(t *testing.T) {
 			}
 			d3.Close()
 
-			// The store healed: the next invocation (its seeding re-puts
-			// a quarantined base blob) runs fully warm, and its Fsck
-			// finds nothing.
+			// The store healed: the next invocation (its FROM re-puts a
+			// quarantined base blob) runs fully warm, and its Fsck finds
+			// nothing.
 			w4, s4, c4, d4 := persistFixtures(t, root)
 			res4, err := BuildContext(context.Background(), shape, opts(w4, s4, c4, "app:1"))
 			if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/image"
+	"repro/internal/pkgmgr"
 	"repro/internal/vfs"
 )
 
@@ -107,13 +108,14 @@ func TestPoolSameDockerfileFullyCachedRuns(t *testing.T) {
 func TestPoolConcurrentAccountingInvariants(t *testing.T) {
 	const n = 8
 	jobs, cache := sameJobs(t, n)
-	// Re-Put the bases as Clones, which carry no seed entries, into a fresh
+	// Put the base as a Clone, which carries no seed entries, into a fresh
 	// store: the shared base chain must really fill, once, under the race.
 	store := image.NewStore()
-	for _, tag := range jobs[0].Options.Store.Tags() {
-		img, _ := jobs[0].Options.Store.GetContext(context.Background(), tag)
-		store.Put(img.Clone(tag))
+	base, err := jobs[0].Options.World.BaseImage(pkgmgr.DistroAlpine, "alpine:3.19")
+	if err != nil {
+		t.Fatal(err)
 	}
+	store.Put(base.Clone("alpine:3.19"))
 	for i := range jobs {
 		jobs[i].Options.Store = store
 	}

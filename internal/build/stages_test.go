@@ -483,8 +483,8 @@ func TestBuildArgOnlyDockerfile(t *testing.T) {
 
 // A warm COPY --from replay must not flatten (and memoise) the source
 // stage's tree: on a fresh store with a warm shared cache, every step
-// replays and nothing fills — the two FROM bases arrive unpacked from
-// SeedBases.
+// replays and nothing fills — each FROM resolves its base as entries,
+// not a tree to fill.
 func TestMultiStageWarmReplaySkipsSourceFlatten(t *testing.T) {
 	w, s1 := fixtures(t)
 	cache := NewCache()
@@ -498,7 +498,7 @@ func TestMultiStageWarmReplaySkipsSourceFlatten(t *testing.T) {
 	if res.CacheHits != 4 {
 		t.Fatalf("warm hits = %d, want 4", res.CacheHits)
 	}
-	// The seeded centos:7 and alpine:3.19 chains need no fill, and the
+	// The resolved centos:7 and alpine:3.19 chains need no fill, and the
 	// build stage's chain was never flattened because its COPY --from
 	// replayed.
 	if fills := s2.FlattenFills(); fills != 0 {

@@ -735,24 +735,6 @@ func (d *Dir) journalOrphanedLocked() (bool, error) {
 	return !os.SameFile(fi, pi), nil
 }
 
-// PutBlob stores data under its digest and returns the digest. Blobs are
-// write-once: re-putting existing content is a cheap no-op, and the write
-// itself goes to a private temp file renamed into place, so no reader can
-// observe a partial blob. The whole operation runs under the Dir lock,
-// which is what makes it atomic with respect to a concurrent GC sweep.
-func (d *Dir) PutBlob(ctx context.Context, data []byte) (string, error) {
-	if err := ctxErr(ctx); err != nil {
-		return "", err
-	}
-	digest := Sum(data)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.hasBlobLocked(digest) {
-		return digest, nil
-	}
-	return digest, d.writeBlobLocked(digest, data)
-}
-
 // putLayerLocked makes sure the store holds the blob l names, with d.mu
 // held — the form PutStep and PutTag use so the blob write and the
 // journal append are one critical section: a GC running between the two
@@ -937,8 +919,8 @@ func (d *Dir) PutTag(ctx context.Context, name string, layers []Layer, config []
 	}
 	tg := Tag{Name: name, Layers: digests, Config: config}
 	if cur, ok := d.tags[name]; ok && sameTag(cur, tg) {
-		// Re-seeding the same base images every invocation must not grow
-		// the append-only journal by one identical line per run.
+		// Re-putting the same base image on every invocation must not
+		// grow the append-only journal by one identical line per run.
 		return nil
 	}
 	return d.appendLocked(ctx, record{T: "tag", Tag: &tg})

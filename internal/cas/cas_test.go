@@ -24,6 +24,15 @@ func openT(t *testing.T, root string) (*Dir, Report) {
 	return d, rep
 }
 
+// putBlob stages one blob the way PutStep and PutTag write a layer's
+// missing blob, and returns its digest.
+func putBlob(d *Dir, data []byte) (string, error) {
+	digest := Sum(data)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return digest, d.putLayerLocked(Layer{Digest: digest, Data: data})
+}
+
 // stored names layers the store already holds, for PutTag.
 func stored(digests ...string) []Layer {
 	out := make([]Layer, len(digests))
@@ -64,7 +73,7 @@ func TestBlobRoundTrip(t *testing.T) {
 		t.Fatalf("fresh store reports damage: %+v", rep)
 	}
 	data := []byte("layer bytes")
-	digest, err := d.PutBlob(ctx, data)
+	digest, err := putBlob(d, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +81,7 @@ func TestBlobRoundTrip(t *testing.T) {
 		t.Fatalf("digest %q", digest)
 	}
 	// Re-put is a no-op, not an error.
-	if d2, err := d.PutBlob(ctx, data); err != nil || d2 != digest {
+	if d2, err := putBlob(d, data); err != nil || d2 != digest {
 		t.Fatalf("re-put: %q %v", d2, err)
 	}
 	got, err := d.Blob(ctx, digest)
@@ -97,7 +106,7 @@ func TestJournalStateSurvivesReopen(t *testing.T) {
 	if err := d.PutStep(ctx, "key2", Layer{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	ld, _ := d.PutBlob(ctx, []byte("tag layer"))
+	ld, _ := putBlob(d, []byte("tag layer"))
 	if err := d.PutTag(ctx, "app:1", stored(ld), []byte(`{"user":"u"}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +271,7 @@ func TestCorruptBlobQuarantinedByFsck(t *testing.T) {
 	if err := d.PutStep(ctx, "bystander", withData([]byte("fine")), 0); err != nil {
 		t.Fatal(err)
 	}
-	digest, _ := d.PutBlob(ctx, []byte("tagged bytes"))
+	digest, _ := putBlob(d, []byte("tagged bytes"))
 	if err := d.PutTag(ctx, "app:1", stored(digest), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +315,7 @@ func TestCorruptBlobQuarantinedByFsck(t *testing.T) {
 func TestBlobVerifiedOnRead(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
-	digest, err := d.PutBlob(ctx, []byte("pristine"))
+	digest, err := putBlob(d, []byte("pristine"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +347,7 @@ func TestStrandedTempFilesCleared(t *testing.T) {
 func TestReset(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
 	d.PutStep(ctx, "k", withData([]byte("x")), 0)
-	digest, _ := d.PutBlob(ctx, []byte("y"))
+	digest, _ := putBlob(d, []byte("y"))
 	d.PutTag(ctx, "t:1", stored(digest), nil)
 	if err := d.Reset(ctx); err != nil {
 		t.Fatal(err)
@@ -374,7 +383,7 @@ func TestConcurrentWriters(t *testing.T) {
 					return
 				}
 				// Contend on one shared blob too.
-				if _, err := d.PutBlob(ctx, []byte("shared")); err != nil {
+				if _, err := putBlob(d, []byte("shared")); err != nil {
 					errs <- err
 					return
 				}
@@ -427,7 +436,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 // by its digest alone: its bytes are neither hashed nor written.
 func TestPutTagWritesOnlyMissingBlobs(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
-	present, err := d.PutBlob(ctx, []byte("present"))
+	present, err := putBlob(d, []byte("present"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +472,7 @@ func TestPutTagWritesOnlyMissingBlobs(t *testing.T) {
 // written only when its bytes hash to the claimed digest.
 func TestPutStepChecksClaimedDigest(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
-	present, err := d.PutBlob(ctx, []byte("present"))
+	present, err := putBlob(d, []byte("present"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +558,7 @@ func TestAppendAfterExternalCompactionNotLost(t *testing.T) {
 func TestUnserveableBlobHealsOnRePut(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
 	data := []byte("healable bytes")
-	digest, err := d.PutBlob(ctx, data)
+	digest, err := putBlob(d, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +574,7 @@ func TestUnserveableBlobHealsOnRePut(t *testing.T) {
 		t.Fatal("unserveable blob served")
 	}
 	// The broken entry was moved aside; re-putting the bytes heals.
-	if _, err := d.PutBlob(ctx, data); err != nil {
+	if _, err := putBlob(d, data); err != nil {
 		t.Fatal(err)
 	}
 	got, err := d.Blob(ctx, digest)

@@ -15,7 +15,7 @@ func TestFailpointBlobWriteTornLeavesOnlyTmpLitter(t *testing.T) {
 	d, _ := openT(t, root)
 	d.SetFailpoints(NewScript(ScriptStep{Op: OpBlobWrite, Err: &TornWrite{Keep: 3}}))
 	data := []byte("torn-victim-payload")
-	if _, err := d.PutBlob(ctx, data); err == nil {
+	if _, err := putBlob(d, data); err == nil {
 		t.Fatal("torn write should fail the put")
 	}
 	tmps, err := os.ReadDir(d.path("tmp"))
@@ -23,7 +23,7 @@ func TestFailpointBlobWriteTornLeavesOnlyTmpLitter(t *testing.T) {
 		t.Fatalf("want exactly one stranded temp, got %d (err %v)", len(tmps), err)
 	}
 	// The script is spent: the same put now succeeds and reads back whole.
-	digest, err := d.PutBlob(ctx, data)
+	digest, err := putBlob(d, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFailpointBlobWriteTornLeavesOnlyTmpLitter(t *testing.T) {
 
 func TestFailpointBlobReadDoesNotQuarantine(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
-	digest, err := d.PutBlob(ctx, []byte("healthy"))
+	digest, err := putBlob(d, []byte("healthy"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +212,8 @@ func TestContextCancelledStoreOps(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := d.PutBlob(cctx, []byte("x")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PutBlob: %v", err)
+	if err := d.PutTag(cctx, "t:1", []Layer{{Digest: Sum([]byte("x")), Data: []byte("x")}}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PutTag: %v", err)
 	}
 	if _, err := d.Blob(cctx, Sum([]byte("x"))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Blob: %v", err)

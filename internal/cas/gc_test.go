@@ -10,8 +10,8 @@ import (
 // sharing a layer must not sweep the layer.
 func TestGCBlobSharedByTwoTagsSurvives(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
-	shared, _ := d.PutBlob(ctx, []byte("shared layer"))
-	only, _ := d.PutBlob(ctx, []byte("private layer"))
+	shared, _ := putBlob(d, []byte("shared layer"))
+	only, _ := putBlob(d, []byte("private layer"))
 	if err := d.PutTag(ctx, "a:1", stored(shared), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestGCCollectsUntaggedIntermediates(t *testing.T) {
 	d, _ := openT(t, root)
 	final := []byte("final layer")
 	inter := []byte("intermediate stage layer")
-	fd, _ := d.PutBlob(ctx, final)
+	fd, _ := putBlob(d, final)
 	if err := d.PutTag(ctx, "app:1", stored(fd), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestGCEmptyStoreNoOp(t *testing.T) {
 		t.Fatalf("stats on empty store: %+v", stats)
 	}
 	// Still usable afterwards.
-	if _, err := d.PutBlob(ctx, []byte("post-gc")); err != nil {
+	if _, err := putBlob(d, []byte("post-gc")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(root, "journal")); err != nil {
@@ -123,7 +123,7 @@ func TestGCEmptyStoreNoOp(t *testing.T) {
 func TestGCNoRootsSweepsAll(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
 	d.PutStep(ctx, "s", withData([]byte("layer")), 0)
-	d.PutBlob(ctx, []byte("unreferenced"))
+	putBlob(d, []byte("unreferenced"))
 	stats, err := d.GC(ctx, Budget{})
 	if err != nil {
 		t.Fatal(err)

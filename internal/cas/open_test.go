@@ -219,7 +219,7 @@ func TestParallelFsckMatchesSerialSemantics(t *testing.T) {
 // another handle is present, a missing one is not.
 func TestPresenceFallsBackToStat(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
-	digest, err := d.PutBlob(ctx, []byte("written after the walk"))
+	digest, err := putBlob(d, []byte("written after the walk"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,14 +271,14 @@ func TestOpenRegularFileNotADirectory(t *testing.T) {
 func TestOpenIgnoresLegacyChainRecord(t *testing.T) {
 	root := t.TempDir()
 	d, _ := openT(t, root)
-	layer, err := d.PutBlob(ctx, []byte("tag layer"))
+	layer, err := putBlob(d, []byte("tag layer"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.PutTag(ctx, "app:1", stored(layer), nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := d.PutBlob(ctx, []byte("whole-tree snapshot"))
+	snap, err := putBlob(d, []byte("whole-tree snapshot"))
 	if err != nil {
 		t.Fatal(err)
 	}

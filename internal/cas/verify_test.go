@@ -163,7 +163,7 @@ func TestLazyOpenDropsDanglingRecords(t *testing.T) {
 // handle fails it before any blob is read.
 func TestFsckRefusesDoneContextAndClosedHandle(t *testing.T) {
 	d, _ := openT(t, t.TempDir())
-	if _, err := d.PutBlob(ctx, []byte("blob")); err != nil {
+	if _, err := putBlob(d, []byte("blob")); err != nil {
 		t.Fatal(err)
 	}
 	done, cancel := context.WithCancel(ctx)

@@ -106,8 +106,9 @@ type Daemon struct {
 	dir        *cas.Dir
 }
 
-// New builds a Daemon: opens the cas store (if configured), seeds the
-// base images, and wires the shared cache, build slots and HTTP handler.
+// New builds a Daemon: opens and verifies the cas store (if configured)
+// and wires the shared store, cache, build slots and HTTP handler. A
+// stock base image enters the store at the first build that names it.
 // The daemon serves nothing until Start.
 func New(cfg Config) (*Daemon, error) {
 	if cfg.Jobs <= 0 {
@@ -131,8 +132,8 @@ func New(cfg Config) (*Daemon, error) {
 			return nil, fmt.Errorf("daemon: open cache-dir: %w", err)
 		}
 		// The daemon opens once for its lifetime, so it verifies every
-		// blob once, before seeding re-puts the bases: a damaged base
-		// blob is quarantined here and healed by the re-put.
+		// blob once, here: a damaged base blob is quarantined and healed
+		// by the put of the first build that names the base.
 		//chlint:allow ctxfirst -- New has no caller context (_imagebench calls New(cfg)); the one startup fsck runs to completion
 		rep, err := dir.Fsck(context.Background())
 		if err != nil {
@@ -147,17 +148,9 @@ func New(cfg Config) (*Daemon, error) {
 			dir.SetFailpoints(cfg.Faults)
 		}
 	}
-	// Backing attaches before seeding so base blobs and tags persist
-	// (the seededStore rule from cmd/ch-image).
-	store := image.NewStore()
+	d.store = image.NewStore()
 	if d.dir != nil {
-		store.SetBacking(d.dir)
-	}
-	if err := d.world.SeedBases(store); err != nil {
-		return nil, errors.Join(fmt.Errorf("daemon: %w", err), d.closeDir())
-	}
-	d.store = store
-	if d.dir != nil {
+		d.store.SetBacking(d.dir)
 		d.cache = build.NewPersistentCache(d.dir)
 		d.persistent = true
 	} else {

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,14 +168,9 @@ func TestDaemonLifecycle(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/images", nil, &imgs); code != http.StatusOK {
 		t.Fatalf("GET /v1/images: status %d", code)
 	}
-	found := false
-	for _, tag := range imgs.Tags {
-		if tag == "e2e:latest" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("tag e2e:latest not in %v", imgs.Tags)
+	// The built tag and the two bases it named, and no other stock base.
+	if want := []string{"alpine:3.19", "centos:7", "e2e:latest"}; !reflect.DeepEqual(imgs.Tags, want) {
+		t.Fatalf("GET /v1/images: tags %v, want %v", imgs.Tags, want)
 	}
 
 	// Identical POST: everything replays from the shared cache.

@@ -160,15 +160,32 @@ func TestDaemonFaultSoak(t *testing.T) {
 		builds, seed, succeeded, degraded, failed)
 }
 
-// New fscks the store before it seeds the bases: a damaged base blob is
-// quarantined there, and the seeding's re-put writes it back whole, so
-// the next fsck finds nothing.
-func TestNewFscksBeforeSeeding(t *testing.T) {
+// New fscks the store once, before any build, and puts no base itself: a
+// damaged base blob is quarantined there, and the first build that names
+// the base puts it back whole, so the next fsck finds nothing.
+func TestNewFscksThenFirstFromHeals(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "cas")
+	build := func(d *Daemon) {
+		t.Helper()
+		srv := serveDaemon(t, d)
+		defer srv.Close()
+		var op Operation
+		if code := doJSON(t, http.MethodPost, srv.URL+"/v1/builds",
+			BuildRequest{Tag: "heal:1", Dockerfile: "FROM alpine:3.19\nRUN echo a > /a\n"}, &op); code != http.StatusAccepted {
+			t.Fatalf("POST: status %d", code)
+		}
+		if fin := pollOp(t, srv.URL, op.ID); fin.Status != StatusSucceeded {
+			t.Fatalf("build: status %s, error %q", fin.Status, fin.Error)
+		}
+	}
 	d, err := New(Config{Jobs: 1, CacheDir: root})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tags := d.Store().Tags(); len(tags) != 0 {
+		t.Fatalf("a new daemon's store holds %v, want no tag", tags)
+	}
+	build(d)
 	shutdownDaemon(t, d)
 	dir, _, err := cas.Open(root)
 	if err != nil {
@@ -190,6 +207,7 @@ func TestNewFscksBeforeSeeding(t *testing.T) {
 	if rep := d.Report(); rep.BlobsQuarantined != 1 {
 		t.Fatalf("startup fsck: %+v, want the base blob quarantined", rep)
 	}
+	build(d)
 	shutdownDaemon(t, d)
 
 	dir, _, err = cas.Open(root)

@@ -93,35 +93,6 @@ func (img *Image) Flatten() (*vfs.FS, error) {
 	return fs, nil
 }
 
-// CommitLayer diffs fs against the image's current flattened state and, if
-// anything changed, appends the diff as a new layer on a derived image
-// named newName. The returned bool reports whether a layer was added.
-func (img *Image) CommitLayer(newName string, fs *vfs.FS) (*Image, bool, error) {
-	baseFS, err := img.Flatten()
-	if err != nil {
-		return nil, false, err
-	}
-	lower, err := tarutil.Snapshot(baseFS)
-	if err != nil {
-		return nil, false, err
-	}
-	upper, err := tarutil.Snapshot(fs)
-	if err != nil {
-		return nil, false, err
-	}
-	diff := tarutil.Diff(lower, upper)
-	out := img.Clone(newName)
-	if len(diff) == 0 {
-		return out, false, nil
-	}
-	data, err := tarutil.Pack(diff)
-	if err != nil {
-		return nil, false, err
-	}
-	out.Layers = append(out.Layers, Layer{Digest: Digest(data), Data: data})
-	return out, true, nil
-}
-
 // ChainDigest identifies a layer chain: the digest of the ordered layer
 // digests. Two images with equal chain digests flatten identically.
 //
@@ -154,6 +125,9 @@ type Store struct {
 	flights flight.Group[flatChain]
 	fills   int // completed fills (unpack+snapshot paid), for tests and stats
 	trees   int // seeded chains' trees built (unpack only), for tests
+
+	// resolving holds the in-progress Resolve fills, by tag.
+	resolving flight.Group[*Image]
 
 	// backing, when set, is the persistent content-addressed store the
 	// in-memory maps are a cache over: Put writes through (blobs and tag
@@ -286,10 +260,9 @@ func (s *Store) FlattenFills() int {
 // SetBacking attaches a persistent content-addressed store: subsequent
 // Puts write through (layer blobs, tag records) and GetContext falls back
 // to it, so tags and their layers survive the process and the next
-// invocation starts warm. Attach the backing before
-// seeding the store — images Put earlier are not retroactively persisted.
-// Persistence errors never fail store operations; they are recorded and
-// readable via BackingErrs.
+// invocation starts warm. Images Put earlier are not retroactively
+// persisted. Persistence errors never fail store operations; they are
+// recorded and readable via BackingErrs.
 func (s *Store) SetBacking(d *cas.Dir) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -335,7 +308,9 @@ func (s *Store) GCBacking(ctx context.Context, b cas.Budget) (cas.GCStats, error
 // so the first bytes recorded under a digest are the bytes that digest
 // names, however callers later treat the Image they handed over. With a
 // backing store attached, the blobs and the tag record write through to
-// disk.
+// disk. Outside tests only the repository benchmark (_imagebench), which
+// puts its own base images, still calls it; everything else goes through
+// PutContext or Resolve.
 func (s *Store) Put(img *Image) {
 	//chlint:allow ctxfirst -- context-free compat wrapper; PutContext is the real entry point
 	s.PutContext(context.Background(), img)
@@ -386,6 +361,42 @@ func (s *Store) PutContext(ctx context.Context, img *Image) {
 	s.mu.Lock()
 	s.backingErrs.Add(err)
 	s.mu.Unlock()
+}
+
+// Resolve returns the image tagged name from memory. On a miss it calls
+// fill once, however many callers miss on name together, and puts the
+// image fill returns, which must be named name, through PutContext; the
+// other callers wait and share it, or fill's error. A failed fill is not
+// kept: the next miss calls fill again. Resolve never reads the backing,
+// so a tag an older binary persisted under name cannot stand in for
+// fill's image. The builder resolves stock base images through it.
+func (s *Store) Resolve(ctx context.Context, name string, fill func() (*Image, error)) (*Image, error) {
+	// A hit takes only the read lock, as GetContext's does: every build
+	// of a daemon's shared store looks its base up here.
+	s.mu.RLock()
+	img, ok := s.images[name]
+	s.mu.RUnlock()
+	if ok {
+		return img, nil
+	}
+	s.mu.Lock()
+	if img, ok := s.images[name]; ok {
+		s.mu.Unlock()
+		return img, nil
+	}
+	f, leader := s.resolving.Join(name)
+	s.mu.Unlock()
+	if !leader {
+		return f.Wait()
+	}
+	img, err := fill()
+	if err == nil {
+		s.PutContext(ctx, img)
+	}
+	s.mu.Lock()
+	s.resolving.Finish(name, img, err)
+	s.mu.Unlock()
+	return img, err
 }
 
 // GetContext resolves a tag, falling back to the backing store: a tag
@@ -441,27 +452,6 @@ func (s *Store) GetContext(ctx context.Context, name string) (*Image, bool) {
 	}
 	s.images[name] = loaded
 	return loaded, true
-}
-
-// Delete removes a tag, writing the untag through to the backing store —
-// otherwise GetContext's backing fallback would resurrect it on the next
-// miss. Blobs are kept; reclaiming them is the backing store's GC's job
-// (`ch-image cache gc`). Like PutContext, cancellation only degrades the
-// write-through.
-func (s *Store) Delete(ctx context.Context, name string) {
-	s.mu.Lock()
-	backing := s.backing
-	delete(s.images, name)
-	s.mu.Unlock()
-	if backing == nil {
-		return
-	}
-	err := cas.DefaultRetry.Do(ctx, func() error {
-		return backing.DeleteTag(ctx, name)
-	})
-	s.mu.Lock()
-	s.backingErrs.Add(err)
-	s.mu.Unlock()
 }
 
 // Blob fetches a blob by digest. The returned slice is the caller's to

@@ -130,7 +130,7 @@ func TestFlattenAcrossProcesses(t *testing.T) {
 	// the second process's tree sees no phantom changes.
 	checkLower(t, s1, img)
 	checkLower(t, s2, img2)
-	if _, added, err := img2.CommitLayer("noop:1", fs2); err != nil || added {
+	if _, added, err := commitLayer(img2, "noop:1", fs2); err != nil || added {
 		t.Fatalf("phantom diff against the second process's chain: added=%v err=%v", added, err)
 	}
 }
@@ -154,24 +154,24 @@ func TestBackingAttachOrder(t *testing.T) {
 	}
 }
 
-// Delete writes the untag through: without it, Get's backing fallback
-// would resurrect the tag from disk in the same process.
-func TestDeleteWritesThroughUntag(t *testing.T) {
+// An untag written to the backing (cas.Dir.DeleteTag, as `cache gc TAG`
+// does) is final: the next process's GetContext does not rehydrate it.
+func TestUntagNotRehydrated(t *testing.T) {
 	root := t.TempDir()
+	d := openDir(t, root)
 	s := NewStore()
-	s.SetBacking(openDir(t, root))
+	s.SetBacking(d)
 	s.Put(testImage(t, "gone:1"))
-	s.Delete(context.Background(), "gone:1")
-	if _, ok := s.GetContext(context.Background(), "gone:1"); ok {
-		t.Fatal("deleted tag resurrected from backing in-process")
-	}
 	if err := errors.Join(s.BackingErrs()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.DeleteTag(context.Background(), "gone:1"); err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewStore()
 	s2.SetBacking(openDir(t, root))
 	if _, ok := s2.GetContext(context.Background(), "gone:1"); ok {
-		t.Fatal("deleted tag resurrected in the next process")
+		t.Fatal("untagged tag resurrected in the next process")
 	}
 }
 
@@ -190,7 +190,11 @@ func TestGCBackingDelegatesAndRecordsErrors(t *testing.T) {
 	d := openDir(t, root)
 	s.SetBacking(d)
 	s.Put(testImage(t, "keep:1"))
-	if _, err := d.PutBlob(context.Background(), []byte("untagged garbage")); err != nil {
+	garbage := []byte("untagged garbage")
+	if err := d.PutTag(context.Background(), "garbage:1", []cas.Layer{{Digest: Digest(garbage), Data: garbage}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.DeleteTag(context.Background(), "garbage:1"); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := s.GCBacking(context.Background(), cas.Budget{})

@@ -13,8 +13,8 @@ import (
 // A warm invocation from disk builds no base tree. The cold one builds
 // the tree of each base at its first miss; the warm one replays every
 // step, and its WORKDIR of a base directory and its COPY --from a fully
-// cached stage read the seeded entries or nothing, so neither base is
-// unpacked, and no chain is filled.
+// cached stage read the resolved base's entries or nothing, so neither
+// base is unpacked, and no chain is filled.
 func TestWarmBuildFromDiskBuildsNoBaseTree(t *testing.T) {
 	const text = "FROM alpine:3.19 AS stage\nRUN echo artifact > /artifact\n" +
 		"FROM debian:12\nWORKDIR /etc\nCOPY --from=stage /artifact /opt/artifact\nRUN cat /opt/artifact\n"
@@ -28,9 +28,6 @@ func TestWarmBuildFromDiskBuildsNoBaseTree(t *testing.T) {
 		defer d.Close()
 		world, store := pkgmgr.NewWorld(), image.NewStore()
 		store.SetBacking(d)
-		if err := world.SeedBases(store); err != nil {
-			t.Fatal(err)
-		}
 		res, err := build.BuildContext(context.Background(), text, build.Options{
 			Tag: "app:1", Force: build.ForceSeccomp, Store: store, World: world,
 			Cache: build.NewPersistentCache(d),

@@ -179,23 +179,30 @@ func (w *World) BaseImage(distro, name string) (*image.Image, error) {
 	})
 }
 
-// SeedBases puts the stock base images — alpine:3.19, centos:7 and
-// debian:12 — into s. A store with a backing persists them, so attach
-// the backing first. It calls the context-free Store.Put because
-// daemon.New, which seeds through it, has no context.
-func (w *World) SeedBases(s *image.Store) error {
-	for _, b := range []struct{ distro, name string }{
-		{DistroAlpine, "alpine:3.19"},
-		{DistroCentOS7, "centos:7"},
-		{DistroDebian, "debian:12"},
-	} {
-		img, err := w.BaseImage(b.distro, b.name)
-		if err != nil {
-			return fmt.Errorf("pkgmgr: seed %s: %w", b.name, err)
-		}
-		s.Put(img)
+// stockBases maps each base image every World provides to its distro.
+// Nothing puts them into a store in advance: a build resolves one from
+// its World the first time a FROM or COPY --from names it.
+var stockBases = map[string]string{
+	"alpine:3.19": DistroAlpine,
+	"centos:7":    DistroCentOS7,
+	"debian:12":   DistroDebian,
+}
+
+// StockBase returns the distro of the stock base image ref; ok is false
+// when ref names none.
+func StockBase(ref string) (distro string, ok bool) {
+	distro, ok = stockBases[ref]
+	return distro, ok
+}
+
+// StockBases lists the names of the stock base images, sorted.
+func StockBases() []string {
+	names := make([]string, 0, len(stockBases))
+	for name := range stockBases {
+		names = append(names, name)
 	}
-	return nil
+	sort.Strings(names)
+	return names
 }
 
 // populateAlpine: the Fig. 1a workload. Every file is root:root, so apk

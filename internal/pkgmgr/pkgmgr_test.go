@@ -368,29 +368,31 @@ func TestDnfAliasWorks(t *testing.T) {
 	}
 }
 
-// SeedBases puts exactly the three stock bases into a store, each under
-// the chain digest BaseImage builds for it.
-func TestSeedBases(t *testing.T) {
-	w := NewWorld()
-	s := image.NewStore()
-	if err := w.SeedBases(s); err != nil {
-		t.Fatal(err)
-	}
+// The stock bases are exactly alpine:3.19, centos:7 and debian:12, in
+// that order, each resolving to its distro, whose BaseImage is named for
+// it and labelled with that distro; no other name resolves.
+func TestStockBases(t *testing.T) {
 	want := []string{"alpine:3.19", "centos:7", "debian:12"}
-	if got := s.Tags(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("tags %v, want %v", got, want)
+	if got := StockBases(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stock bases %v, want %v", got, want)
 	}
+	w := NewWorld()
 	for i, distro := range []string{DistroAlpine, DistroCentOS7, DistroDebian} {
-		ref, err := NewWorld().BaseImage(distro, want[i])
+		got, ok := StockBase(want[i])
+		if !ok || got != distro {
+			t.Fatalf("StockBase(%q) = %q, %v; want %q", want[i], got, ok, distro)
+		}
+		img, err := w.BaseImage(got, want[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, ok := s.GetContext(context.Background(), want[i])
-		if !ok {
-			t.Fatalf("%s missing", want[i])
+		if img.Name != want[i] || img.Config.Distro() != distro {
+			t.Errorf("%s: image %q of distro %q", want[i], img.Name, img.Config.Distro())
 		}
-		if got, exp := image.ChainDigest(img.Layers), image.ChainDigest(ref.Layers); got != exp {
-			t.Errorf("%s: chain %s, want %s", want[i], got, exp)
+	}
+	for _, ref := range []string{"alpine", "alpine:latest", "centos7", "nosuch:1", ""} {
+		if d, ok := StockBase(ref); ok {
+			t.Errorf("StockBase(%q) = %q, want no stock base", ref, d)
 		}
 	}
 }
@@ -435,7 +437,7 @@ func TestRepoFetchConcurrent(t *testing.T) {
 	}
 }
 
-// SeedBases hands each base's entry table to the store: the chain serves
+// Putting a stock base hands its entry table to the store: the chain serves
 // without a fill, its entries equal a fresh unpack of the layer (type,
 // mode, owner, xattrs, target, data; layer diffs ignore mtime), and so
 // does the tree its first Flatten builds. Only the image FromEntries
@@ -451,8 +453,13 @@ func TestSeededBaseTreeMatchesUnpack(t *testing.T) {
 	w := NewWorld()
 	s := image.NewStore()
 	s.SetBacking(d)
-	if err := w.SeedBases(s); err != nil {
-		t.Fatal(err)
+	for _, name := range StockBases() {
+		distro, _ := StockBase(name)
+		img, err := w.BaseImage(distro, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Put(img)
 	}
 	same := func(name string, a, b []tarutil.Entry) {
 		t.Helper()
@@ -463,7 +470,7 @@ func TestSeededBaseTreeMatchesUnpack(t *testing.T) {
 	for _, name := range []string{"alpine:3.19", "centos:7", "debian:12"} {
 		img, ok := s.GetContext(ctx, name)
 		if !ok || len(img.Layers) != 1 {
-			t.Fatalf("%s: not seeded as one layer", name)
+			t.Fatalf("%s: not put as one layer", name)
 		}
 		entries, err := s.FlattenedEntries(ctx, img)
 		if err != nil {
@@ -492,7 +499,7 @@ func TestSeededBaseTreeMatchesUnpack(t *testing.T) {
 		}
 	}
 	if fills := s.FlattenFills(); fills != 0 {
-		t.Fatalf("seeded bases filled %d chains, want 0", fills)
+		t.Fatalf("stock bases filled %d chains, want 0", fills)
 	}
 
 	// Each image below carries no usable tree, so its chain fills exactly
@@ -519,7 +526,7 @@ func TestSeededBaseTreeMatchesUnpack(t *testing.T) {
 		{"GetContext-loaded tag", loaded, func() *image.Image {
 			img, ok := loaded.GetContext(ctx, "alpine:3.19")
 			if !ok {
-				t.Fatal("seeded tag not persisted")
+				t.Fatal("stock base tag not persisted")
 			}
 			return img
 		}},

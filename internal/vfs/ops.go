@@ -97,7 +97,8 @@ func (fs *FS) prepareCreate(ac *AccessContext, path string) (*inode, string, err
 }
 
 // attach inserts a fresh inode, applying setgid-directory group
-// inheritance.
+// inheritance. The parent's mtime becomes the new inode's, which its
+// creator has just read from the clock: one clock read per create.
 func (fs *FS) attach(parent *inode, base string, n *inode, gid int) {
 	if parent.mode&SISGID != 0 {
 		n.gid = parent.gid
@@ -112,7 +113,7 @@ func (fs *FS) attach(parent *inode, base string, n *inode, gid int) {
 	if n.isDir() {
 		parent.nlink++
 	}
-	parent.mtime = fs.clock()
+	parent.mtime = n.mtime
 	fs.touch(n)
 }
 

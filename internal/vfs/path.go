@@ -52,8 +52,10 @@ func (fs *FS) walk(ac *AccessContext, path string, followFinal bool) (walkResult
 
 func (fs *FS) walkFrom(ac *AccessContext, dir *inode, comps []string, followFinal bool, depth *int) (walkResult, errno.Errno) {
 	cur := dir
-	// Track the parent chain for "..".
-	parents := []*inode{}
+	// Track the parent chain for "..", on the stack for paths up to 8
+	// directories deep.
+	var stack [8]*inode
+	parents := stack[:0]
 	for i := 0; i < len(comps); i++ {
 		name := comps[i]
 		if len(name) > maxNameLen {
