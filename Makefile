@@ -7,8 +7,12 @@ check: vet test
 build:
 	go build ./...
 
+# The module must also build off Linux: platform code sits behind build
+# tags (cas presence, the flock store lock, the seccomp probe's raw call).
 vet:
 	go vet ./...
+	GOOS=darwin go build ./...
+	GOOS=windows go build ./...
 
 test:
 	go test ./...

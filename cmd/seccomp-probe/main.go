@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"syscall"
 	"unsafe"
 
 	"repro/internal/core"
@@ -45,8 +44,8 @@ func main() {
 	probe := func(name string, trap uintptr, args ...uintptr) {
 		var a [6]uintptr
 		copy(a[:], args)
-		_, _, errno := syscall.Syscall6(trap, a[0], a[1], a[2], a[3], a[4], a[5])
-		fmt.Printf("probe %s errno=%d\n", name, int(errno))
+		errno := rawSyscall(trap, a)
+		fmt.Printf("probe %s errno=%d\n", name, errno)
 		if errno != 0 {
 			fail = true
 		}

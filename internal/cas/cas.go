@@ -116,6 +116,9 @@ func (r Report) String() string {
 		r.BlobsQuarantined, r.JournalQuarantined, r.RecordsDropped)
 }
 
+// errClosed is what every write on a closed handle returns.
+var errClosed = errors.New("cas: store is closed")
+
 // Option configures Open.
 type Option func(*openConfig)
 
@@ -146,6 +149,7 @@ type Dir struct {
 	lock     *storeLock
 	lockWait time.Duration
 	journal  *os.File
+	blobs    *os.File // blobs/sha256, held from Open to Close for presence checks
 	steps    map[string]Step
 	tags     map[string]Tag
 	order    map[string]uint64 // step key → journal recency
@@ -167,8 +171,10 @@ type Dir struct {
 
 // Open opens (creating if absent) the store at root and validates its
 // metadata: every journal line is checksum-verified, every blob the
-// surviving records reference is presence-checked with one stat per
-// distinct digest, and the records whose blobs are missing are dropped.
+// surviving records reference is presence-checked with one existence
+// check per distinct digest, relative to the blobs/sha256 handle the Dir
+// holds until Close (a stat of the whole path off Linux), and the
+// records whose blobs are missing are dropped.
 // Blob contents are not read: Blob digest-verifies each read and
 // quarantines what fails, and Fsck verifies every blob on request, so an
 // open costs O(journal lines), not O(store bytes). Corrupt journal lines
@@ -195,9 +201,14 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 			return nil, Report{}, fmt.Errorf("cas: %w", err)
 		}
 	}
-	d := &Dir{root: root, lockWait: cfg.lockWait}
+	blobs, err := openBlobDir(filepath.Join(root, "blobs", "sha256"))
+	if err != nil {
+		return nil, Report{}, fmt.Errorf("cas: %w", err)
+	}
+	d := &Dir{root: root, lockWait: cfg.lockWait, blobs: blobs}
 	lk, err := openLock(d.path("lock"))
 	if err != nil {
+		blobs.Close()
 		return nil, Report{}, err
 	}
 	d.lock = lk
@@ -205,6 +216,7 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 		if d.journal != nil {
 			d.journal.Close()
 		}
+		blobs.Close()
 		lk.close()
 		return nil, d.report, err
 	}
@@ -258,7 +270,7 @@ func (d *Dir) Fsck(ctx context.Context) (Report, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return d.report, fmt.Errorf("cas: store is closed")
+		return d.report, errClosed
 	}
 	scan := d.fsckBlobs()
 	dropped := d.dropDanglingRecordsLocked(d.presenceLocked(scan.present))
@@ -407,9 +419,9 @@ func (d *Dir) Report() Report {
 	return d.report
 }
 
-// Close releases the journal handle and the store lock (letting another
-// process's pending GC/Reset proceed). Further writes fail; reads of
-// already-loaded state keep working.
+// Close releases the journal and blobs/sha256 handles and the store lock
+// (letting another process's pending GC/Reset proceed). Further writes
+// fail; reads of already-loaded state keep working.
 func (d *Dir) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -417,7 +429,7 @@ func (d *Dir) Close() error {
 		return nil
 	}
 	d.closed = true
-	err := d.journal.Close()
+	err := firstErr(d.journal.Close(), d.blobs.Close())
 	if lerr := d.lock.close(); err == nil {
 		err = lerr
 	}
@@ -430,14 +442,30 @@ func (d *Dir) path(parts ...string) string {
 
 // blobPath maps a digest to its sharded file path.
 func (d *Dir) blobPath(digest string) (string, error) {
-	hexpart, ok := strings.CutPrefix(digest, DigestPrefix)
-	if !ok || len(hexpart) != 64 {
-		return "", fmt.Errorf("cas: malformed digest %q", digest)
-	}
-	if _, err := hex.DecodeString(hexpart); err != nil {
+	hexpart, ok := digestHex(digest)
+	if !ok {
 		return "", fmt.Errorf("cas: malformed digest %q", digest)
 	}
 	return d.path("blobs", "sha256", hexpart[:2], hexpart[2:]), nil
+}
+
+// digestHex returns the 64 hex characters of a well-formed digest
+// (DigestPrefix and 64 hex digits, either case, as hex.DecodeString
+// accepts), and false for anything else, without allocating. So a digest
+// holding "/" or ".." never reaches a path or a syscall.
+func digestHex(digest string) (string, bool) {
+	h, ok := strings.CutPrefix(digest, DigestPrefix)
+	if !ok || len(h) != 2*sha256.Size {
+		return "", false
+	}
+	for i := 0; i < len(h); i++ {
+		switch c := h[i]; {
+		case '0' <= c && c <= '9', 'a' <= c && c <= 'f', 'A' <= c && c <= 'F':
+		default:
+			return "", false
+		}
+	}
+	return h, true
 }
 
 // walkBlobs visits every file in the sharded blob directory — the one
@@ -637,32 +665,23 @@ func (d *Dir) dropDanglingRecordsLocked(present func(digest string) bool) int {
 
 // presenceLocked answers "is this blob present" for one pass over the
 // records: from walked, the digests Fsck's blob pass read back intact
-// (nil at open), and otherwise with one stat per distinct digest. So
-// after Fsck a quarantined blob is absent and an unreadable one present,
-// as a stat after the pass would say, and a blob another process wrote
-// after the walk counts too.
+// (nil at open), and otherwise with one hasBlobLocked per distinct
+// digest. So after Fsck a quarantined blob is absent and an unreadable
+// one present, as a check after the pass would say, and a blob another
+// process wrote after the walk counts too.
 func (d *Dir) presenceLocked(walked map[string]bool) func(digest string) bool {
-	statted := map[string]bool{}
+	checked := map[string]bool{}
 	return func(digest string) bool {
 		if walked[digest] {
 			return true
 		}
-		ok, seen := statted[digest]
+		ok, seen := checked[digest]
 		if !seen {
 			ok = d.hasBlobLocked(digest)
-			statted[digest] = ok
+			checked[digest] = ok
 		}
 		return ok
 	}
-}
-
-func (d *Dir) hasBlobLocked(digest string) bool {
-	p, err := d.blobPath(digest)
-	if err != nil {
-		return false
-	}
-	_, err = os.Stat(p)
-	return err == nil
 }
 
 // append writes one checksummed record line to the journal and mirrors it
@@ -679,7 +698,7 @@ func (d *Dir) hasBlobLocked(digest string) bool {
 // its to re-append.)
 func (d *Dir) appendLocked(ctx context.Context, rec record) error {
 	if d.closed {
-		return fmt.Errorf("cas: store is closed")
+		return errClosed
 	}
 	if err := d.failpoint(OpJournalAppend); err != nil {
 		return fmt.Errorf("cas: journal: %w", err)
@@ -739,10 +758,10 @@ func (d *Dir) journalOrphanedLocked() (bool, error) {
 // held — the form PutStep and PutTag use so the blob write and the
 // journal append are one critical section: a GC running between the two
 // would otherwise sweep the not-yet-referenced blob and leave the record
-// dangling. A blob already present costs one stat and is not re-hashed;
-// a missing one is written from l.Data, which must hash to l.Digest. A
-// missing blob without Data, or with Data under another digest, is an
-// error.
+// dangling. A blob already present costs one presence check and is not
+// re-hashed; a missing one is written from l.Data, which must hash to
+// l.Digest. A missing blob without Data, or with Data under another
+// digest, is an error. Callers have checked the handle is open.
 func (d *Dir) putLayerLocked(l Layer) error {
 	if d.hasBlobLocked(l.Digest) {
 		return nil
@@ -848,14 +867,18 @@ func (d *Dir) Blob(ctx context.Context, digest string) ([]byte, error) {
 // PutStep persists one instruction-cache entry: the layer (zero for a
 // step that changed nothing) goes to the blob store, the key and metadata
 // to the journal. The caller has the layer's digest already, so a layer
-// the store holds costs one stat and no hashing; a missing one is written
-// from its Data and must hash to its Digest, as in PutTag.
+// the store holds costs one presence check and no hashing; a missing one
+// is written from its Data and must hash to its Digest, as in PutTag. On
+// a closed handle it fails before any blob I/O.
 func (d *Dir) PutStep(ctx context.Context, key string, layer Layer, modified int) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.closed {
+		return errClosed
+	}
 	st := Step{Key: key, Layer: layer.Digest, Modified: modified}
 	if layer.Digest != "" {
 		if err := d.putLayerLocked(layer); err != nil {
@@ -901,15 +924,19 @@ type Layer struct {
 // PutTag persists an image tag together with the layer blobs it names, in
 // one critical section, so a GC cannot sweep a blob between its write and
 // the record that references it. A layer already in the store costs one
-// stat and is not re-hashed; a missing one is written from its Data,
-// which must hash to its Digest. A missing layer without Data, or with
-// Data under another digest, is rejected rather than recorded dangling.
+// presence check and is not re-hashed; a missing one is written from its
+// Data, which must hash to its Digest. A missing layer without Data, or
+// with Data under another digest, is rejected rather than recorded
+// dangling. On a closed handle it fails before any blob I/O.
 func (d *Dir) PutTag(ctx context.Context, name string, layers []Layer, config []byte) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.closed {
+		return errClosed
+	}
 	digests := make([]string, len(layers))
 	for i, l := range layers {
 		digests[i] = l.Digest
@@ -988,6 +1015,7 @@ func (d *Dir) BlobStats() (count int, bytes int64) {
 // Reset wipes the store back to empty: blobs, journal, quarantine. It
 // requires the exclusive store lock (the lock file itself survives the
 // wipe), failing with ErrBusy while another process has the store open.
+// The journal and blobs/sha256 handles are reopened on the fresh layout.
 func (d *Dir) Reset(ctx context.Context) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
@@ -1001,7 +1029,7 @@ func (d *Dir) Reset(ctx context.Context) error {
 		return err
 	}
 	defer d.lock.shared()
-	if err := d.journal.Close(); err != nil && !d.closed {
+	if err := firstErr(d.journal.Close(), d.blobs.Close()); err != nil && !d.closed {
 		return fmt.Errorf("cas: %w", err)
 	}
 	for _, sub := range []string{"blobs", "journal", "quarantine", "tmp"} {
@@ -1014,6 +1042,11 @@ func (d *Dir) Reset(ctx context.Context) error {
 			return fmt.Errorf("cas: %w", err)
 		}
 	}
+	blobs, err := openBlobDir(d.path("blobs", "sha256"))
+	if err != nil {
+		return fmt.Errorf("cas: %w", err)
+	}
+	d.blobs = blobs
 	f, err := os.OpenFile(d.path("journal"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("cas: journal: %w", err)

@@ -364,6 +364,41 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// Reset recreates blobs/sha256 and reopens the handle presence is checked
+// through: a blob put after the reset is present, one from before it is
+// not, and the store reopens with nothing to drop.
+func TestResetReopensBlobHandle(t *testing.T) {
+	root := t.TempDir()
+	d, _ := openT(t, root)
+	before := withData([]byte("before reset"))
+	if err := d.PutStep(ctx, "old", before, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Reset(ctx); err != nil {
+		t.Fatal(err)
+	}
+	after := withData([]byte("after reset"))
+	if err := d.PutStep(ctx, "new", after, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !hasBlob(d, after.Digest) {
+		t.Fatal("blob put after the reset reported absent")
+	}
+	if hasBlob(d, before.Digest) {
+		t.Fatal("blob put before the reset reported present")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, rep := openT(t, root)
+	if rep.Quarantined() {
+		t.Fatalf("reopen after reset: %+v", rep)
+	}
+	if st, ok := d2.Step("new"); !ok || st.Layer != after.Digest {
+		t.Fatalf("step put after the reset: %+v, %v", st, ok)
+	}
+}
+
 // Many goroutines hammering one handle — the build pool's write pattern —
 // must neither race (run with -race) nor lose records.
 func TestConcurrentWriters(t *testing.T) {
@@ -423,11 +458,32 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
+// Puts on a closed handle fail before any blob I/O: a layer the store
+// lacks is not written, since the shared store lock that kept GC and Reset
+// out is gone.
 func TestAppendAfterCloseFails(t *testing.T) {
-	d, _ := openT(t, t.TempDir())
+	root := t.TempDir()
+	d, _ := openT(t, root)
 	d.Close()
 	if err := d.PutStep(ctx, "k", Layer{}, 0); err == nil {
 		t.Fatal("append after close succeeded")
+	}
+	if err := d.PutStep(ctx, "k", withData([]byte("step layer")), 0); err == nil {
+		t.Fatal("step put after close succeeded")
+	}
+	if err := d.PutTag(ctx, "t:1", []Layer{withData([]byte("tag layer"))}, nil); err == nil {
+		t.Fatal("tag put after close succeeded")
+	}
+	for _, sub := range []string{"blobs", "tmp"} {
+		err := filepath.WalkDir(filepath.Join(root, sub), func(p string, e os.DirEntry, err error) error {
+			if err == nil && !e.IsDir() {
+				t.Errorf("put after close wrote %s", p)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ func (d *Dir) GC(ctx context.Context, b Budget) (GCStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return GCStats{}, fmt.Errorf("cas: store is closed")
+		return GCStats{}, errClosed
 	}
 	if err := d.failpoint(OpLock); err != nil {
 		return GCStats{}, fmt.Errorf("cas: gc: %w", err)

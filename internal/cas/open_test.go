@@ -215,10 +215,13 @@ func TestParallelFsckMatchesSerialSemantics(t *testing.T) {
 }
 
 // Presence after Fsck is answered from the blob walk, but a digest the
-// walk did not list is still stat-checked — a blob written after the walk by
-// another handle is present, a missing one is not.
+// walk did not list is still checked on disk — a blob written after the
+// walk by another handle is present, a missing one is not. A malformed
+// digest is absent even where a file sits at the path it would resolve
+// to: it never reaches a path or a syscall.
 func TestPresenceFallsBackToStat(t *testing.T) {
-	d, _ := openT(t, t.TempDir())
+	root := t.TempDir()
+	d, _ := openT(t, root)
 	digest, err := putBlob(d, []byte("written after the walk"))
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +235,45 @@ func TestPresenceFallsBackToStat(t *testing.T) {
 	}
 	if present("sha256:not-a-digest") {
 		t.Fatal("malformed digest reported present")
+	}
+
+	h := strings.TrimPrefix(digest, DigestPrefix)
+	blobs := filepath.Join(root, "blobs", "sha256")
+	// plant puts a file at rel under blobs/sha256, so a malformed digest
+	// that reached the filesystem would find it.
+	plant := func(rel string) {
+		t.Helper()
+		p := filepath.Join(blobs, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte("planted"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plant(h[:2] + "/" + h[3:])         // "ab//<61>" resolves here
+	plant("../" + h[:2] + "/" + h[6:]) // "..//ab/<58>" resolves here
+	plant(h[:2] + "/" + h[2:63])       // 63 characters
+	plant(h[:2] + "/" + h[2:] + "0")   // 65 characters
+	for _, bad := range []string{
+		DigestPrefix + h[:2] + "/" + h[3:],
+		DigestPrefix + ".." + "/" + h[:2] + "/" + h[6:],
+		DigestPrefix + h[:63],
+		DigestPrefix + h + "0",
+		DigestPrefix + h[:62] + "g0",
+		DigestPrefix + h[:62] + "\x00z",
+		DigestPrefix + strings.Repeat("z", 64),
+		DigestPrefix,
+		h,
+		"sha512:" + h,
+		"",
+	} {
+		if present(bad) {
+			t.Errorf("malformed digest %q reported present", bad)
+		}
+	}
+	if !present(digest) {
+		t.Fatal("planted files hid the real blob")
 	}
 }
 

@@ -101,7 +101,8 @@ func registerShellAndCoreutils(reg *simos.BinaryRegistry, static bool) {
 // one (see image.Store.Flatten).
 func (w *World) BaseImage(distro, name string) (*image.Image, error) {
 	epoch := time.Date(2024, 5, 9, 0, 0, 0, 0, time.UTC) // the simulated kernel's base time
-	var ents []tarutil.Entry
+	// The table is built once at its final size: 48 holds every stock base.
+	ents := make([]tarutil.Entry, 0, 48)
 	add := func(p string, typ vfs.FileType, mode uint32, data, target string) {
 		// A file's size is its data's, a symlink's its target's.
 		ent := tarutil.Entry{Path: p, Target: target, Stat: vfs.Stat{
@@ -169,9 +170,19 @@ func (w *World) BaseImage(distro, name string) (*image.Image, error) {
 	}
 	file("/etc/passwd", 0o644, passwd)
 	file("/etc/group", 0o644, "root:x:0:\nnobody:x:65534:\n")
-	sort.Slice(ents, func(i, j int) bool { return tarutil.PathLess(ents[i].Path, ents[j].Path) })
+	// Sort an index, not the table: an Entry is too large to move through
+	// sort's swaps. Paths are unique, so the order is total.
+	order := make([]int, len(ents))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return tarutil.PathLess(ents[order[i]].Path, ents[order[j]].Path) })
+	sorted := make([]tarutil.Entry, len(ents))
+	for i, k := range order {
+		sorted[i] = ents[k]
+	}
 
-	return image.FromEntries(name, ents, image.Config{
+	return image.FromEntries(name, sorted, image.Config{
 		Env:    []string{"PATH=/usr/local/sbin:/usr/local/bin:/usr/sbin:/usr/bin:/sbin:/bin"},
 		Cmd:    []string{"/bin/sh"},
 		Labels: map[string]string{DistroLabel: distro},
