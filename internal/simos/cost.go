@@ -63,6 +63,3 @@ func (k *Kernel) ResetVirtualTime() { k.vclock.ns.Store(0) }
 // SetCostModel replaces the cost model (zero values charge nothing, which
 // turns the virtual clock into a pure event counter).
 func (k *Kernel) SetCostModel(m CostModel) { k.cost = m }
-
-// Cost returns the active cost model.
-func (k *Kernel) Cost() CostModel { return k.cost }

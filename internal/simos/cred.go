@@ -59,9 +59,6 @@ func (s CapSet) Has(c Capability) bool { return s&(1<<uint(c)) != 0 }
 // With returns s plus c.
 func (s CapSet) With(c Capability) CapSet { return s | 1<<uint(c) }
 
-// Without returns s minus c.
-func (s CapSet) Without(c Capability) CapSet { return s &^ (1 << uint(c)) }
-
 // Cred is a process's credential block (struct cred): the full
 // real/effective/saved/filesystem ID quartets, supplementary groups, and
 // capability sets. All IDs are stored as *global* (init-namespace) values,
@@ -108,19 +105,6 @@ func (c *Cred) CapableIn(cap Capability, target *UserNS) bool {
 // Capable is CapableIn against the process's own namespace.
 func (c *Cred) Capable(cap Capability) bool {
 	return c.CapableIn(cap, c.NS)
-}
-
-// hasGroup reports supplementary (or effective) membership in a global GID.
-func (c *Cred) hasGroup(gid int) bool {
-	if c.EGID == gid || c.FSGID == gid {
-		return true
-	}
-	for _, g := range c.Groups {
-		if g == gid {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders the namespace-local view, as id(1) would print inside the

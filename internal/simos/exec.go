@@ -58,16 +58,6 @@ func (r *BinaryRegistry) Clone() *BinaryRegistry {
 	return c
 }
 
-// Paths lists registered paths (sorted insertion order not kept; callers
-// sort if needed).
-func (r *BinaryRegistry) Paths() []string {
-	out := make([]string, 0, len(r.bins))
-	for k := range r.bins {
-		out = append(out, k)
-	}
-	return out
-}
-
 // ExecCtx is the world a running binary sees.
 type ExecCtx struct {
 	Proc *Proc

@@ -94,145 +94,133 @@ func (c *CLib) hit() {
 	c.P.k.vclock.charge(c.P.k.cost.PreloadIPC)
 }
 
-// Chown follows symlinks.
-func (c *CLib) Chown(path string, uid, gid int) errno.Errno {
+// intercept offers a call to the preload chain in order and reports
+// whether a hook claimed it; claim asks one hook and records its answer.
+// A claimed call costs one preload hit.
+func (c *CLib) intercept(claim func(h *CHook) bool) bool {
 	for _, h := range c.Hooks {
-		if h.Chown != nil {
-			if e, handled := h.Chown(c, c.P.abs(path), uid, gid, true); handled {
-				c.hit()
-				return e
-			}
+		if claim(h) {
+			c.hit()
+			return true
 		}
 	}
-	return c.P.Chown(path, uid, gid)
+	return false
 }
 
+// Chown follows symlinks.
+func (c *CLib) Chown(path string, uid, gid int) errno.Errno { return c.chown(path, uid, gid, true) }
+
 // Lchown does not follow.
-func (c *CLib) Lchown(path string, uid, gid int) errno.Errno {
-	for _, h := range c.Hooks {
+func (c *CLib) Lchown(path string, uid, gid int) errno.Errno { return c.chown(path, uid, gid, false) }
+
+func (c *CLib) chown(path string, uid, gid int, follow bool) (e errno.Errno) {
+	if c.intercept(func(h *CHook) (ok bool) {
 		if h.Chown != nil {
-			if e, handled := h.Chown(c, c.P.abs(path), uid, gid, false); handled {
-				c.hit()
-				return e
-			}
+			e, ok = h.Chown(c, c.P.abs(path), uid, gid, follow)
 		}
+		return ok
+	}) {
+		return e
 	}
-	return c.P.Lchown(path, uid, gid)
+	return c.P.chown(path, uid, gid, follow)
 }
 
 // Fchown operates on a descriptor.
-func (c *CLib) Fchown(fdn int, uid, gid int) errno.Errno {
-	for _, h := range c.Hooks {
+func (c *CLib) Fchown(fdn int, uid, gid int) (e errno.Errno) {
+	if c.intercept(func(h *CHook) (ok bool) {
 		if h.Fchown != nil {
-			if e, handled := h.Fchown(c, fdn, uid, gid); handled {
-				c.hit()
-				return e
-			}
+			e, ok = h.Fchown(c, fdn, uid, gid)
 		}
+		return ok
+	}) {
+		return e
 	}
 	return c.P.Fchown(fdn, uid, gid)
 }
 
 // Stat follows symlinks.
-func (c *CLib) Stat(path string) (vfs.Stat, errno.Errno) {
-	for _, h := range c.Hooks {
-		if h.Stat != nil {
-			if st, e, handled := h.Stat(c, c.P.abs(path), true); handled {
-				c.hit()
-				return st, e
-			}
-		}
-	}
-	return c.P.Stat(path)
-}
+func (c *CLib) Stat(path string) (vfs.Stat, errno.Errno) { return c.stat(path, true) }
 
 // Lstat does not follow.
-func (c *CLib) Lstat(path string) (vfs.Stat, errno.Errno) {
-	for _, h := range c.Hooks {
+func (c *CLib) Lstat(path string) (vfs.Stat, errno.Errno) { return c.stat(path, false) }
+
+func (c *CLib) stat(path string, follow bool) (st vfs.Stat, e errno.Errno) {
+	if c.intercept(func(h *CHook) (ok bool) {
 		if h.Stat != nil {
-			if st, e, handled := h.Stat(c, c.P.abs(path), false); handled {
-				c.hit()
-				return st, e
-			}
+			st, e, ok = h.Stat(c, c.P.abs(path), follow)
 		}
+		return ok
+	}) {
+		return st, e
 	}
-	return c.P.Lstat(path)
+	return c.P.statCommon(path, follow)
 }
 
 // Mknod creates nodes.
-func (c *CLib) Mknod(path string, mode uint32, dev vfs.Dev) errno.Errno {
-	for _, h := range c.Hooks {
+func (c *CLib) Mknod(path string, mode uint32, dev vfs.Dev) (e errno.Errno) {
+	if c.intercept(func(h *CHook) (ok bool) {
 		if h.Mknod != nil {
-			if e, handled := h.Mknod(c, c.P.abs(path), mode, dev); handled {
-				c.hit()
-				return e
-			}
+			e, ok = h.Mknod(c, c.P.abs(path), mode, dev)
 		}
+		return ok
+	}) {
+		return e
 	}
 	return c.P.Mknod(path, mode, dev)
 }
 
 // Chmod changes permissions.
-func (c *CLib) Chmod(path string, mode uint32) errno.Errno {
-	for _, h := range c.Hooks {
+func (c *CLib) Chmod(path string, mode uint32) (e errno.Errno) {
+	if c.intercept(func(h *CHook) (ok bool) {
 		if h.Chmod != nil {
-			if e, handled := h.Chmod(c, c.P.abs(path), mode); handled {
-				c.hit()
-				return e
-			}
+			e, ok = h.Chmod(c, c.P.abs(path), mode)
 		}
+		return ok
+	}) {
+		return e
 	}
 	return c.P.Chmod(path, mode)
 }
 
 // Getuid consults identity hooks (fakeroot reports uid 0).
-func (c *CLib) Getuid() int {
-	for _, h := range c.Hooks {
-		if h.GetID != nil {
-			if v, handled := h.GetID(c, "getuid"); handled {
-				c.hit()
-				return v
-			}
-		}
-	}
-	return c.P.Getuid()
-}
+func (c *CLib) Getuid() int { return c.getID("getuid", c.P.Getuid) }
 
 // Geteuid consults identity hooks.
-func (c *CLib) Geteuid() int {
-	for _, h := range c.Hooks {
+func (c *CLib) Geteuid() int { return c.getID("geteuid", c.P.Geteuid) }
+
+func (c *CLib) getID(name string, sys func() int) (v int) {
+	if c.intercept(func(h *CHook) (ok bool) {
 		if h.GetID != nil {
-			if v, handled := h.GetID(c, "geteuid"); handled {
-				c.hit()
-				return v
-			}
+			v, ok = h.GetID(c, name)
 		}
+		return ok
+	}) {
+		return v
 	}
-	return c.P.Geteuid()
+	return sys()
 }
 
 // Setuid consults identity hooks.
 func (c *CLib) Setuid(uid int) errno.Errno {
-	for _, h := range c.Hooks {
-		if h.SetID != nil {
-			if e, handled := h.SetID(c, "setuid", []int{uid}); handled {
-				c.hit()
-				return e
-			}
-		}
-	}
-	return c.P.Setuid(uid)
+	return c.setID("setuid", [3]int{uid}, 1, func() errno.Errno { return c.P.Setuid(uid) })
 }
 
 // Setresuid consults identity hooks.
 func (c *CLib) Setresuid(r, e, s int) errno.Errno {
-	for _, h := range c.Hooks {
+	return c.setID("setresuid", [3]int{r, e, s}, 3, func() errno.Errno { return c.P.Setresuid(r, e, s) })
+}
+
+// setID offers a set*id call to the identity hooks, which see its first
+// n ids, before sys makes it.
+func (c *CLib) setID(name string, ids [3]int, n int, sys func() errno.Errno) (e errno.Errno) {
+	if c.intercept(func(h *CHook) (ok bool) {
 		if h.SetID != nil {
-			if er, handled := h.SetID(c, "setresuid", []int{r, e, s}); handled {
-				c.hit()
-				return er
-			}
+			args := ids
+			e, ok = h.SetID(c, name, args[:n])
 		}
+		return ok
+	}) {
+		return e
 	}
-	return c.P.Setresuid(r, e, s)
+	return sys()
 }

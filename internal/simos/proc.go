@@ -68,14 +68,8 @@ func (k KilledBySeccomp) String() string {
 // PID returns the process ID.
 func (p *Proc) PID() int { return p.pid }
 
-// Comm returns the process name (argv[0] basename).
-func (p *Proc) Comm() string { return p.comm }
-
 // Cred exposes the credential block, for tests and the container layer.
 func (p *Proc) Cred() *Cred { return p.cred }
-
-// Arch returns the process architecture.
-func (p *Proc) Arch() *sysarch.Arch { return p.arch }
 
 // SetArch switches the process ABI (tests exercising the six tables).
 func (p *Proc) SetArch(a *sysarch.Arch) { p.arch = a }
@@ -100,9 +94,6 @@ func (p *Proc) SetNotifier(n Notifier) { p.notifier = n }
 // SetPtrace attaches a ptrace supervisor (PRoot baseline). As with real
 // ptrace, the supervisor sees every syscall from then on.
 func (p *Proc) SetPtrace(h *PtraceHook) { p.ptrace = h }
-
-// Ptrace returns the attached supervisor, if any.
-func (p *Proc) Ptrace() *PtraceHook { return p.ptrace }
 
 // AddPreload appends an LD_PRELOAD-analog hook inherited by children and
 // consulted by dynamically-linked binaries' libc layer (see CLib).
@@ -173,6 +164,16 @@ func (p *Proc) enter(name string, args ...uint64) (bool, errno.Errno) {
 		}
 	}
 	return true, errno.OK
+}
+
+// ptraceClaimed charges a call a ptrace supervisor claimed and emulated
+// in user space: the syscall entry and its two stops, which the kernel
+// never saw through enter, and the trace event.
+func (p *Proc) ptraceClaimed(name, detail string, e errno.Errno) errno.Errno {
+	p.k.counters.Syscalls.Add(1)
+	p.k.counters.PtraceStops.Add(2)
+	p.k.vclock.charge(p.k.cost.SyscallTrap + 2*p.k.cost.PtraceStop)
+	return p.trace(name, detail, e, "ptrace")
 }
 
 func (p *Proc) trace(name, detail string, e errno.Errno, handled string) errno.Errno {

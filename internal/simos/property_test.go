@@ -22,7 +22,7 @@ func TestQuickUIDMapRoundTrip(t *testing.T) {
 		ns := &UserNS{
 			name: "q", parent: newInitNS(), level: 1, ownerUID: 1000,
 		}
-		if e := ns.writeUIDMap([]MapRange{
+		if e := ns.writeMap(uidKind, []MapRange{
 			{Inside: 0, Global: int(globalBase), Count: int(count)},
 		}, 0, true); e != errno.OK {
 			return true // invalid map rejected is fine

@@ -552,6 +552,23 @@ func TestSetuidRootInInitNS(t *testing.T) {
 	}
 }
 
+// setreuid drops capabilities on the same rule as setuid and setresuid:
+// Linux's cap_task_fix_setuid applies cap_emulate_setxuid to
+// LSM_SETID_RE as it does to LSM_SETID_ID and LSM_SETID_RES.
+func TestSetreuidDropsCapsLikeSetresuid(t *testing.T) {
+	k := NewKernel()
+	root := k.NewInitProc(Mount{FS: vfs.New(), Owner: k.InitNS()}, 0, 0)
+	if e := root.Setresuid(-1, -1, 1000); e != errno.OK {
+		t.Fatalf("stash saved uid: %v", e)
+	}
+	if e := root.Setreuid(1000, 1000); e != errno.OK {
+		t.Fatalf("setreuid: %v", e)
+	}
+	if root.Cred().Capable(CapChown) {
+		t.Fatal("caps must drop when no uid is 0 any more")
+	}
+}
+
 func TestSetresuidSwapUnprivileged(t *testing.T) {
 	_, p := newHostProc(t)
 	// Unprivileged process may swap among its r/e/s set.

@@ -403,35 +403,28 @@ func (p *Proc) Utimens(path string) errno.Errno {
 
 // Chown follows symlinks, routed as libc would: chown32 on legacy 32-bit
 // ABIs, fchownat where chown does not exist.
-func (p *Proc) Chown(path string, uid, gid int) errno.Errno {
-	full := p.abs(path)
-	var name string
-	var args []uint64
-	switch {
-	case p.arch.Has("chown32"):
-		name, args = "chown32", []uint64{pathArg(full), u64(uid), u64(gid)}
-	case p.arch.Has("chown"):
-		name, args = "chown", []uint64{pathArg(full), u64(uid), u64(gid)}
-	default:
-		name, args = "fchownat", []uint64{u64(AtFDCWD), pathArg(full), u64(uid), u64(gid), 0}
-	}
-	return p.chownGate(name, args, full, uid, gid, true)
-}
+func (p *Proc) Chown(path string, uid, gid int) errno.Errno { return p.chown(path, uid, gid, true) }
 
-// Lchown does not follow a trailing symlink.
-func (p *Proc) Lchown(path string, uid, gid int) errno.Errno {
+// Lchown does not follow a trailing symlink; it routes like Chown, to
+// lchown32, lchown or fchownat with AT_SYMLINK_NOFOLLOW.
+func (p *Proc) Lchown(path string, uid, gid int) errno.Errno { return p.chown(path, uid, gid, false) }
+
+func (p *Proc) chown(path string, uid, gid int, follow bool) errno.Errno {
 	full := p.abs(path)
-	var name string
-	var args []uint64
-	switch {
-	case p.arch.Has("lchown32"):
-		name, args = "lchown32", []uint64{pathArg(full), u64(uid), u64(gid)}
-	case p.arch.Has("lchown"):
-		name, args = "lchown", []uint64{pathArg(full), u64(uid), u64(gid)}
-	default:
-		name, args = "fchownat", []uint64{u64(AtFDCWD), pathArg(full), u64(uid), u64(gid), 0x100} // AT_SYMLINK_NOFOLLOW
+	name, name32, flags := "chown", "chown32", uint64(0)
+	if !follow {
+		name, name32, flags = "lchown", "lchown32", 0x100 // AT_SYMLINK_NOFOLLOW
 	}
-	return p.chownGate(name, args, full, uid, gid, false)
+	if p.arch.Has(name32) {
+		name = name32
+	}
+	var args []uint64
+	if p.arch.Has(name) {
+		args = []uint64{pathArg(full), u64(uid), u64(gid)}
+	} else {
+		name, args = "fchownat", []uint64{u64(AtFDCWD), pathArg(full), u64(uid), u64(gid), flags}
+	}
+	return p.chownGate(name, args, full, uid, gid, follow)
 }
 
 // Fchownat is the modern entry point, used directly by rpm's cpio layer.
@@ -468,10 +461,7 @@ func (p *Proc) Fchown(fdn int, uid, gid int) errno.Errno {
 func (p *Proc) chownGate(name string, args []uint64, full string, uid, gid int, follow bool) errno.Errno {
 	if p.ptrace != nil && p.ptrace.Chown != nil {
 		if e, handled := p.ptrace.Chown(p, full, uid, gid, follow); handled {
-			p.k.counters.Syscalls.Add(1)
-			p.k.counters.PtraceStops.Add(2)
-			p.k.vclock.charge(p.k.cost.SyscallTrap + 2*p.k.cost.PtraceStop)
-			return p.trace(name, full, e, "ptrace")
+			return p.ptraceClaimed(name, full, e)
 		}
 	}
 	if ok, e := p.enter(name, args...); !ok {
@@ -488,20 +478,10 @@ func (p *Proc) chownGate(name string, args []uint64, full string, uid, gid int, 
 // translateChownIDs maps namespace-local chown targets to global IDs;
 // unmapped IDs are EINVAL — the make_kuid failure of Figure 1b.
 func (p *Proc) translateChownIDs(uid, gid int) (int, int, errno.Errno) {
-	kuid, kgid := -1, -1
-	if uid != -1 {
-		var ok bool
-		kuid, ok = p.cred.NS.UIDToGlobal(uid)
-		if !ok {
-			return 0, 0, errno.EINVAL
-		}
-	}
-	if gid != -1 {
-		var ok bool
-		kgid, ok = p.cred.NS.GIDToGlobal(gid)
-		if !ok {
-			return 0, 0, errno.EINVAL
-		}
+	kuid, uok := uidKind.argToGlobal(p.cred.NS, uid)
+	kgid, gok := gidKind.argToGlobal(p.cred.NS, gid)
+	if !uok || !gok {
+		return 0, 0, errno.EINVAL
 	}
 	return kuid, kgid, errno.OK
 }
@@ -520,10 +500,7 @@ func (p *Proc) Mknod(path string, mode uint32, dev vfs.Dev) errno.Errno {
 	}
 	if p.ptrace != nil && p.ptrace.Mknod != nil {
 		if e, handled := p.ptrace.Mknod(p, full, mode, dev); handled {
-			p.k.counters.Syscalls.Add(1)
-			p.k.counters.PtraceStops.Add(2)
-			p.k.vclock.charge(p.k.cost.SyscallTrap + 2*p.k.cost.PtraceStop)
-			return p.trace(name, full, e, "ptrace")
+			return p.ptraceClaimed(name, full, e)
 		}
 	}
 	if ok, e := p.enter(name, args...); !ok {

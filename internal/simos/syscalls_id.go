@@ -18,52 +18,73 @@ func (p *Proc) idSysname(generic string) string {
 	return generic
 }
 
-// Getuid returns the real UID in the caller's namespace view.
-func (p *Proc) Getuid() int {
-	if v, handled := p.consultGetID("getuid"); handled {
-		return v
+// idKind is what separates a uid call from its gid twin: the capability
+// a change needs, the namespace map and view it translates through
+// (UserNS.idMap), the real/effective/saved/fs quartet it reads and
+// writes, and whether a change re-derives capabilities. Each credential
+// rule below is written once, over a kind.
+type idKind int
+
+const (
+	uidKind idKind = iota
+	gidKind
+)
+
+// capability is what lets a change bypass the rule's allowed-ID checks.
+func (k idKind) capability() Capability {
+	if k == gidKind {
+		return CapSetgid
 	}
-	if ok, _ := p.enter(p.idSysname("getuid")); !ok {
-		return OverflowUID
-	}
-	p.trace("getuid", "", errno.OK, "")
-	return p.cred.NS.ViewUID(p.cred.RUID)
+	return CapSetuid
 }
+
+// argToGlobal translates an ID argument where -1 means "keep"; !ok
+// means the ID is unmapped.
+func (k idKind) argToGlobal(ns *UserNS, id int) (int, bool) {
+	if id == -1 {
+		return -1, true
+	}
+	return ns.toGlobal(k, id)
+}
+
+// quartet returns c's real, effective, saved and fs IDs of kind k.
+func (k idKind) quartet(c *Cred) (r, e, s, fs *int) {
+	if k == gidKind {
+		return &c.RGID, &c.EGID, &c.SGID, &c.FSGID
+	}
+	return &c.RUID, &c.EUID, &c.SUID, &c.FSUID
+}
+
+// dropsCaps reports whether a change re-derives capabilities: only uid
+// changes do (cap_emulate_setxuid).
+func (k idKind) dropsCaps() bool { return k == uidKind }
+
+// Getuid returns the real UID in the caller's namespace view.
+func (p *Proc) Getuid() int { return p.getID("getuid", uidKind, false) }
 
 // Geteuid returns the effective UID view.
-func (p *Proc) Geteuid() int {
-	if v, handled := p.consultGetID("geteuid"); handled {
-		return v
-	}
-	if ok, _ := p.enter(p.idSysname("geteuid")); !ok {
-		return OverflowUID
-	}
-	p.trace("geteuid", "", errno.OK, "")
-	return p.cred.NS.ViewUID(p.cred.EUID)
-}
+func (p *Proc) Geteuid() int { return p.getID("geteuid", uidKind, true) }
 
 // Getgid returns the real GID view.
-func (p *Proc) Getgid() int {
-	if v, handled := p.consultGetID("getgid"); handled {
-		return v
-	}
-	if ok, _ := p.enter(p.idSysname("getgid")); !ok {
-		return OverflowUID
-	}
-	p.trace("getgid", "", errno.OK, "")
-	return p.cred.NS.ViewGID(p.cred.RGID)
-}
+func (p *Proc) Getgid() int { return p.getID("getgid", gidKind, false) }
 
 // Getegid returns the effective GID view.
-func (p *Proc) Getegid() int {
-	if v, handled := p.consultGetID("getegid"); handled {
+func (p *Proc) Getegid() int { return p.getID("getegid", gidKind, true) }
+
+// getID returns the real (or effective) ID of kind k.
+func (p *Proc) getID(name string, k idKind, effective bool) int {
+	if v, handled := p.consultGetID(name); handled {
 		return v
 	}
-	if ok, _ := p.enter(p.idSysname("getegid")); !ok {
+	if ok, _ := p.enter(p.idSysname(name)); !ok {
 		return OverflowUID
 	}
-	p.trace("getegid", "", errno.OK, "")
-	return p.cred.NS.ViewGID(p.cred.EGID)
+	p.trace(name, "", errno.OK, "")
+	r, e, _, _ := k.quartet(p.cred)
+	if effective {
+		r = e
+	}
+	return p.cred.NS.view(k, *r)
 }
 
 // consultGetID lets a ptrace supervisor (PRoot with fake-id mode) claim
@@ -71,10 +92,7 @@ func (p *Proc) Getegid() int {
 func (p *Proc) consultGetID(name string) (int, bool) {
 	if p.ptrace != nil && p.ptrace.GetID != nil {
 		if v, handled := p.ptrace.GetID(p, name); handled {
-			p.k.counters.Syscalls.Add(1)
-			p.k.counters.PtraceStops.Add(2)
-			p.k.vclock.charge(p.k.cost.SyscallTrap + 2*p.k.cost.PtraceStop)
-			p.trace(name, "", errno.OK, "ptrace")
+			p.ptraceClaimed(name, "", errno.OK)
 			return v, true
 		}
 	}
@@ -84,29 +102,22 @@ func (p *Proc) consultGetID(name string) (int, bool) {
 // Getresuid returns the real/effective/saved UID views — apt's
 // verification call. A ptrace supervisor with fake-id mode (PRoot) may
 // claim it, keeping the triple consistent with earlier faked set*id.
-func (p *Proc) Getresuid() (r, e, s int, err errno.Errno) {
-	if v, ok := p.consultGetID("getresuid"); ok {
-		return v, v, v, errno.OK
-	}
-	if ok, e2 := p.enter("getresuid", 0, 0, 0); !ok {
-		return 0, 0, 0, e2
-	}
-	p.trace("getresuid", "", errno.OK, "")
-	ns := p.cred.NS
-	return ns.ViewUID(p.cred.RUID), ns.ViewUID(p.cred.EUID), ns.ViewUID(p.cred.SUID), errno.OK
-}
+func (p *Proc) Getresuid() (r, e, s int, err errno.Errno) { return p.getresID("getresuid", uidKind) }
 
 // Getresgid returns the GID triple views.
-func (p *Proc) Getresgid() (r, e, s int, err errno.Errno) {
-	if v, ok := p.consultGetID("getresgid"); ok {
+func (p *Proc) Getresgid() (r, e, s int, err errno.Errno) { return p.getresID("getresgid", gidKind) }
+
+func (p *Proc) getresID(name string, k idKind) (r, e, s int, err errno.Errno) {
+	if v, ok := p.consultGetID(name); ok {
 		return v, v, v, errno.OK
 	}
-	if ok, e2 := p.enter("getresgid", 0, 0, 0); !ok {
+	if ok, e2 := p.enter(name, 0, 0, 0); !ok {
 		return 0, 0, 0, e2
 	}
-	p.trace("getresgid", "", errno.OK, "")
+	p.trace(name, "", errno.OK, "")
 	ns := p.cred.NS
-	return ns.ViewGID(p.cred.RGID), ns.ViewGID(p.cred.EGID), ns.ViewGID(p.cred.SGID), errno.OK
+	kr, ke, ks, _ := k.quartet(p.cred)
+	return ns.view(k, *kr), ns.view(k, *ke), ns.view(k, *ks), errno.OK
 }
 
 // Getgroups returns supplementary groups as namespace views.
@@ -125,48 +136,31 @@ func (p *Proc) Getgroups() ([]int, errno.Errno) {
 // Setuid implements setuid(2): with CAP_SETUID all four UIDs change;
 // otherwise uid must equal the real or saved UID and only the effective
 // (and fs) UID changes.
-func (p *Proc) Setuid(uid int) errno.Errno {
-	name := p.idSysname("setuid")
-	if e, handled := p.consultSetID(name, []int{uid}); handled {
-		return e
-	}
-	if ok, e := p.enter(name, u64(uid)); !ok {
-		return e
-	}
-	kuid, ok := p.cred.NS.UIDToGlobal(uid)
-	if !ok {
-		return p.trace(name, "", errno.EINVAL, "")
-	}
-	c := p.cred
-	if c.Capable(CapSetuid) {
-		c.RUID, c.EUID, c.SUID, c.FSUID = kuid, kuid, kuid, kuid
-		p.maybeDropCaps()
-	} else if kuid == c.RUID || kuid == c.SUID {
-		c.EUID, c.FSUID = kuid, kuid
-	} else {
-		return p.trace(name, "", errno.EPERM, "")
-	}
-	return p.trace(name, "", errno.OK, "")
-}
+func (p *Proc) Setuid(uid int) errno.Errno { return p.setID("setuid", uidKind, uid) }
 
 // Setgid implements setgid(2) with the analogous rules.
-func (p *Proc) Setgid(gid int) errno.Errno {
-	name := p.idSysname("setgid")
-	if e, handled := p.consultSetID(name, []int{gid}); handled {
+func (p *Proc) Setgid(gid int) errno.Errno { return p.setID("setgid", gidKind, gid) }
+
+func (p *Proc) setID(generic string, k idKind, id int) errno.Errno {
+	name := p.idSysname(generic)
+	if e, handled := p.consultSetID(name, []int{id}); handled {
 		return e
 	}
-	if ok, e := p.enter(name, u64(gid)); !ok {
+	if ok, e := p.enter(name, u64(id)); !ok {
 		return e
 	}
-	kgid, ok := p.cred.NS.GIDToGlobal(gid)
+	kid, ok := p.cred.NS.toGlobal(k, id)
 	if !ok {
 		return p.trace(name, "", errno.EINVAL, "")
 	}
-	c := p.cred
-	if c.Capable(CapSetgid) {
-		c.RGID, c.EGID, c.SGID, c.FSGID = kgid, kgid, kgid, kgid
-	} else if kgid == c.RGID || kgid == c.SGID {
-		c.EGID, c.FSGID = kgid, kgid
+	r, e, s, fs := k.quartet(p.cred)
+	if p.cred.Capable(k.capability()) {
+		*r, *e, *s, *fs = kid, kid, kid, kid
+		if k.dropsCaps() {
+			p.maybeDropCaps()
+		}
+	} else if kid == *r || kid == *s {
+		*e, *fs = kid, kid
 	} else {
 		return p.trace(name, "", errno.EPERM, "")
 	}
@@ -177,232 +171,95 @@ func (p *Proc) Setgid(gid int) errno.Errno {
 // call apt's sandbox uses to become _apt. A ptrace supervisor (PRoot)
 // may claim it and fake the drop in user space.
 func (p *Proc) Setresuid(ruid, euid, suid int) errno.Errno {
-	name := p.idSysname("setresuid")
-	if e, handled := p.consultSetID(name, []int{ruid, euid, suid}); handled {
-		return e
-	}
-	if ok, e := p.enter(name, u64(ruid), u64(euid), u64(suid)); !ok {
-		return e
-	}
-	c := p.cred
-	translate := func(v int) (int, errno.Errno) {
-		if v == -1 {
-			return -1, errno.OK
-		}
-		kv, ok := p.cred.NS.UIDToGlobal(v)
-		if !ok {
-			return 0, errno.EINVAL
-		}
-		return kv, errno.OK
-	}
-	kr, e := translate(ruid)
-	if e != errno.OK {
-		return p.trace(name, "", e, "")
-	}
-	ke, e := translate(euid)
-	if e != errno.OK {
-		return p.trace(name, "", e, "")
-	}
-	ks, e := translate(suid)
-	if e != errno.OK {
-		return p.trace(name, "", e, "")
-	}
-	if !c.Capable(CapSetuid) {
-		allowed := func(v int) bool {
-			return v == -1 || v == c.RUID || v == c.EUID || v == c.SUID
-		}
-		if !allowed(kr) || !allowed(ke) || !allowed(ks) {
-			return p.trace(name, "", errno.EPERM, "")
-		}
-	}
-	if kr != -1 {
-		c.RUID = kr
-	}
-	if ke != -1 {
-		c.EUID = ke
-		c.FSUID = ke
-	}
-	if ks != -1 {
-		c.SUID = ks
-	}
-	p.maybeDropCaps()
-	return p.trace(name, "", errno.OK, "")
+	return p.setresID("setresuid", uidKind, ruid, euid, suid)
 }
 
 // Setresgid implements setresgid(2).
 func (p *Proc) Setresgid(rgid, egid, sgid int) errno.Errno {
-	name := p.idSysname("setresgid")
-	if e, handled := p.consultSetID(name, []int{rgid, egid, sgid}); handled {
-		return e
-	}
-	if ok, e := p.enter(name, u64(rgid), u64(egid), u64(sgid)); !ok {
-		return e
-	}
-	c := p.cred
-	translate := func(v int) (int, errno.Errno) {
-		if v == -1 {
-			return -1, errno.OK
-		}
-		kv, ok := p.cred.NS.GIDToGlobal(v)
-		if !ok {
-			return 0, errno.EINVAL
-		}
-		return kv, errno.OK
-	}
-	kr, e := translate(rgid)
-	if e != errno.OK {
-		return p.trace(name, "", e, "")
-	}
-	ke, e := translate(egid)
-	if e != errno.OK {
-		return p.trace(name, "", e, "")
-	}
-	ks, e := translate(sgid)
-	if e != errno.OK {
-		return p.trace(name, "", e, "")
-	}
-	if !c.Capable(CapSetgid) {
-		allowed := func(v int) bool {
-			return v == -1 || v == c.RGID || v == c.EGID || v == c.SGID
-		}
-		if !allowed(kr) || !allowed(ke) || !allowed(ks) {
-			return p.trace(name, "", errno.EPERM, "")
-		}
-	}
-	if kr != -1 {
-		c.RGID = kr
-	}
-	if ke != -1 {
-		c.EGID = ke
-		c.FSGID = ke
-	}
-	if ks != -1 {
-		c.SGID = ks
-	}
-	return p.trace(name, "", errno.OK, "")
+	return p.setresID("setresgid", gidKind, rgid, egid, sgid)
 }
 
 // Setreuid implements setreuid(2).
 func (p *Proc) Setreuid(ruid, euid int) errno.Errno {
-	name := p.idSysname("setreuid")
-	if e, handled := p.consultSetID(name, []int{ruid, euid}); handled {
-		return e
-	}
-	if ok, e := p.enter(name, u64(ruid), u64(euid)); !ok {
-		return e
-	}
-	// Delegate to the setresuid rules with suid unchanged, close enough
-	// to the kernel's (which also updates suid in some transitions).
-	c := p.cred
-	translate := func(v int) (int, bool) {
-		if v == -1 {
-			return -1, true
-		}
-		return p.cred.NS.UIDToGlobal(v)
-	}
-	kr, ok := translate(ruid)
-	if !ok {
-		return p.trace(name, "", errno.EINVAL, "")
-	}
-	ke, ok := translate(euid)
-	if !ok {
-		return p.trace(name, "", errno.EINVAL, "")
-	}
-	if !c.Capable(CapSetuid) {
-		allowed := func(v int) bool { return v == -1 || v == c.RUID || v == c.EUID || v == c.SUID }
-		if !allowed(kr) || !allowed(ke) {
-			return p.trace(name, "", errno.EPERM, "")
-		}
-	}
-	if kr != -1 {
-		c.RUID = kr
-	}
-	if ke != -1 {
-		c.EUID = ke
-		c.FSUID = ke
-	}
-	return p.trace(name, "", errno.OK, "")
+	return p.setresID("setreuid", uidKind, ruid, euid)
 }
 
 // Setregid implements setregid(2).
 func (p *Proc) Setregid(rgid, egid int) errno.Errno {
-	name := p.idSysname("setregid")
-	if e, handled := p.consultSetID(name, []int{rgid, egid}); handled {
+	return p.setresID("setregid", gidKind, rgid, egid)
+}
+
+// setresID implements setres[ug]id(2) over ids (real, effective, saved);
+// -1 keeps a field. setre[ug]id(2) passes two ids and so follows the
+// setres rules with the saved ID unchanged, close enough to the kernel's
+// (which also updates it in some transitions).
+func (p *Proc) setresID(generic string, k idKind, ids ...int) errno.Errno {
+	name := p.idSysname(generic)
+	if e, handled := p.consultSetID(name, ids); handled {
 		return e
 	}
-	if ok, e := p.enter(name, u64(rgid), u64(egid)); !ok {
+	var args [3]uint64
+	for i, v := range ids {
+		args[i] = u64(v)
+	}
+	if ok, e := p.enter(name, args[:len(ids)]...); !ok {
 		return e
 	}
-	c := p.cred
-	translate := func(v int) (int, bool) {
-		if v == -1 {
-			return -1, true
+	kids := [3]int{-1, -1, -1}
+	for i, v := range ids {
+		kv, ok := k.argToGlobal(p.cred.NS, v)
+		if !ok {
+			return p.trace(name, "", errno.EINVAL, "")
 		}
-		return p.cred.NS.GIDToGlobal(v)
+		kids[i] = kv
 	}
-	kr, ok := translate(rgid)
-	if !ok {
-		return p.trace(name, "", errno.EINVAL, "")
-	}
-	ke, ok := translate(egid)
-	if !ok {
-		return p.trace(name, "", errno.EINVAL, "")
-	}
-	if !c.Capable(CapSetgid) {
-		allowed := func(v int) bool { return v == -1 || v == c.RGID || v == c.EGID || v == c.SGID }
-		if !allowed(kr) || !allowed(ke) {
-			return p.trace(name, "", errno.EPERM, "")
+	r, e, s, fs := k.quartet(p.cred)
+	if !p.cred.Capable(k.capability()) {
+		for _, v := range kids {
+			if v != -1 && v != *r && v != *e && v != *s {
+				return p.trace(name, "", errno.EPERM, "")
+			}
 		}
 	}
-	if kr != -1 {
-		c.RGID = kr
+	if kids[0] != -1 {
+		*r = kids[0]
 	}
-	if ke != -1 {
-		c.EGID = ke
-		c.FSGID = ke
+	if kids[1] != -1 {
+		*e, *fs = kids[1], kids[1]
+	}
+	if kids[2] != -1 {
+		*s = kids[2]
+	}
+	if k.dropsCaps() {
+		p.maybeDropCaps()
 	}
 	return p.trace(name, "", errno.OK, "")
 }
 
 // Setfsuid implements setfsuid(2)'s odd contract: returns the previous
 // fsuid and never fails; invalid requests simply change nothing.
-func (p *Proc) Setfsuid(uid int) int {
-	name := p.idSysname("setfsuid")
-	old := p.cred.NS.ViewUID(p.cred.FSUID)
-	if ok, _ := p.enter(name, u64(uid)); !ok {
+func (p *Proc) Setfsuid(uid int) int { return p.setfsID("setfsuid", uidKind, uid) }
+
+// Setfsgid implements setfsgid(2).
+func (p *Proc) Setfsgid(gid int) int { return p.setfsID("setfsgid", gidKind, gid) }
+
+func (p *Proc) setfsID(generic string, k idKind, id int) int {
+	name := p.idSysname(generic)
+	r, e, s, fs := k.quartet(p.cred)
+	old := p.cred.NS.view(k, *fs)
+	if ok, _ := p.enter(name, u64(id)); !ok {
 		// Under the zero-consistency filter this path returns the faked
 		// success value 0 — which callers interpret as "previous fsuid
 		// was root". Harmless for build tools.
 		return 0
 	}
-	kuid, ok := p.cred.NS.UIDToGlobal(uid)
+	kid, ok := p.cred.NS.toGlobal(k, id)
 	if !ok {
 		p.trace(name, "", errno.OK, "")
 		return old
 	}
-	c := p.cred
-	if c.Capable(CapSetuid) || kuid == c.RUID || kuid == c.EUID || kuid == c.SUID || kuid == c.FSUID {
-		c.FSUID = kuid
-	}
-	p.trace(name, "", errno.OK, "")
-	return old
-}
-
-// Setfsgid implements setfsgid(2).
-func (p *Proc) Setfsgid(gid int) int {
-	name := p.idSysname("setfsgid")
-	old := p.cred.NS.ViewGID(p.cred.FSGID)
-	if ok, _ := p.enter(name, u64(gid)); !ok {
-		return 0
-	}
-	kgid, ok := p.cred.NS.GIDToGlobal(gid)
-	if !ok {
-		p.trace(name, "", errno.OK, "")
-		return old
-	}
-	c := p.cred
-	if c.Capable(CapSetgid) || kgid == c.RGID || kgid == c.EGID || kgid == c.SGID || kgid == c.FSGID {
-		c.FSGID = kgid
+	if p.cred.Capable(k.capability()) || kid == *r || kid == *e || kid == *s || kid == *fs {
+		*fs = kid
 	}
 	p.trace(name, "", errno.OK, "")
 	return old
@@ -439,11 +296,7 @@ func (p *Proc) Setgroups(gids []int) errno.Errno {
 func (p *Proc) consultSetID(name string, args []int) (errno.Errno, bool) {
 	if p.ptrace != nil && p.ptrace.SetID != nil {
 		if e, handled := p.ptrace.SetID(p, name, args); handled {
-			p.k.counters.Syscalls.Add(1)
-			p.k.counters.PtraceStops.Add(2)
-			p.k.vclock.charge(p.k.cost.SyscallTrap + 2*p.k.cost.PtraceStop)
-			p.trace(name, "", e, "ptrace")
-			return e, true
+			return p.ptraceClaimed(name, "", e), true
 		}
 	}
 	return errno.OK, false

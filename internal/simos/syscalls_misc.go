@@ -96,25 +96,22 @@ func (p *Proc) UnshareUser() errno.Errno {
 // Type II setups via newuidmap) requires CAP_SETUID in the parent
 // namespace, which the helper — not the user — holds.
 func (p *Proc) WriteUIDMap(entries []MapRange) errno.Errno {
-	ns := p.cred.NS
-	if ns.parent == nil {
-		return errno.EPERM // cannot rewrite the init map
-	}
-	privileged := p.cred.CapableIn(CapSetuid, ns.parent)
-	e := ns.writeUIDMap(entries, p.cred.EUID, privileged)
-	p.trace("write", "/proc/self/uid_map", e, "")
-	return e
+	return p.writeMap(uidKind, "/proc/self/uid_map", entries)
 }
 
 // WriteGIDMap models writing /proc/self/gid_map.
 func (p *Proc) WriteGIDMap(entries []MapRange) errno.Errno {
+	return p.writeMap(gidKind, "/proc/self/gid_map", entries)
+}
+
+func (p *Proc) writeMap(k idKind, file string, entries []MapRange) errno.Errno {
 	ns := p.cred.NS
 	if ns.parent == nil {
-		return errno.EPERM
+		return errno.EPERM // cannot rewrite the init map
 	}
-	privileged := p.cred.CapableIn(CapSetgid, ns.parent)
-	e := ns.writeGIDMap(entries, p.cred.EGID, privileged)
-	p.trace("write", "/proc/self/gid_map", e, "")
+	_, writer, _, _ := k.quartet(p.cred)
+	e := ns.writeMap(k, entries, *writer, p.cred.CapableIn(k.capability(), ns.parent))
+	p.trace("write", file, e, "")
 	return e
 }
 
@@ -140,10 +137,10 @@ func HelperWriteMaps(p *Proc, uidMaps, gidMaps []MapRange) error {
 	if ns.parent == nil {
 		return errno.EPERM
 	}
-	if e := ns.writeUIDMap(uidMaps, p.cred.EUID, true); e != errno.OK {
+	if e := ns.writeMap(uidKind, uidMaps, p.cred.EUID, true); e != errno.OK {
 		return e
 	}
-	if e := ns.writeGIDMap(gidMaps, p.cred.EGID, true); e != errno.OK {
+	if e := ns.writeMap(gidKind, gidMaps, p.cred.EGID, true); e != errno.OK {
 		return e
 	}
 	return nil

@@ -81,14 +81,8 @@ func newInitNS() *UserNS {
 // Name returns the diagnostic name.
 func (ns *UserNS) Name() string { return ns.name }
 
-// Parent returns the parent namespace, nil for the init namespace.
-func (ns *UserNS) Parent() *UserNS { return ns.parent }
-
 // Level returns the nesting depth (0 = init).
 func (ns *UserNS) Level() int { return ns.level }
-
-// OwnerUID returns the global EUID of the namespace creator.
-func (ns *UserNS) OwnerUID() int { return ns.ownerUID }
 
 func translate(m []MapRange, inside int) (int, bool) {
 	for _, r := range m {
@@ -108,76 +102,61 @@ func reverse(m []MapRange, global int) (int, bool) {
 	return 0, false
 }
 
+// idMap returns the uid_map or gid_map, by kind.
+func (ns *UserNS) idMap(k idKind) *[]MapRange {
+	if k == gidKind {
+		return &ns.gidMap
+	}
+	return &ns.uidMap
+}
+
+func (ns *UserNS) toGlobal(k idKind, inside int) (int, bool) {
+	ns.mu.RLock()
+	defer ns.mu.RUnlock()
+	return translate(*ns.idMap(k), inside)
+}
+
+func (ns *UserNS) fromGlobal(k idKind, global int) (int, bool) {
+	ns.mu.RLock()
+	defer ns.mu.RUnlock()
+	return reverse(*ns.idMap(k), global)
+}
+
+// view renders a global ID as this namespace sees it, substituting
+// OverflowUID for unmapped IDs (what ls -l shows as 65534/nobody).
+func (ns *UserNS) view(k idKind, global int) int {
+	if v, ok := ns.fromGlobal(k, global); ok {
+		return v
+	}
+	return OverflowUID
+}
+
 // UIDToGlobal translates a namespace-local UID to a global one; !ok means
 // the ID is unmapped — the make_kuid failure that surfaces as EINVAL from
 // chown and setuid, the exact failure in Figure 1b.
-func (ns *UserNS) UIDToGlobal(inside int) (int, bool) {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	return translate(ns.uidMap, inside)
-}
+func (ns *UserNS) UIDToGlobal(inside int) (int, bool) { return ns.toGlobal(uidKind, inside) }
 
 // UIDFromGlobal translates a global UID into this namespace's view; !ok
 // callers render OverflowUID.
-func (ns *UserNS) UIDFromGlobal(global int) (int, bool) {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	return reverse(ns.uidMap, global)
-}
+func (ns *UserNS) UIDFromGlobal(global int) (int, bool) { return ns.fromGlobal(uidKind, global) }
 
 // GIDToGlobal is UIDToGlobal for groups.
-func (ns *UserNS) GIDToGlobal(inside int) (int, bool) {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	return translate(ns.gidMap, inside)
-}
+func (ns *UserNS) GIDToGlobal(inside int) (int, bool) { return ns.toGlobal(gidKind, inside) }
 
 // GIDFromGlobal is UIDFromGlobal for groups.
-func (ns *UserNS) GIDFromGlobal(global int) (int, bool) {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	return reverse(ns.gidMap, global)
-}
+func (ns *UserNS) GIDFromGlobal(global int) (int, bool) { return ns.fromGlobal(gidKind, global) }
 
-// ViewUID renders a global UID as this namespace sees it, substituting
-// OverflowUID for unmapped IDs (what ls -l shows as 65534/nobody).
-func (ns *UserNS) ViewUID(global int) int {
-	if v, ok := ns.UIDFromGlobal(global); ok {
-		return v
-	}
-	return OverflowUID
-}
+// ViewUID renders a global UID as this namespace sees it.
+func (ns *UserNS) ViewUID(global int) int { return ns.view(uidKind, global) }
 
 // ViewGID is ViewUID for groups.
-func (ns *UserNS) ViewGID(global int) int {
-	if v, ok := ns.GIDFromGlobal(global); ok {
-		return v
-	}
-	return OverflowUID
-}
-
-// Mapped reports whether uid_map has been written.
-func (ns *UserNS) Mapped() bool {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	return len(ns.uidMap) > 0
-}
+func (ns *UserNS) ViewGID(global int) int { return ns.view(gidKind, global) }
 
 // SetgroupsDenied reports whether setgroups(2) has been disabled.
 func (ns *UserNS) SetgroupsDenied() bool {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 	return ns.setgroupsState == setgroupsDenied
-}
-
-// IsAncestorOf reports whether ns is a strict ancestor of other.
-func (ns *UserNS) IsAncestorOf(other *UserNS) bool {
-	for p := other.parent; p != nil; p = p.parent {
-		if p == ns {
-			return true
-		}
-	}
-	return false
 }
 
 func (ns *UserNS) String() string {
@@ -196,47 +175,29 @@ func (ns *UserNS) denySetgroups() errno.Errno {
 	return errno.OK
 }
 
-// writeUIDMap installs the uid_map. Kernel rules enforced: write-once;
-// unprivileged writers (no CAP_SETUID in the *parent* namespace) may
-// install exactly one single-ID range mapping to their own EUID.
-func (ns *UserNS) writeUIDMap(entries []MapRange, writerGlobalEUID int, privileged bool) errno.Errno {
+// writeMap installs the uid_map or gid_map. Kernel rules enforced:
+// write-once; unprivileged writers (no CAP_SETUID or CAP_SETGID in the
+// *parent* namespace) may install exactly one single-ID range mapping to
+// their own effective ID, and a gid_map only after setgroups was denied.
+func (ns *UserNS) writeMap(k idKind, entries []MapRange, writerGlobalID int, privileged bool) errno.Errno {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if len(ns.uidMap) > 0 {
+	m := ns.idMap(k)
+	if len(*m) > 0 {
 		return errno.EPERM // write-once
 	}
 	if err := validateMap(entries); err != errno.OK {
 		return err
 	}
 	if !privileged {
-		if len(entries) != 1 || entries[0].Count != 1 || entries[0].Global != writerGlobalEUID {
+		if k == gidKind && ns.setgroupsState != setgroupsDenied {
+			return errno.EPERM
+		}
+		if len(entries) != 1 || entries[0].Count != 1 || entries[0].Global != writerGlobalID {
 			return errno.EPERM
 		}
 	}
-	ns.uidMap = append([]MapRange{}, entries...)
-	return errno.OK
-}
-
-// writeGIDMap installs the gid_map, with the additional unprivileged rule
-// that setgroups must have been denied first.
-func (ns *UserNS) writeGIDMap(entries []MapRange, writerGlobalEGID int, privileged bool) errno.Errno {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	if len(ns.gidMap) > 0 {
-		return errno.EPERM
-	}
-	if err := validateMap(entries); err != errno.OK {
-		return err
-	}
-	if !privileged {
-		if ns.setgroupsState != setgroupsDenied {
-			return errno.EPERM
-		}
-		if len(entries) != 1 || entries[0].Count != 1 || entries[0].Global != writerGlobalEGID {
-			return errno.EPERM
-		}
-	}
-	ns.gidMap = append([]MapRange{}, entries...)
+	*m = append([]MapRange{}, entries...)
 	return errno.OK
 }
 
