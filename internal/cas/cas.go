@@ -213,11 +213,7 @@ func Open(root string, opts ...Option) (*Dir, Report, error) {
 	}
 	d.lock = lk
 	fail := func(err error) (*Dir, Report, error) {
-		if d.journal != nil {
-			d.journal.Close()
-		}
-		blobs.Close()
-		lk.close()
+		d.teardownLocked()
 		return nil, d.report, err
 	}
 	// Stranded temp files are crash litter from interrupted blob writes;
@@ -425,15 +421,25 @@ func (d *Dir) Report() Report {
 func (d *Dir) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.teardownLocked()
+}
+
+// teardownLocked releases what an open handle holds (the journal, the
+// blobs/sha256 handle and the store lock) and marks it closed; on a
+// closed handle it does nothing. Every way a handle closes ends here:
+// Close, Open's failure path and a journal that cannot be reopened after
+// a compaction. Callers hold d.mu, or are Open with the handle not yet
+// shared.
+func (d *Dir) teardownLocked() error {
 	if d.closed {
 		return nil
 	}
 	d.closed = true
-	err := firstErr(d.journal.Close(), d.blobs.Close())
-	if lerr := d.lock.close(); err == nil {
-		err = lerr
+	var jerr error
+	if d.journal != nil {
+		jerr = d.journal.Close()
 	}
-	return err
+	return firstErr(jerr, d.blobs.Close(), d.lock.close())
 }
 
 func (d *Dir) path(parts ...string) string {
@@ -1022,6 +1028,9 @@ func (d *Dir) Reset(ctx context.Context) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.closed {
+		return errClosed
+	}
 	if err := d.failpoint(OpLock); err != nil {
 		return fmt.Errorf("cas: reset: %w", err)
 	}
@@ -1029,7 +1038,7 @@ func (d *Dir) Reset(ctx context.Context) error {
 		return err
 	}
 	defer d.lock.shared()
-	if err := firstErr(d.journal.Close(), d.blobs.Close()); err != nil && !d.closed {
+	if err := firstErr(d.journal.Close(), d.blobs.Close()); err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
 	for _, sub := range []string{"blobs", "journal", "quarantine", "tmp"} {
@@ -1052,7 +1061,6 @@ func (d *Dir) Reset(ctx context.Context) error {
 		return fmt.Errorf("cas: journal: %w", err)
 	}
 	d.journal = f
-	d.closed = false
 	d.clearRecordsLocked()
 	d.report = Report{}
 	return nil
@@ -1064,8 +1072,6 @@ func (d *Dir) Reset(ctx context.Context) error {
 // journal reconstructs the same recency ranking the budgeted GC evicts
 // by. Callers hold d.mu and, when other handles may exist, the
 // exclusive store lock.
-//
-//chlint:allow failpointcover -- compaction runs under the exclusive store lock with builds locked out; crash safety comes from the atomic rename
 func (d *Dir) writeCompactJournalLocked() error {
 	d.seq++
 	tmp := d.path("tmp", fmt.Sprintf("journal-%d", d.seq))
@@ -1106,14 +1112,18 @@ func (d *Dir) writeCompactJournalLocked() error {
 	// Reopen the append handle on the new file: the old one points at the
 	// unlinked inode. If the reopen fails the store must close, not limp:
 	// appends to the unlinked handle would "succeed" into a file nothing
-	// will ever read back.
-	old := d.journal
-	nf, err := os.OpenFile(d.path("journal"), os.O_WRONLY|os.O_APPEND, 0o644)
+	// will ever read back. Closing releases the store lock too, so peers
+	// are not locked out until this process exits.
+	err = d.failpoint(OpJournalReopen)
+	var nf *os.File
+	if err == nil {
+		nf, err = os.OpenFile(d.path("journal"), os.O_WRONLY|os.O_APPEND, 0o644)
+	}
 	if err != nil {
-		old.Close()
-		d.closed = true
+		d.teardownLocked()
 		return fmt.Errorf("cas: compact journal: %w", err)
 	}
+	old := d.journal
 	d.journal = nf
 	old.Close()
 	d.tornTail = false

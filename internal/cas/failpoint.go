@@ -35,10 +35,13 @@ const (
 	// OpLock fires before GC/Reset convert the store lock to exclusive;
 	// injectors conventionally return ErrBusy here.
 	OpLock Op = "lock"
+	// OpJournalReopen fires before a compaction reopens the journal it
+	// renamed into place; a failure there closes the handle.
+	OpJournalReopen Op = "journal-reopen"
 )
 
 // AllOps lists every failpoint, for harnesses that fault everything.
-var AllOps = []Op{OpBlobWrite, OpBlobRename, OpBlobRead, OpJournalAppend, OpLock}
+var AllOps = []Op{OpBlobWrite, OpBlobRename, OpBlobRead, OpJournalAppend, OpLock, OpJournalReopen}
 
 // Injector decides, per failpoint firing, whether the operation fails.
 // A nil return lets the real I/O proceed. Implementations must be safe

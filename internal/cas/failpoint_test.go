@@ -98,6 +98,33 @@ func TestFailpointLockBusyGC(t *testing.T) {
 	}
 }
 
+// A compaction whose journal reopen fails closes the handle, and closing
+// releases the store lock: another handle's Reset then takes the
+// exclusive lock at once instead of waiting out a holder that will never
+// let go.
+func TestFailedJournalReopenReleasesStoreLock(t *testing.T) {
+	root := t.TempDir()
+	d, _ := openT(t, root)
+	if err := d.PutStep(ctx, "k", withData([]byte("l")), 0); err != nil {
+		t.Fatal(err)
+	}
+	d.SetFailpoints(FailOps(errors.New("injected reopen failure"), OpJournalReopen))
+	if _, err := d.GC(ctx, Budget{}); err == nil {
+		t.Fatal("GC succeeded with the journal reopen faulted")
+	}
+	if err := d.PutStep(ctx, "k2", withData([]byte("l2")), 0); !errors.Is(err, errClosed) {
+		t.Fatalf("put on the handle the failed reopen closed: %v", err)
+	}
+	d2, _, err := Open(root, WithLockWait(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if err := d2.Reset(ctx); err != nil {
+		t.Fatalf("reset after the failed reopen: %v", err)
+	}
+}
+
 func TestPlanIsDeterministic(t *testing.T) {
 	rate := map[Op]float64{OpBlobWrite: 0.5, OpBlobRead: 0.5}
 	seq := func() []string {
