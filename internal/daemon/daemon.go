@@ -386,9 +386,6 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	return d.closeDir()
 }
 
-// Operation looks up an operation by ID.
-func (d *Daemon) Operation(id string) (*operation, bool) { return d.reg.get(id) }
-
 // maxTimeoutMS is the largest millisecond timeout a time.Duration holds;
 // a larger one would wrap when converted.
 const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)

@@ -158,13 +158,6 @@ func (o *operation) settle(r build.JobResult, now time.Time) {
 	close(o.done)
 }
 
-// Terminal reports whether the operation has settled.
-func (o *operation) Terminal() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return terminalStatus(o.status)
-}
-
 // render snapshots the operation as its wire type, truncating the
 // transcript to its last tail bytes (tail <= 0 keeps it all).
 func (o *operation) render(tail int) Operation {

@@ -37,9 +37,6 @@ var disabled atomic.Bool
 // SetDisabled switches metric collection off (true) or on (false).
 func SetDisabled(v bool) { disabled.Store(v) }
 
-// Disabled reports whether metric collection is switched off.
-func Disabled() bool { return disabled.Load() }
-
 // DefBuckets are the default latency buckets in seconds. The engine's
 // per-instruction costs sit in the microsecond-to-millisecond range,
 // so the ladder starts well under a millisecond.

@@ -303,13 +303,6 @@ func splitSlash(p string) []string {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // runScript executes a maintainer script under /bin/sh.
 func runScript(ctx *simos.ExecCtx, script string) int {
 	if script == "" {

@@ -175,12 +175,3 @@ func (c *Chain) EvaluateSteps(d *Data) (uint32, int) {
 	}
 	return result, steps
 }
-
-// Filters returns a snapshot of the installed filters, newest last.
-func (c *Chain) Filters() []*Filter {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*Filter, len(c.filters))
-	copy(out, c.filters)
-	return out
-}

@@ -155,33 +155,3 @@ func (h *Handle) Chown(ac *AccessContext, uid, gid int) errno.Errno {
 	}
 	return h.fs.chownInode(ac, h.n, uid, gid)
 }
-
-// Chmod is fchmod(2) against the open file.
-func (h *Handle) Chmod(ac *AccessContext, mode uint32) errno.Errno {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if h.fs.readonly {
-		return errno.EROFS
-	}
-	return h.fs.chmodInode(ac, h.n, mode)
-}
-
-// SetXattr is fsetxattr(2) against the open file.
-func (h *Handle) SetXattr(ac *AccessContext, name string, value []byte) errno.Errno {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if h.fs.readonly {
-		return errno.EROFS
-	}
-	if e := xattrPermission(ac, h.n, name); e != errno.OK {
-		return e
-	}
-	if h.n.xattrs == nil {
-		h.n.xattrs = map[string][]byte{}
-	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	h.n.xattrs[name] = v
-	h.fs.touch(h.n)
-	return errno.OK
-}
