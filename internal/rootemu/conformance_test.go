@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -429,7 +428,7 @@ func TestConformanceMatrix(t *testing.T) {
 		}
 	}
 	t.Errorf("%d rows differ from %s; the computed table is in %s",
-		shown, conformanceGolden, filepath.ToSlash(conformanceGot))
+		shown, conformanceGolden, conformanceGot)
 }
 
 // rowKey is a row's scenario, mode, call and arch.
