@@ -119,19 +119,24 @@ bench-smoke:
 
 # The cross-invocation acceptance check: ch-image builds in SEPARATE
 # processes against one --cache-dir; after the first, each must execute
-# nothing, and `cache fsck` must find every blob intact. CACHE_SMOKE_DIR
+# nothing, and `cache fsck` must find every blob intact. The second build
+# runs with --trace and must print no `materialise` span: its WORKDIR,
+# which creates a directory, is checked out like every other step, so a
+# fully cached build never builds a tree. CACHE_SMOKE_DIR
 # is overridable so CI can persist the cas fixture between jobs and runs
 # (so the warm-from-disk open and a full fsck of a store written by an
 # earlier run happen on every CI run).
 CACHE_SMOKE_DIR ?= .cache-smoke
 cache-smoke:
 	@mkdir -p $(CACHE_SMOKE_DIR)/ctx
-	@printf 'FROM alpine:3.19\nRUN apk add sl\nRUN mkdir -p /srv && echo cached > /srv/marker\n' > $(CACHE_SMOKE_DIR)/ctx/Dockerfile
+	@printf 'FROM alpine:3.19\nRUN apk add sl\nRUN mkdir -p /srv && echo cached > /srv/marker\nWORKDIR /opt/app\n' > $(CACHE_SMOKE_DIR)/ctx/Dockerfile
 	go run ./cmd/ch-image build -t smoke:1 --cache-dir $(CACHE_SMOKE_DIR)/cas $(CACHE_SMOKE_DIR)/ctx > $(CACHE_SMOKE_DIR)/first.out
-	go run ./cmd/ch-image build -t smoke:1 --cache-dir $(CACHE_SMOKE_DIR)/cas $(CACHE_SMOKE_DIR)/ctx > $(CACHE_SMOKE_DIR)/second.out
+	go run ./cmd/ch-image build -t smoke:1 --cache-dir $(CACHE_SMOKE_DIR)/cas --trace $(CACHE_SMOKE_DIR)/ctx > $(CACHE_SMOKE_DIR)/second.out 2> $(CACHE_SMOKE_DIR)/second.trace
 	@grep -q '^instructions executed: 0 ' $(CACHE_SMOKE_DIR)/second.out || \
 		{ echo "cache-smoke FAILED: second process executed instructions:"; cat $(CACHE_SMOKE_DIR)/second.out; exit 1; }
-	@echo "cache-smoke OK: second process ran fully warm from $(CACHE_SMOKE_DIR)/cas"
+	@! grep -q 'materialise' $(CACHE_SMOKE_DIR)/second.trace || \
+		{ echo "cache-smoke FAILED: second process built a tree:"; cat $(CACHE_SMOKE_DIR)/second.trace; exit 1; }
+	@echo "cache-smoke OK: second process ran fully warm from $(CACHE_SMOKE_DIR)/cas, building no tree"
 	@# Full verification: every blob read back and digest-checked; any
 	@# damage found (and quarantined) is exit 1.
 	go run ./cmd/ch-image cache --cache-dir $(CACHE_SMOKE_DIR)/cas fsck > $(CACHE_SMOKE_DIR)/fsck.out || \

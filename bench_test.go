@@ -737,8 +737,8 @@ func BenchmarkBuildPersistent(b *testing.B) {
 //   - warm: each iteration opens a cas directory populated before the
 //     timer starts (the journal decoded, blobs stat-checked), replays
 //     every instruction from it, and closes it; no tree is built, since
-//     the WORKDIR is resolved from the base's entries and the replayed
-//     layers' headers.
+//     the WORKDIR, like the RUNs and the COPY, is a cached step that
+//     checks out its recorded layer.
 func BenchmarkInvocation(b *testing.B) {
 	const text = "FROM alpine:3.19\nRUN apk add sl\nCOPY app.txt /srv/app.txt\n" +
 		"RUN mkdir -p /bench && echo 5eed > /bench/marker\nENV BENCH_TOKEN=5eed\nWORKDIR /srv\n"

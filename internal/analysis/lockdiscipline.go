@@ -15,7 +15,7 @@ import (
 //     build.Cache all follow. A method that touches a guarded field
 //     must lock that mutex somewhere in its body, or declare itself a
 //     helper whose CALLER holds the lock by carrying the "Locked" name
-//     suffix (applyLocked, gcFullLocked, ...).
+//     suffix (applyLocked, gcBudgetLocked, ...).
 //  2. A function that attempts the nonblocking flock exclusive
 //     conversion (flockExclusiveNB) must also re-acquire the shared
 //     lock on its failure paths: the kernel converts by

@@ -269,9 +269,7 @@ func TestPRootIDFamiliesIndependent(t *testing.T) {
 	if r, _, _, _ := p.Getresgid(); r != 65534 {
 		t.Fatalf("gid triple not faked: %d", r)
 	}
-	// setreuid(-1, 42) updates the effective field only (getresuid's
-	// single-value hook reports a collapsed triple, so observe through
-	// the field-specific getters).
+	// setreuid(-1, 42) updates the effective field only.
 	if e := p.Setreuid(-1, 42); e != errno.OK {
 		t.Fatalf("setreuid: %v", e)
 	}

@@ -93,21 +93,14 @@ func (pr *PRoot) Hook() *simos.PtraceHook {
 			}
 			return st, errno.OK
 		},
-		GetID: func(p *simos.Proc, name string) (int, bool) {
+		GetID: func(p *simos.Proc, name string) ([3]int, bool) {
 			pr.mu.Lock()
+			defer pr.mu.Unlock()
 			family := pr.uids
 			if strings.Contains(name, "gid") {
 				family = pr.gids
 			}
-			ids, ok := family[p.PID()]
-			pr.mu.Unlock()
-			if ok {
-				if name == "getuid" || name == "getgid" {
-					return ids[0], true
-				}
-				return ids[1], true
-			}
-			return 0, true
+			return family[p.PID()], true // all 0 until a faked set*id
 		},
 		SetID: func(p *simos.Proc, name string, args []int) (errno.Errno, bool) {
 			pr.mu.Lock()

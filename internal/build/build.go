@@ -192,13 +192,14 @@ type Result struct {
 	// success).
 	Image *image.Image
 
-	// CacheHits counts instructions replayed from the cache.
+	// CacheHits counts cacheable instructions (RUN, COPY, ADD) replayed
+	// from the cache. A WORKDIR is cached too, but never counted.
 	CacheHits int
 
 	// Executed counts cacheable instructions (RUN, COPY, ADD) that
-	// actually executed rather than replaying from the cache. A fully
-	// warm rebuild reports Executed == 0 — the `make cache-smoke`
-	// assertion.
+	// actually executed rather than replaying from the cache; a WORKDIR
+	// that misses is not counted. A fully warm rebuild reports
+	// Executed == 0 — the `make cache-smoke` assertion.
 	Executed int
 
 	// ModifiedRuns counts RUN instructions rewritten by the apt
@@ -355,7 +356,7 @@ type builder struct {
 
 	base  *image.Image // the FROM base the tree materialises from
 	cwd   string       // the working directory, as the container's process has it
-	cwdAt int          // len(cur.Layers) when a WORKDIR without a tree set cwd
+	cwdAt int          // len(cur.Layers) when a WORKDIR hit without a tree set cwd
 
 	cur   *image.Image         // accumulating result image
 	snap  *tarutil.Snapshotter // rootfs state as of the last committed step
@@ -621,7 +622,7 @@ func (b *builder) materialise() (err error) {
 	b.k, b.p, b.fs, b.snap = k, p, fs, snap
 
 	// The replayed layers, with the working directory entered where the
-	// last WORKDIR without a tree set it.
+	// last WORKDIR hit without a tree set it.
 	for i := len(b.base.Layers); i <= len(b.cur.Layers); i++ {
 		if i == b.cwdAt && b.cwd != "/" {
 			if e := p.Chdir(b.cwd); e != errno.OK {
@@ -988,48 +989,47 @@ func (b *builder) stepArg(ins dockerfile.Instruction) error {
 	return nil
 }
 
-// stepWorkdir enters dir, creating it if missing. Without a tree, a dir
-// the base and the replayed layers already hold as a directory is
-// entered without building one: the container enters it when the tree
-// materialises. Any other dir — missing, or reached through a symlink —
-// materialises the tree here.
+// stepWorkdir enters dir, creating it if missing. It is a cached step
+// whose layer holds the directories it created (often none), so a hit
+// checks that layer out like any other: with a tree the container enters
+// dir now, without one it enters dir when the tree materialises. Unlike
+// RUN, COPY and ADD, a WORKDIR is never counted in the cache statistics.
 func (b *builder) stepWorkdir(ins dockerfile.Instruction) error {
 	dir := b.abs(b.expand(ins.Raw))
-	if b.p == nil {
-		if b.isDirWithoutTree(dir) {
-			b.cur.Config.WorkingDir = dir
-			b.chainKey = chain(b.chainKey, "WORKDIR\x00"+dir)
-			b.cwd, b.cwdAt = dir, len(b.cur.Layers)
-			return nil
+	key := b.advance("WORKDIR\x00" + dir)
+	hit, err := b.checkout(key, "WORKDIR")
+	if err != nil {
+		return fmt.Errorf("build: line %d: %w", ins.Line, err)
+	}
+	// A miss owns the fill (see stepRun): abandon on any failure path.
+	recorded := hit
+	defer func() {
+		if !recorded {
+			b.abandon(key)
 		}
+	}()
+	if !hit {
 		if err := b.materialise(); err != nil {
 			return err
 		}
+		b.mkParents(dir + "/.")
 	}
-	b.mkParents(dir + "/.")
-	if e := b.p.Chdir(dir); e != errno.OK {
-		return fmt.Errorf("build: line %d: WORKDIR %s: %s", ins.Line, dir, e.Message())
+	if b.p != nil {
+		if e := b.p.Chdir(dir); e != errno.OK {
+			return fmt.Errorf("build: line %d: WORKDIR %s: %s", ins.Line, dir, e.Message())
+		}
 	}
-	b.cwd = dir
+	if !hit {
+		layer, err := b.commit() // the created directories belong to a layer
+		if err != nil {
+			return err
+		}
+		b.record(key, layer, 0)
+		recorded = true
+	}
+	b.cwd, b.cwdAt = dir, len(b.cur.Layers)
 	b.cur.Config.WorkingDir = dir
-	b.chainKey = chain(b.chainKey, "WORKDIR\x00"+dir)
-	_, err := b.commit() // the created directories belong to a layer
-	return err
-}
-
-// isDirWithoutTree reports whether every component of dir is a directory
-// in the base plus the layers replayed so far, read from the store's
-// flattened entries and the layers' headers; false when not sure.
-func (b *builder) isDirWithoutTree(dir string) bool {
-	entries, err := b.opt.Store.FlattenedEntries(b.ctx, b.base)
-	if err != nil {
-		return false // materialise reports the flatten failure
-	}
-	var layers [][]byte
-	for _, l := range b.cur.Layers[len(b.base.Layers):] {
-		layers = append(layers, l.Data)
-	}
-	return tarutil.IsDirAfter(entries, layers, dir)
+	return nil
 }
 
 func (b *builder) stepLabel(ins dockerfile.Instruction) error {
@@ -1077,19 +1077,36 @@ func (b *builder) commit() (image.Layer, error) {
 	return l, nil
 }
 
-// replay takes a cached step if present: the stored layer, checked
+// replay takes a counted step (RUN, COPY, ADD) from the cache if present:
+// checkout, with the outcome counted in Result.CacheHits and the cache's
+// statistics, and the hit marked in the transcript.
+func (b *builder) replay(key, cmd string) (bool, error) {
+	if b.opt.Cache == nil {
+		return false, nil
+	}
+	hit, err := b.checkout(key, cmd)
+	b.opt.Cache.count(hit)
+	if !hit || err != nil {
+		return false, err
+	}
+	fmt.Fprintf(b.out, "    (cached)\n")
+	b.res.CacheHits++
+	return true, nil
+}
+
+// checkout takes a cached step if present: the stored layer, checked
 // against its recorded digest, is appended to the image without executing
 // anything. With a tree, the layer is also unpacked onto it; without one
 // it waits for materialise. A layer that fails its check or its unpack is
-// an error, not a miss — by then the rootfs may hold a partial apply, and
-// re-executing on it would bake the damage into a fresh layer.
+// a hit with an error, not a miss — by then the rootfs may hold a partial
+// apply, and re-executing on it would bake the damage into a fresh layer.
 //
 // Under a shared cache (build.Pool) a miss may find the same step already
-// executing in another builder; replay then blocks until that builder
-// records its result and replays it like any other hit. On a true miss
+// executing in another builder; checkout then blocks until that builder
+// records its result and checks it out like any other hit. On a true miss
 // the builder owns the fill: it must end the step with record (success)
 // or abandon (failure) so waiting builders are released.
-func (b *builder) replay(key, cmd string) (bool, error) {
+func (b *builder) checkout(key, cmd string) (bool, error) {
 	if b.opt.Cache == nil {
 		return false, nil
 	}
@@ -1097,26 +1114,24 @@ func (b *builder) replay(key, cmd string) (bool, error) {
 	if !hit {
 		return false, nil
 	}
-	fmt.Fprintf(b.out, "    (cached)\n")
 	if len(ent.layer) > 0 {
 		// The handed-out layer is private: the image under construction
 		// escapes to the caller as Result.Image, and mutations there must
 		// not reach the shared cache entry.
 		layer := append([]byte(nil), ent.layer...)
 		if got := image.Digest(layer); got != ent.digest {
-			return false, fmt.Errorf("%s: corrupt cache layer: bytes hash to %s, recorded %s", cmd, got, ent.digest)
+			return true, fmt.Errorf("%s: corrupt cache layer: bytes hash to %s, recorded %s", cmd, got, ent.digest)
 		}
 		if b.p != nil {
 			// ApplyLayer unpacks and reconciles the tracked snapshot in
 			// one O(layer) pass — no full re-walk of the tree it changed.
 			if err := b.snap.ApplyLayer(b.fs, layer); err != nil {
-				return false, fmt.Errorf("%s: corrupt cache layer: %w", cmd, err)
+				return true, fmt.Errorf("%s: corrupt cache layer: %w", cmd, err)
 			}
 		}
 		b.cur.Layers = append(b.cur.Layers, image.Layer{Digest: ent.digest, Data: layer})
 	}
 	b.res.ModifiedRuns += ent.modified
-	b.res.CacheHits++
 	return true, nil
 }
 

@@ -117,11 +117,12 @@ func (c *Cache) loadStep(ctx context.Context, st cas.Step) (cacheEntry, error) {
 	return ent, err
 }
 
-// Stats reports lifetime hit/miss totals across all builds sharing the
-// cache. Every replay — direct or after waiting out another builder's
+// Stats reports lifetime hit/miss totals of the counted steps (RUN, COPY
+// and ADD; WORKDIR is cached but never counted) across all builds sharing
+// the cache. Every replay — direct or after waiting out another builder's
 // in-flight execution — counts one hit; every fill counts one miss, so
-// hits+misses equals the cacheable steps attempted and hits equals the
-// sum of Result.CacheHits across the sharing builds.
+// hits+misses equals the counted steps attempted and hits equals the sum
+// of Result.CacheHits across the sharing builds.
 func (c *Cache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -136,10 +137,11 @@ func (c *Cache) Len() int {
 	return len(c.entries) + len(c.lazy)
 }
 
-// getOrBegin is the single entry point for a builder reaching a cacheable
+// getOrBegin is the single entry point for a builder reaching a cached
 // step. On a hit, ent is the recorded step; replay it. On a miss the
 // caller owns the execution and MUST finish with either complete
-// (success) or abandon (failure).
+// (success) or abandon (failure). It counts nothing: a counted step
+// reports its outcome through count.
 //
 // A caller that finds the key in flight blocks until the filler finishes;
 // a completed fill returns as a hit, an abandoned one loops and contends
@@ -148,7 +150,6 @@ func (c *Cache) getOrBegin(ctx context.Context, key string) (ent cacheEntry, hit
 	for {
 		c.mu.Lock()
 		if ent, ok := c.entries[key]; ok {
-			c.hitLocked()
 			c.mu.Unlock()
 			return ent, true
 		}
@@ -156,17 +157,12 @@ func (c *Cache) getOrBegin(ctx context.Context, key string) (ent cacheEntry, hit
 		if !leader {
 			c.mu.Unlock()
 			if ent, err := f.Wait(); err == nil {
-				c.mu.Lock()
-				c.hitLocked()
-				c.mu.Unlock()
 				return ent, true
 			}
 			continue // abandoned or failed to load: contend for the fill
 		}
 		st, lazy := c.lazy[key]
 		if !lazy {
-			c.misses++
-			mCacheMisses.Inc()
 			c.mu.Unlock()
 			return cacheEntry{}, false
 		}
@@ -180,7 +176,6 @@ func (c *Cache) getOrBegin(ctx context.Context, key string) (ent cacheEntry, hit
 		c.mu.Lock()
 		if err == nil {
 			c.entries[key] = ent
-			c.hitLocked()
 		}
 		c.flights.Finish(key, ent, err)
 		c.mu.Unlock()
@@ -190,10 +185,18 @@ func (c *Cache) getOrBegin(ctx context.Context, key string) (ent cacheEntry, hit
 	}
 }
 
-// hitLocked counts one replay. Callers hold c.mu.
-func (c *Cache) hitLocked() {
-	c.hits++
-	mCacheHits.Inc()
+// count records one counted step's getOrBegin outcome in Stats and the
+// cache counters.
+func (c *Cache) count(hit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if hit {
+		c.hits++
+		mCacheHits.Inc()
+	} else {
+		c.misses++
+		mCacheMisses.Inc()
+	}
 }
 
 // complete records a finished step and releases any builders waiting on

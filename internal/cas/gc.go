@@ -17,17 +17,16 @@ type GCStats struct {
 	StepsDropped int   // instruction-cache entries removed
 }
 
-// Budget parameterises GC. The zero value selects the full reachability
-// sweep; MaxBytes > 0 selects the size-budgeted policy instead.
+// Budget parameterises GC.
 type Budget struct {
-	// MaxBytes, when > 0, bounds the blob store: instead of dropping
-	// everything no tag reaches, GC keeps every record (warm cache
-	// entries for untagged intermediates included) and evicts the
-	// least-recently-recorded unpinned steps — journal order, oldest
-	// first — until the blob bytes fit the budget. Tag records
-	// and the layers they reference are pins: they are never evicted,
-	// so a budget smaller than the pinned bytes is reported via
-	// GCStats.BytesKept rather than enforced.
+	// MaxBytes bounds the blob store. GC evicts the least-recently-
+	// recorded unpinned steps — journal order, oldest first — until the
+	// blob bytes fit the budget, keeping every other record (warm cache
+	// entries for untagged intermediates included). Tag records and the
+	// layers they reference are pins: they are never evicted, so a budget
+	// smaller than the pinned bytes is reported via GCStats.BytesKept
+	// rather than enforced. MaxBytes <= 0 is a budget of nothing: every
+	// unpinned step and every blob no tag reaches goes.
 	MaxBytes int64
 }
 
@@ -35,14 +34,11 @@ type Budget struct {
 // ErrBusy if another process keeps the store open past the lock wait),
 // then compacts the journal to exactly the surviving records.
 //
-// With a zero Budget this is mark-and-sweep from the tagged roots. A
-// blob survives iff some remaining tag's layer chain references it; an
-// instruction-cache entry with a layer survives iff that layer blob
-// survives. Everything else — untagged intermediate-stage layers, entries
-// for steps no tagged image retains — is deleted. On an empty store GC is a no-op.
-//
-// With Budget.MaxBytes > 0 the policy flips from reachability to
-// recency: see Budget.
+// Blobs referenced by no record go first, then steps are evicted as
+// Budget describes. With a zero Budget only the tagged roots survive: a
+// blob survives iff some remaining tag's layer chain references it, and
+// an instruction-cache entry with a layer survives iff that layer blob
+// survives. On an empty store GC is a no-op.
 //
 // Steps that recorded no layer carry no reachability information and are
 // always kept; they cost one journal line each and nothing in the blob
@@ -71,11 +67,7 @@ func (d *Dir) GC(ctx context.Context, b Budget) (GCStats, error) {
 	var stats GCStats
 	_, err := d.loadLocked()
 	if err == nil {
-		if b.MaxBytes > 0 {
-			stats, err = d.gcBudgetLocked(b)
-		} else {
-			stats, err = d.gcFullLocked()
-		}
+		stats, err = d.gcBudgetLocked(b)
 	}
 	if err == nil {
 		err = d.writeCompactJournalLocked()
@@ -90,59 +82,11 @@ func (d *Dir) GC(ctx context.Context, b Budget) (GCStats, error) {
 	return stats, err
 }
 
-// gcFullLocked is the reachability sweep. Callers hold d.mu and the exclusive
-// store lock.
-func (d *Dir) gcFullLocked() (GCStats, error) {
-	marked := map[string]bool{}
-	for _, tg := range d.tags {
-		for _, l := range tg.Layers {
-			marked[l] = true
-		}
-	}
-	var stats GCStats
-	stats.TagsKept = len(d.tags)
-
-	for key, st := range d.steps {
-		if st.Layer != "" && !marked[st.Layer] {
-			delete(d.steps, key)
-			delete(d.order, key)
-			stats.StepsDropped++
-		}
-	}
-
-	// Sweep: every blob file not marked goes away.
-	var sweepErr error
-	d.walkBlobs(func(digest, p string, ent os.DirEntry) {
-		if sweepErr != nil {
-			return
-		}
-		size := int64(0)
-		if info, err := ent.Info(); err == nil {
-			size = info.Size()
-		}
-		if marked[digest] {
-			stats.BlobsKept++
-			stats.BytesKept += size
-			return
-		}
-		if err := os.Remove(p); err != nil {
-			sweepErr = fmt.Errorf("cas: gc: %w", err)
-			return
-		}
-		stats.BlobsSwept++
-		stats.BytesSwept += size
-	})
-	if sweepErr != nil {
-		return stats, sweepErr
-	}
-	return stats, nil
-}
-
-// gcBudgetLocked is the size-budgeted policy: keep the cache as warm as the
-// budget allows. Blobs referenced by no record at all are garbage in any
-// policy and go first; then the least-recently-recorded steps are
-// evicted — with the blobs only they referenced — until the store
-// fits. Callers hold d.mu and the exclusive store lock.
+// gcBudgetLocked keeps the cache as warm as the budget allows. Blobs
+// referenced by no record at all are garbage under any budget and go
+// first; then the least-recently-recorded steps are evicted — with the
+// blobs only they referenced — until the store fits. Callers hold d.mu and
+// the exclusive store lock.
 func (d *Dir) gcBudgetLocked(b Budget) (GCStats, error) {
 	var stats GCStats
 	stats.TagsKept = len(d.tags)
@@ -203,7 +147,7 @@ func (d *Dir) gcBudgetLocked(b Budget) (GCStats, error) {
 	}
 	sort.Slice(victims, func(i, j int) bool { return d.order[victims[i]] < d.order[victims[j]] })
 	for _, key := range victims {
-		if total <= b.MaxBytes {
+		if b.MaxBytes > 0 && total <= b.MaxBytes {
 			break
 		}
 		st := d.steps[key]

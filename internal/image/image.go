@@ -239,8 +239,8 @@ func (s *Store) flattenPristine(img *Image) (*vfs.FS, error) {
 // the same per-chain memoisation Flatten uses — so reading a built stage's
 // tree for COPY --from costs no re-walk once any consumer has flattened
 // the chain. A chain seeded from FromEntries answers from its entries
-// without building a tree, so a WORKDIR or COPY --from that reads a stock
-// base pays no unpack. The returned slice and everything it references
+// without building a tree, so a COPY --from that reads a stock base pays
+// no unpack. The returned slice and everything it references
 // are shared across callers and must be treated as read-only; copy
 // Entry.Data before retaining or mutating it.
 func (s *Store) FlattenedEntries(ctx context.Context, img *Image) ([]tarutil.Entry, error) {

@@ -11,10 +11,9 @@ import (
 )
 
 // A warm invocation from disk builds no base tree. The cold one builds
-// the tree of each base at its first miss; the warm one replays every
-// step, and its WORKDIR of a base directory and its COPY --from a fully
-// cached stage read the resolved base's entries or nothing, so neither
-// base is unpacked, and no chain is filled.
+// the tree of each base at its first miss; the warm one checks out every
+// step, its WORKDIR included, and its COPY --from a fully cached stage
+// reads nothing, so neither base is unpacked, and no chain is filled.
 func TestWarmBuildFromDiskBuildsNoBaseTree(t *testing.T) {
 	const text = "FROM alpine:3.19 AS stage\nRUN echo artifact > /artifact\n" +
 		"FROM debian:12\nWORKDIR /etc\nCOPY --from=stage /artifact /opt/artifact\nRUN cat /opt/artifact\n"

@@ -86,3 +86,25 @@ func TestAttachBaselines(t *testing.T) {
 		t.Fatalf("fakeroot records: %d", fr.Records())
 	}
 }
+
+// Under PRoot, getres[ug]id reports the whole faked triple a setres[ug]id
+// left, field by field, in agreement with get[e][ug]id.
+func TestPRootGetresReportsFakedTriple(t *testing.T) {
+	p := typeIIIProc(t)
+	AttachPRoot(p)
+	if e := p.Setresuid(1002, 1000, 1001); e != errno.OK {
+		t.Fatalf("setresuid: %v", e)
+	}
+	if e := p.Setresgid(2002, 2000, 2001); e != errno.OK {
+		t.Fatalf("setresgid: %v", e)
+	}
+	if r, eu, s, e := p.Getresuid(); e != errno.OK || r != 1002 || eu != 1000 || s != 1001 {
+		t.Errorf("getresuid = %d/%d/%d (%v), want 1002/1000/1001", r, eu, s, e)
+	}
+	if r, eg, s, e := p.Getresgid(); e != errno.OK || r != 2002 || eg != 2000 || s != 2001 {
+		t.Errorf("getresgid = %d/%d/%d (%v), want 2002/2000/2001", r, eg, s, e)
+	}
+	if u, eu, g, eg := p.Getuid(), p.Geteuid(), p.Getgid(), p.Getegid(); u != 1002 || eu != 1000 || g != 2002 || eg != 2000 {
+		t.Errorf("getuid/geteuid/getgid/getegid = %d/%d/%d/%d, want 1002/1000/2002/2000", u, eu, g, eg)
+	}
+}

@@ -56,8 +56,9 @@ type PtraceHook struct {
 	StatExit func(p *Proc, path string, follow bool, st vfs.Stat, e errno.Errno) (vfs.Stat, errno.Errno)
 
 	// GetID intercepts get[e]uid/get[e]gid and the getres* triples,
-	// returning the fake identity.
-	GetID func(p *Proc, name string) (int, bool)
+	// returning the fake real/effective/saved identity; the kernel picks
+	// the field the call reports.
+	GetID func(p *Proc, name string) ([3]int, bool)
 
 	// SetID intercepts the set*id family. args carries the syscall's id
 	// arguments verbatim ([uid], [r,e] or [r,e,s]; -1 means keep), the

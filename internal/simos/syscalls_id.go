@@ -73,8 +73,11 @@ func (p *Proc) Getegid() int { return p.getID("getegid", gidKind, true) }
 
 // getID returns the real (or effective) ID of kind k.
 func (p *Proc) getID(name string, k idKind, effective bool) int {
-	if v, handled := p.consultGetID(name); handled {
-		return v
+	if ids, handled := p.consultGetID(name); handled {
+		if effective {
+			return ids[1]
+		}
+		return ids[0]
 	}
 	if ok, _ := p.enter(p.idSysname(name)); !ok {
 		return OverflowUID
@@ -88,28 +91,29 @@ func (p *Proc) getID(name string, k idKind, effective bool) int {
 }
 
 // consultGetID lets a ptrace supervisor (PRoot with fake-id mode) claim
-// get*id calls and substitute its own answer (typically 0: "you are root").
-func (p *Proc) consultGetID(name string) (int, bool) {
+// get*id calls and substitute its own real/effective/saved triple
+// (typically all 0: "you are root").
+func (p *Proc) consultGetID(name string) ([3]int, bool) {
 	if p.ptrace != nil && p.ptrace.GetID != nil {
-		if v, handled := p.ptrace.GetID(p, name); handled {
+		if ids, handled := p.ptrace.GetID(p, name); handled {
 			p.ptraceClaimed(name, "", errno.OK)
-			return v, true
+			return ids, true
 		}
 	}
-	return 0, false
+	return [3]int{}, false
 }
 
 // Getresuid returns the real/effective/saved UID views — apt's
 // verification call. A ptrace supervisor with fake-id mode (PRoot) may
-// claim it, keeping the triple consistent with earlier faked set*id.
+// claim it and report the triple its earlier faked set*id calls left.
 func (p *Proc) Getresuid() (r, e, s int, err errno.Errno) { return p.getresID("getresuid", uidKind) }
 
 // Getresgid returns the GID triple views.
 func (p *Proc) Getresgid() (r, e, s int, err errno.Errno) { return p.getresID("getresgid", gidKind) }
 
 func (p *Proc) getresID(name string, k idKind) (r, e, s int, err errno.Errno) {
-	if v, ok := p.consultGetID(name); ok {
-		return v, v, v, errno.OK
+	if ids, ok := p.consultGetID(name); ok {
+		return ids[0], ids[1], ids[2], errno.OK
 	}
 	if ok, e2 := p.enter(name, 0, 0, 0); !ok {
 		return 0, 0, 0, e2

@@ -211,11 +211,31 @@ func describe(ents []Entry) string {
 	return b.String()
 }
 
+// stackNames is the namespace the random layer stacks draw from: every
+// path of up to three components over three names, so members collide,
+// replace and shadow one another often.
+func stackNames() []string {
+	var out []string
+	var walk func(dir string, depth int)
+	walk = func(dir string, depth int) {
+		if depth == 3 {
+			return
+		}
+		for _, n := range []string{"a", "b", "c"} {
+			p := path.Join(dir, n)
+			out = append(out, p)
+			walk(p, depth+1)
+		}
+	}
+	walk("/", 0)
+	return out
+}
+
 // Property: over seeded random layer stacks with setgid directories,
 // owners, symlinks, replacements, whiteouts and implicit parents, Unpack
 // leaves the tree the five-walk reference leaves, or fails where it fails.
 func TestUnpackMatchesFiveWalkOnRandomStacks(t *testing.T) {
-	names := resolveNames()
+	names := stackNames()
 	rng := rand.New(rand.NewSource(27))
 	dirModes := []uint32{0o755, 0o2775, 0o700}
 	fileModes := []uint32{0o644, 0o2755, 0o4750}
